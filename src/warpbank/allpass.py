@@ -1,4 +1,4 @@
-"""First-order allpass sections and the frequency warping map built on them.
+"""The first-order warping allpass and the frequency warping map built on it.
 
 The warping replaces every unit delay by the allpass
 
@@ -73,28 +73,3 @@ def warp_inverse(nu, alpha):
     """
     _check_alpha(alpha)
     return warp(nu, -alpha)
-
-
-class AllpassSection:
-    """Single first-order allpass stage with one state variable.
-
-    Realizes  y[n] + a*y[n-1] = x[n-1] + a*x[n]  in transposed direct form II.
-    An impulse through a = 0.5 yields 0.5, 0.75, -0.375, 0.1875, ...
-
-    Note the warped delay line of a bank with warp coefficient alpha uses
-    sections with a = -alpha; see streaming.AllpassLine.
-    """
-
-    def __init__(self, coefficient):
-        self.coefficient = _check_alpha(coefficient)
-        self.state = 0.0
-
-    def reset(self):
-        self.state = 0.0
-
-    def step(self, x):
-        """Advance one sample; returns the section output."""
-        a = self.coefficient
-        y = a * x + self.state
-        self.state = x - a * y
-        return y

@@ -28,12 +28,16 @@ from .transfer import (
 
 
 def _gain_list(text):
+    error = argparse.ArgumentTypeError(
+        "gains must be comma-separated dB values (-inf allowed)"
+    )
     try:
-        return [float(v) for v in text.split(",")]
+        gains = [float(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "gains must be comma-separated dB values (-inf allowed)"
-        )
+        raise error
+    if any(np.isnan(g) or g == np.inf for g in gains):
+        raise error
+    return gains
 
 
 def build_parser():
@@ -69,8 +73,8 @@ def build_parser():
     p = sub.add_parser("bifreq", help="export the bifrequency magnitude map as CSV")
     p.add_argument("design", help="design file (YAML)")
     p.add_argument("-o", "--out", required=True, help="CSV file to write")
-    p.add_argument("--grid-in", type=int, default=256, help="input frequencies")
-    p.add_argument("--grid-out", type=int, default=256, help="output frequencies")
+    p.add_argument("--grid-in", type=_grid_size, default=256, help="input frequencies")
+    p.add_argument("--grid-out", type=_grid_size, default=256, help="output frequencies")
     p.set_defaults(func=cmd_bifreq)
 
     p = sub.add_parser("process", help="run a WAV file through the bank")
@@ -91,15 +95,28 @@ def build_parser():
     return parser
 
 
+def _grid_size(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("need at least 2 grid points, got %d" % value)
+    return value
+
+
 def _bank_config(design, grid_points=None):
-    return BankConfig(
-        channels=design.channels,
-        order=design.order,
-        alpha=design.alpha,
-        subsampling=design.subsampling,
-        grid_points=grid_points,
-        sample_rate_hz=design.sample_rate_hz,
-    )
+    try:
+        return BankConfig(
+            channels=design.channels,
+            order=design.order,
+            alpha=design.alpha,
+            subsampling=design.subsampling,
+            grid_points=grid_points,
+            sample_rate_hz=design.sample_rate_hz,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_design(args):

@@ -195,7 +195,7 @@ def read_wav(path):
 
     Returns (rate, samples, kind) with float samples in [-1, 1] and kind one
     of "int16" / "float32", so a processed file can be written back in the
-    format it arrived in.
+    format it arrived in.  Float files holding NaN or inf are rejected.
     """
     try:
         rate, data = wavfile.read(path)
@@ -206,6 +206,8 @@ def read_wav(path):
     if data.dtype == np.int16:
         return rate, data.astype(float) / 32768.0, "int16"
     if data.dtype == np.float32:
+        if not np.all(np.isfinite(data)):
+            raise ConfigError("%s: samples must be finite (found NaN or inf)" % path)
         return rate, data.astype(float), "float32"
     raise ConfigError("%s: unsupported sample format %s" % (path, data.dtype))
 

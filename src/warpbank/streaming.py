@@ -1,14 +1,26 @@
 """Sample-domain execution of the warped analysis/synthesis chain.
 
-The analysis bank shares one tapped cascade of first-order allpass sections
-(the warped delay line); channel outputs are inner products of the tap vector
-with the modulated coefficients.  Synthesis runs the mirrored structure per
-channel after zero-insert upsampling.  Sections realize
+Both directions run on one tapped cascade of N-1 first-order allpass
+sections (the warped delay line), each realizing
 
-    (z^-1 - alpha) / (1 - alpha z^-1)
+    A(z) = (z^-1 - alpha) / (1 - alpha z^-1)
 
 which matches the analytic warping phase; with alpha = 0 the line degenerates
 to an ordinary FIR delay line.
+
+Analysis pushes the input down the line and takes channel outputs as inner
+products of the tap vector with the modulated analysis coefficients.
+
+Synthesis uses the transposed structure.  A is linear and time-invariant, so
+summing the warped synthesis filters over the zero-inserted channels u_k,
+
+    sum_k sum_n f_k[n] A^n u_k = sum_n A^n v_n,   v_n = sum_k f_k[n] u_k,
+
+folds by Horner's rule into v_0 + A(v_1 + A(v_2 + ... + A(v_{N-1}))): the
+channels are mixed first and a single 1-D signal passes through the line.
+Per output sample both directions therefore cost N-1 allpass section updates
+and M*N multiply-adds of channel mixing, independent of the channel count on
+the allpass side.
 """
 
 from dataclasses import dataclass
@@ -34,42 +46,15 @@ class SubbandFrame:
         self.samples = np.asarray(self.samples, dtype=float)
 
 
-class AllpassLine:
-    """Tapped cascade of n_taps-1 allpass sections for warp coefficient alpha.
-
-    tap 0 is the current input; tap n is the input filtered through n
-    sections.  Sections carry coefficient -alpha so the cascade realizes the
-    warped delay line (see module docstring); state persists across calls.
-    """
-
-    def __init__(self, alpha, n_taps):
-        if not abs(float(alpha)) < 1.0:
-            raise ValueError("|alpha| < 1 required")
-        if int(n_taps) < 1:
-            raise ValueError("need at least one tap")
-        self.alpha = float(alpha)
-        self.n_taps = int(n_taps)
-        self.state = np.zeros(self.n_taps - 1)
-
-    def reset(self):
-        self.state[:] = 0.0
-
-    def step(self, x):
-        """Advance one sample; returns the full tap vector."""
-        a = -self.alpha
-        taps = np.empty(self.n_taps)
-        taps[0] = x
-        for i in range(1, self.n_taps):
-            y = a * taps[i - 1] + self.state[i - 1]
-            self.state[i - 1] = taps[i - 1] - a * y
-            taps[i] = y
-        return taps
-
-
 def _section_coeffs(alpha):
-    # transfer (z^-1 - alpha)/(1 - alpha z^-1); lfilter zi equals the
-    # transposed direct form II state used by AllpassLine.step
+    # transfer (z^-1 - alpha)/(1 - alpha z^-1); the lfilter zi of each
+    # section is its one transposed direct form II state variable
     return np.array([-alpha, 1.0]), np.array([1.0, -alpha])
+
+
+def _check_finite(samples, what):
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("%s holds non-finite samples (NaN or inf)" % what)
 
 
 def _design_filters(design):
@@ -84,7 +69,8 @@ def analyze(design, signal):
     ----------
     design : BankDesign
     signal : array_like
-        Real 1-D signal; must be nonempty.
+        Real 1-D signal; must be nonempty and finite (one NaN or inf would
+        stay in the recursive allpass state for the rest of the signal).
 
     Returns
     -------
@@ -95,6 +81,7 @@ def analyze(design, signal):
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a nonempty 1-D array")
+    _check_finite(x, "signal")
     ha, _ = _design_filters(design)
     M, N = ha.shape
     b, a = _section_coeffs(design.alpha)
@@ -120,6 +107,12 @@ def synthesize(design, frames):
     the ratio (the decimate/upsample pair is gain 1/S otherwise), run through
     the warped synthesis filters and summed.  Output length is the largest
     upsampled channel length.
+
+    The filtering is evaluated by Horner's rule on one allpass line (see the
+    module docstring): starting from acc = v_{N-1}, each of the N-1 sections
+    filters the running sum once and the next mixed tap v_n = fs[:, n] @ u is
+    added.  Only N-1 scalar section states persist between blocks, one per
+    Horner stage; frame samples must be finite.
     """
     M = design.channels
     if len(frames) != M:
@@ -135,12 +128,13 @@ def synthesize(design, frames):
             )
         if not 0 <= f.phase < f.ratio:
             raise ValueError("frame %d phase out of range" % f.channel)
+        _check_finite(f.samples, "frame %d" % f.channel)
     _, fs = _design_filters(design)
     M, N = fs.shape
     b, a = _section_coeffs(design.alpha)
     length = max(f.phase + f.samples.size * f.ratio for f in order)
-    out = np.zeros(length)
-    zi = np.zeros((N - 1, M, 1))
+    out = np.empty(length)
+    zi = np.zeros((N - 1, 1))
     for start in range(0, length, _BLOCK):
         stop = min(start + _BLOCK, length)
         u = np.zeros((M, stop - start))
@@ -156,11 +150,11 @@ def synthesize(design, frames):
                 u[f.channel, first - start :: s][:count] = (
                     f.samples[src : src + count] * s
                 )
-        out[start:stop] = fs[:, 0] @ u
-        stage = u
-        for n in range(1, N):
-            stage, zi[n - 1] = lfilter(b, a, stage, axis=-1, zi=zi[n - 1])
-            out[start:stop] += fs[:, n] @ stage
+        acc = fs[:, N - 1] @ u
+        for n in range(N - 2, -1, -1):
+            acc, zi[n] = lfilter(b, a, acc, zi=zi[n])
+            acc += fs[:, n] @ u
+        out[start:stop] = acc
     return out
 
 
@@ -168,14 +162,17 @@ def process_signal(design, signal, gains_db=None):
     """Full analysis-synthesis pass, output trimmed to the input length.
 
     gains_db applies a per-channel gain in dB between analysis and synthesis
-    (-inf silences a channel).
+    (-inf silences a channel; NaN and +inf are rejected).
     """
     x = np.asarray(signal, dtype=float)
-    frames = analyze(design, x)
     if gains_db is not None:
         gains_db = np.asarray(gains_db, dtype=float)
         if gains_db.shape != (design.channels,):
             raise ValueError("need one gain per channel")
+        if np.any(np.isnan(gains_db) | (gains_db == np.inf)):
+            raise ValueError("gains must be finite dB values or -inf")
+    frames = analyze(design, x)
+    if gains_db is not None:
         for f in frames:
             f.samples = f.samples * 10.0 ** (gains_db[f.channel] / 20.0)
     y = synthesize(design, frames)

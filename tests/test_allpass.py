@@ -2,7 +2,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
-from warpbank import AllpassSection, allpass_phase, warp, warp_inverse
+from oracles import AllpassSection
+from warpbank import allpass_phase, warp, warp_inverse
 
 
 def _section_response(omega, alpha):

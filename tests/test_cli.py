@@ -158,6 +158,21 @@ def test_evaluate_missing_design_exits_2(tmp_path):
                  str(tmp_path / "x.csv")]) == 2
 
 
+def test_evaluate_grid_below_2_exits_2(flat_design, tmp_path, capsys):
+    code = main(["evaluate", flat_design, "--what", "tall", "-o",
+                 str(tmp_path / "x.csv"), "--grid", "1"])
+    assert code == 2
+    assert "grid_points must be >= 2" in capsys.readouterr().err
+
+
+def test_bifreq_grid_below_2_exits_2(flat_design, tmp_path, capsys):
+    for flag, value in (("--grid-in", "-3"), ("--grid-out", "1"), ("--grid-in", "x")):
+        code = main(["bifreq", flat_design, "-o", str(tmp_path / "b.csv"), flag, value])
+        assert code == 2
+        assert "argument %s" % flag in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_bifreq_diagonal_support(flat_design, tmp_path):
     out = tmp_path / "b.csv"
     code = main(["bifreq", flat_design, "-o", str(out),
@@ -216,9 +231,10 @@ def test_process_gain_count_mismatch_exits_2(toy_design, tmp_path):
 def test_process_gain_parse_error_exits_2(toy_design, tmp_path):
     wav_in = tmp_path / "in.wav"
     _write_sine(wav_in, seconds=0.1)
-    code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav"),
-                 "--gains", "0,loud,0,0"])
-    assert code == 2
+    for gains in ("0,loud,0,0", "0,nan,0,0", "inf,0,0,0"):
+        code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav"),
+                     "--gains", gains])
+        assert code == 2
 
 
 def test_process_empty_wav_exits_1(toy_design, tmp_path):
@@ -226,6 +242,17 @@ def test_process_empty_wav_exits_1(toy_design, tmp_path):
     write_wav(str(wav_in), 16000, np.zeros(0))
     code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav")])
     assert code == 1
+
+
+def test_process_non_finite_wav_exits_2(toy_design, tmp_path, capsys):
+    wav_in = tmp_path / "in.wav"
+    x = np.zeros(400, dtype=np.float32)
+    x[100] = np.nan
+    write_wav(str(wav_in), 16000, x, "float32")
+    code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_process_stereo_exits_2(toy_design, tmp_path):

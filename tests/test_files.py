@@ -179,3 +179,13 @@ def test_wav_rejects_bad_input(tmp_path):
     assert_raises(ConfigError, read_wav, path)
     assert_raises(ConfigError, read_wav, str(tmp_path / "missing.wav"))
     assert_raises(ValueError, write_wav, path, 8000, np.zeros(4), "int8")
+
+
+def test_wav_rejects_non_finite_float_samples(tmp_path):
+    path = str(tmp_path / "t.wav")
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(16, dtype=np.float32)
+        x[5] = bad
+        write_wav(path, 8000, x, "float32")
+        with assert_raises(ConfigError, match="finite"):
+            read_wav(path)

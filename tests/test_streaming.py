@@ -3,8 +3,8 @@ from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 from scipy.signal import lfilter
 
+from oracles import AllpassLine
 from warpbank import (
-    AllpassLine,
     BankConfig,
     BankDesign,
     SubbandFrame,
@@ -15,6 +15,7 @@ from warpbank import (
     modulate,
     overall_transfer,
     process_signal,
+    streaming,
     synthesize,
     to_db,
 )
@@ -42,6 +43,13 @@ def _fir_reference(design, x):
         u[: frames[k].size * s : s] = frames[k] * s
         out += lfilter(filters.synthesis[k], 1.0, u)
     return frames, out
+
+
+def _phased_frames(rng, ratios, phases, length):
+    return [
+        SubbandFrame(k, rng.standard_normal((length - p - 1) // s + 1), s, phase=p)
+        for k, (s, p) in enumerate(zip(ratios, phases))
+    ]
 
 
 def test_unwarped_chain_matches_fir_reference():
@@ -140,11 +148,8 @@ def test_synthesize_honors_frame_phase():
     # unwarped case: zero insertion at phase p must equal the dense reference
     design = _toy_design(4, 32, 0.0, [2, 3, 2, 1])
     rng = np.random.default_rng(137)
-    frames = []
     filters = modulate(design.prototype_half())
-    for k, (s, p) in enumerate(zip((2, 3, 2, 1), (1, 2, 0, 0))):
-        samples = rng.standard_normal((120 - p - 1) // s + 1)
-        frames.append(SubbandFrame(k, samples, s, phase=p))
+    frames = _phased_frames(rng, (2, 3, 2, 1), (1, 2, 0, 0), 120)
     length = max(f.phase + f.samples.size * f.ratio for f in frames)
     want = np.zeros(length)
     for f in frames:
@@ -154,6 +159,52 @@ def test_synthesize_honors_frame_phase():
         want += lfilter(filters.synthesis[f.channel], 1.0, u)
     got = synthesize(design, frames)
     assert_allclose(got, want, atol=1e-10)
+
+
+def test_warped_synthesis_matches_allpass_line_oracle():
+    # sum_k sum_n f_k[n] (A^n u_k)[t], each A^n u_k read off the taps of a
+    # per-sample allpass line fed the zero-inserted channel
+    alpha = 0.55
+    design = _toy_design(4, 32, alpha, [4, 3, 2, 1])
+    filters = modulate(design.prototype_half())
+    rng = np.random.default_rng(157)
+    frames = _phased_frames(rng, (4, 3, 2, 1), (3, 1, 1, 0), 150)
+    length = max(f.phase + f.samples.size * f.ratio for f in frames)
+    want = np.zeros(length)
+    for f in frames:
+        u = np.zeros(length)
+        u[f.phase : f.phase + f.samples.size * f.ratio : f.ratio] = f.samples * f.ratio
+        line = AllpassLine(alpha, design.order)
+        taps = np.array([line.step(v) for v in u]).T
+        want += filters.synthesis[f.channel] @ taps
+    assert_allclose(synthesize(design, frames), want, atol=1e-12)
+
+
+def test_block_splits_match_one_block(monkeypatch):
+    # an odd block size that no ratio divides carries the allpass states and
+    # the zero-insertion phase across many block boundaries
+    design = _toy_design(4, 32, 0.55, [4, 3, 2, 1])
+    rng = np.random.default_rng(163)
+    x = rng.standard_normal(1000)
+    frames = _phased_frames(rng, (4, 3, 2, 1), (2, 1, 1, 0), 1000)
+    whole_frames = analyze(design, x)
+    whole_out = synthesize(design, frames)
+    monkeypatch.setattr(streaming, "_BLOCK", 97)
+    for got, want in zip(analyze(design, x), whole_frames):
+        assert_allclose(got.samples, want.samples, atol=1e-12)
+    assert_allclose(synthesize(design, frames), whole_out, atol=1e-12)
+
+
+def test_non_finite_samples_rejected():
+    design = _toy_design(2, 16, 0.5, [2, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones(400)
+        x[100] = bad
+        assert_raises(ValueError, analyze, design, x)
+        assert_raises(ValueError, process_signal, design, x)
+        frames = analyze(design, np.ones(400))
+        frames[1].samples[100] = bad
+        assert_raises(ValueError, synthesize, design, frames)
 
 
 def test_zero_frames_give_zero_output():
@@ -174,6 +225,8 @@ def test_process_signal_gains():
     silent = process_signal(design, x, gains_db=[-np.inf, -np.inf])
     assert_allclose(silent, 0.0, atol=0)
     assert_raises(ValueError, process_signal, design, x, [0.0, 0.0, 0.0])
+    assert_raises(ValueError, process_signal, design, x, [0.0, np.nan])
+    assert_raises(ValueError, process_signal, design, x, [np.inf, 0.0])
     assert process_signal(design, x).size == x.size
 
 
