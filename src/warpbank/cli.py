@@ -16,13 +16,13 @@ from .files import ConfigError
 from .modulation import channel_response_warped, prototype_response
 from .transfer import (
     BankConfig,
-    TransferTables,
     aliasing_bound,
     aliasing_transfer,
     bifrequency_map,
     distortion_transfer,
     error_function,
     frequency_grid,
+    overall_transfer,
     to_db,
 )
 
@@ -182,7 +182,7 @@ def cmd_evaluate(args):
             header.append("ch%02d_db" % k)
             columns.append(to_db(resp))
     elif args.what == "tall":
-        mag = to_db(TransferTables(config, omega).overall(half))
+        mag = to_db(overall_transfer(half, omega, config))
         header, columns = ["omega_norm", "value_db"], [norm, mag]
     elif args.what == "tdist":
         mag = to_db(distortion_transfer(half, omega, config))

@@ -18,6 +18,7 @@ from scipy.signal import firwin
 from .modulation import PrototypeHalf
 from .transfer import (
     TransferTables,
+    _check_sample_rate,
     aliasing_transfer,
     distortion_transfer,
     frequency_grid,
@@ -61,6 +62,7 @@ class BankDesign:
     def __post_init__(self):
         self.half = np.asarray(self.half, dtype=float)
         self.subsampling = np.asarray(self.subsampling, dtype=int)
+        self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
 
     @property
     def order(self):

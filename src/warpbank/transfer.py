@@ -5,17 +5,30 @@ The analysis-synthesis chain with per-channel decimation by S_k has
     T_all(omega) = sum_k sum_{l=0..S_k-1} H_k^w(omega + 2 pi l/S_k) F_k^w(omega)
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
-transfer.  Because every channel response is linear in the prototype half
-vector h, T_all is also the quadratic form h^T U(omega) h; the factored
-per-channel vectors are precomputed in TransferTables for the optimizer.
+transfer.  A given prototype is evaluated directly: one pass over the channels
+computes each F_k^w once and yields the products one image at a time, in
+O(grid * order/2) memory; every transfer curve here sums that pass.  Scoring
+many prototypes on one grid (the optimizer) uses TransferTables instead: the
+per-channel vectors of the quadratic form T_all = h^T U(omega) h.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import modulation
 from .allpass import allpass_phase, _check_alpha
 from .modulation import PrototypeHalf, cosine_basis, modulation_constants
+
+
+def _check_sample_rate(rate):
+    """Return rate if it is None or a positive finite number, else raise."""
+    real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+    if rate is not None and not (real and 0.0 < rate < np.inf):
+        raise ValueError("sample_rate_hz must be a positive number, got %r" % (rate,))
+    return rate
 
 
 @dataclass
@@ -57,6 +70,16 @@ class BankConfig:
         self.grid_points = int(self.grid_points)
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
+        for name in ("max_inner", "max_outer"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+            setattr(self, name, int(value))
+        for name in ("theta", "psi", "kaiser_beta", "step_tol"):
+            setattr(self, name, float(getattr(self, name)))
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError("%s must be finite and >= 0" % name)
 
 
 def frequency_grid(config):
@@ -104,24 +127,6 @@ def synthesis_vector(omega, channel, config):
     return _pair_vector(config.order, g1, g2, np.conj(a[channel]) * b[channel])
 
 
-def transfer_quadratic(omega, config):
-    """Assemble the full quadratic-form matrix U(omega) at one frequency.
-
-    h^T U h equals the overall transfer; U = sum_k (sum_l u_a) outer u_s.
-    Mostly useful for small-scale verification; the optimizer works from
-    TransferTables instead.
-    """
-    n2 = config.order // 2
-    U = np.zeros((n2, n2), dtype=complex)
-    for k in range(config.channels):
-        ua = np.zeros(n2, dtype=complex)
-        for l in range(config.subsampling[k]):
-            ua += analysis_vector(float(omega), l, k, config)
-        us = synthesis_vector(float(omega), k, config)
-        U += np.outer(ua, us)
-    return U
-
-
 class TransferTables:
     """Stacked per-channel response vectors over a frequency grid.
 
@@ -156,96 +161,90 @@ class TransferTables:
         return np.einsum("gm,gm->g", A, B)
 
 
+def transfer_quadratic(omega, config):
+    """Quadratic-form matrix U(omega) at one frequency, h^T U h = T_all.
+
+    U = sum_k ua_k outer us_k from one-point TransferTables; for small-scale
+    checks of the table vectors against the direct route.
+    """
+    tables = TransferTables(config, [float(omega)])
+    return tables.ua[0].T @ tables.us[0]
+
+
 def _as_proto(half, config):
     if isinstance(half, PrototypeHalf):
         return half
     return PrototypeHalf(np.asarray(half, float), config.channels)
 
 
-def distortion_transfer(half, omega, config):
-    """Alias-free part of the overall transfer, sum_k H_k^w(omega) F_k^w(omega)."""
-    from .modulation import channel_response_warped
+def _pointwise(reduce):
+    """Let reduce(proto, w, config) over a 1-D grid w take scalar omega too."""
 
-    proto = _as_proto(half, config)
-    scalar_in = np.isscalar(omega)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    t = np.zeros(w.shape, dtype=complex)
-    for k in range(config.channels):
-        t += channel_response_warped(
-            proto, k, w, config.alpha
-        ) * channel_response_warped(proto, k, w, config.alpha, synthesis=True)
-    return complex(t[0]) if scalar_in else t
+    @functools.wraps(reduce)
+    def wrapper(half, omega, config):
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        out = reduce(_as_proto(half, config), w, config)
+        return out[0].item() if np.isscalar(omega) else out
+
+    return wrapper
 
 
-def aliasing_transfer(half, omega, config):
-    """Coherent sum of all alias terms (images l >= 1 of every channel)."""
-    from .modulation import channel_response_warped
+def _image_products(proto, w, config, distortion=True, aliasing=True):
+    """Yield (l, H_k^w(w + 2 pi l/S_k) F_k^w(w)) for every channel k.
 
-    proto = _as_proto(half, config)
-    scalar_in = np.isscalar(omega)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    t = np.zeros(w.shape, dtype=complex)
+    l = 0 is the distortion image and l = 1 .. S_k-1 the alias images; each
+    group is included when its flag is set.  F_k^w is computed once per
+    channel and products come one at a time, so memory is O(grid * order/2).
+    """
+    # looked up per call, so bench/run.py's layer tracing counts these calls
+    response = modulation.channel_response_warped
     for k in range(config.channels):
         S = config.subsampling[k]
-        if S == 1:
-            continue
-        f = channel_response_warped(proto, k, w, config.alpha, synthesis=True)
-        for l in range(1, S):
-            t += (
-                channel_response_warped(
-                    proto, k, w + 2.0 * np.pi * l / S, config.alpha
-                )
-                * f
-            )
-    return complex(t[0]) if scalar_in else t
+        images = range(0 if distortion else 1, S if aliasing else 1)
+        if images:
+            f = response(proto, k, w, config.alpha, synthesis=True)
+        for l in images:
+            yield l, response(proto, k, w + 2.0 * np.pi * l / S, config.alpha) * f
 
 
-def overall_transfer(half, omega, config):
-    """T_all = distortion + aliasing, summed directly channel by channel."""
-    return distortion_transfer(half, omega, config) + aliasing_transfer(
-        half, omega, config
-    )
+@_pointwise
+def distortion_transfer(proto, w, config):
+    """Alias-free part of the overall transfer, sum_k H_k^w(omega) F_k^w(omega)."""
+    products = _image_products(proto, w, config, aliasing=False)
+    return sum((p for _, p in products), np.zeros(w.shape, complex))
 
 
-def overall_transfer_quadratic(half, omega, config):
-    """T_all through the h^T U h route; agrees with overall_transfer to ~1e-12."""
-    proto = _as_proto(half, config)
-    scalar_in = np.isscalar(omega)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    t = TransferTables(config, w).overall(proto.coeffs)
-    return complex(t[0]) if scalar_in else t
+@_pointwise
+def aliasing_transfer(proto, w, config):
+    """Coherent sum of all alias terms (images l >= 1 of every channel)."""
+    products = _image_products(proto, w, config, distortion=False)
+    return sum((p for _, p in products), np.zeros(w.shape, complex))
 
 
-def aliasing_bound(half, omega, config):
+@_pointwise
+def aliasing_bound(proto, w, config):
     """Incoherent worst-case alias magnitude sum_k sum_{l>=1} |H_k^w F_k^w|.
 
     A conservative bound; the coherent aliasing_transfer is what enters T_all.
     """
-    from .modulation import channel_response_warped
-
-    proto = _as_proto(half, config)
-    scalar_in = np.isscalar(omega)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    t = np.zeros(w.shape, dtype=float)
-    for k in range(config.channels):
-        S = config.subsampling[k]
-        if S == 1:
-            continue
-        f = channel_response_warped(proto, k, w, config.alpha, synthesis=True)
-        for l in range(1, S):
-            t += np.abs(
-                channel_response_warped(proto, k, w + 2.0 * np.pi * l / S, config.alpha)
-                * f
-            )
-    return float(t[0]) if scalar_in else t
+    products = _image_products(proto, w, config, distortion=False)
+    return sum((np.abs(p) for _, p in products), np.zeros(w.shape))
 
 
-def error_function(half, omega, config):
+@_pointwise
+def overall_transfer(proto, w, config):
+    """T_all in one pass; the parts sum apart so it equals distortion + aliasing."""
+    parts = np.zeros((2,) + w.shape, complex)
+    for l, p in _image_products(proto, w, config):
+        parts[min(l, 1)] += p
+    return parts[0] + parts[1]
+
+
+@_pointwise
+def error_function(proto, w, config):
     """Design error E(omega) = |T_all|^2 - 1 over the given frequencies."""
-    t = overall_transfer_quadratic(half, omega, config)
-    t = np.atleast_1d(t)
-    e = t.real**2 + t.imag**2 - 1.0
-    return float(e[0]) if np.isscalar(omega) else e
+    t = overall_transfer(proto, w, config)
+    return t.real**2 + t.imag**2 - 1.0
 
 
 def to_db(x, floor_db=-300.0):
@@ -263,8 +262,6 @@ def bifrequency_map(half, config, in_grid, out_grid):
     to [0, pi]; magnitude is taken at the end, floored at -300 dB.  With all
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
     """
-    from .modulation import channel_response_warped
-
     proto = _as_proto(half, config)
     win = np.asarray(in_grid, dtype=float)
     wout = np.asarray(out_grid, dtype=float)
@@ -274,11 +271,13 @@ def bifrequency_map(half, config, in_grid, out_grid):
     rows = np.arange(win.size)
     for k in range(config.channels):
         S = config.subsampling[k]
-        hk = channel_response_warped(proto, k, win, config.alpha)
+        hk = modulation.channel_response_warped(proto, k, win, config.alpha)
         for l in range(S):
             shifted = np.mod(win + 2.0 * np.pi * l / S, 2.0 * np.pi)
             folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
-            fk = channel_response_warped(proto, k, folded, config.alpha, synthesis=True)
+            fk = modulation.channel_response_warped(
+                proto, k, folded, config.alpha, synthesis=True
+            )
             # nearest output bin per folded frequency
             pos = np.searchsorted(sorted_out, folded)
             pos = np.clip(pos, 1, sorted_out.size - 1)

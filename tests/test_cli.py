@@ -1,10 +1,18 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from warpbank import read_wav, write_wav
+from warpbank import (
+    BankConfig,
+    BankDesign,
+    initial_prototype,
+    read_wav,
+    save_design,
+    write_wav,
+)
 from warpbank.cli import main
 
 
@@ -71,6 +79,18 @@ def test_design_malformed_value_exits_2(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("channels: 2\norder: twelve\nalpha: 0.0\n")
     assert main(["design", str(cfg), "-o", str(tmp_path / "d.yaml")]) == 2
+
+
+def test_design_out_of_range_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "channels: 4\norder: 32\nalpha: 0.3\nsubsampling: [2, 2, 2, 2]\n"
+        "max_outer: 0\npsi: -1\n"
+    )
+    out = tmp_path / "d.yaml"
+    assert main(["design", str(cfg), "-o", str(out)]) == 2
+    assert "max_outer must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_design_nonconvergence_warns_but_succeeds(tmp_path, capsys):
@@ -165,6 +185,36 @@ def test_evaluate_grid_below_2_exits_2(flat_design, tmp_path, capsys):
     assert "grid_points must be >= 2" in capsys.readouterr().err
 
 
+def test_evaluate_memory_stays_bounded(tmp_path):
+    # one-shot curves go channel by channel; transfer tables over this grid
+    # would hold 2 x 16384 x 4 x 16 complex values (about 34 MB)
+    config = BankConfig(channels=4, order=32, alpha=0.3, subsampling=[2, 2, 2, 2])
+    design = tmp_path / "toy.yaml"
+    save_design(
+        BankDesign(
+            half=initial_prototype(config).coeffs,
+            channels=4,
+            alpha=0.3,
+            subsampling=config.subsampling,
+            ripple_db=0.0,
+            max_alias_db=0.0,
+            outer_iterations=1,
+            converged=False,
+        ),
+        str(design),
+    )
+    for what in ("error", "tall"):
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", str(design), "--what", what, "-o",
+                         str(tmp_path / "x.csv"), "--grid", "16384"])
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak_mb < 16.0, (what, peak_mb)
+
+
 def test_bifreq_grid_below_2_exits_2(flat_design, tmp_path, capsys):
     for flag, value in (("--grid-in", "-3"), ("--grid-out", "1"), ("--grid-in", "x")):
         code = main(["bifreq", flat_design, "-o", str(tmp_path / "b.csv"), flag, value])
@@ -252,6 +302,20 @@ def test_process_non_finite_wav_exits_2(toy_design, tmp_path, capsys):
     code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav")])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_process_bad_sample_rate_exits_2(toy_design, tmp_path, capsys):
+    design = tmp_path / "d.yaml"
+    with open(toy_design) as fh:
+        text = fh.read()
+    assert "sample_rate_hz: 16000" in text
+    design.write_text(text.replace("sample_rate_hz: 16000", "sample_rate_hz: fast"))
+    wav_in = tmp_path / "in.wav"
+    _write_sine(wav_in, rate=8000, seconds=0.1)
+    code = main(["process", str(design), str(wav_in), str(tmp_path / "o.wav")])
+    assert code == 2
+    assert "sample_rate_hz" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
 
 

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
@@ -15,7 +18,6 @@ from warpbank import (
     frequency_grid,
     initial_prototype,
     overall_transfer,
-    overall_transfer_quadratic,
     to_db,
     transfer_quadratic,
 )
@@ -28,6 +30,22 @@ def _random_case(rng):
     half = rng.standard_normal(channels * taps)
     alpha = float(rng.uniform(-0.8, 0.8))
     sub = [int(s) for s in rng.integers(1, 7, channels)]
+    config = BankConfig(
+        channels=channels, order=2 * half.size, alpha=alpha, subsampling=sub
+    )
+    return half, config
+
+
+@st.composite
+def _banks(draw):
+    """The bank space of _random_case, drawn by hypothesis."""
+    channels = draw(st.sampled_from([2, 4, 8]))
+    taps = draw(st.integers(1, 2))
+    coeffs = st.floats(-3.0, 3.0, allow_subnormal=False)
+    half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
+                                  max_size=channels * taps)))
+    alpha = draw(st.floats(-0.8, 0.8, allow_subnormal=False))
+    sub = draw(st.lists(st.integers(1, 6), min_size=channels, max_size=channels))
     config = BankConfig(
         channels=channels, order=2 * half.size, alpha=alpha, subsampling=sub
     )
@@ -48,6 +66,43 @@ def test_config_defaults():
     assert config.grid_points == max(8 * 32, 1024)
     assert config.theta == 1.2
     assert config.psi == 0.6
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_inner", 0),
+        ("max_inner", -1),
+        ("max_inner", 2.5),
+        ("max_outer", 0),
+        ("max_outer", np.inf),
+        ("theta", -0.1),
+        ("theta", np.inf),
+        ("psi", -1.0),
+        ("psi", np.nan),
+        ("kaiser_beta", -9.0),
+        ("kaiser_beta", np.inf),
+        ("step_tol", -1e-10),
+        ("step_tol", np.nan),
+        ("sample_rate_hz", "fast"),
+        ("sample_rate_hz", 0),
+        ("sample_rate_hz", -16000),
+        ("sample_rate_hz", np.inf),
+        ("sample_rate_hz", True),
+    ],
+)
+def test_config_rejects_out_of_range(field, value):
+    with assert_raises(ValueError, match=field):
+        BankConfig(channels=4, order=32, alpha=0.3, **{field: value})
+
+
+def test_config_accepts_range_edges():
+    config = BankConfig(
+        channels=4, order=32, alpha=0.3, max_inner=1, max_outer=1, theta=0,
+        psi=0, kaiser_beta=0, step_tol=0, sample_rate_hz=44100.0,
+    )
+    assert (config.max_inner, config.max_outer, config.psi) == (1, 1, 0.0)
+    assert config.sample_rate_hz == 44100.0
 
 
 def test_modulation_angles_trivial():
@@ -104,15 +159,19 @@ def test_quadratic_form_matches_direct_sum():
         assert abs(t_quad - t_direct) <= 1e-9 * max(1.0, abs(t_direct))
 
 
-def test_overall_is_distortion_plus_aliasing():
-    rng = np.random.default_rng(41)
-    half, config = _random_case(rng)
+@settings(derandomize=True, deadline=None)
+@given(_banks())
+def test_overall_is_distortion_plus_aliasing(case):
+    half, config = case
     omega = np.linspace(0.0, np.pi, 33)
     t = distortion_transfer(half, omega, config) + aliasing_transfer(
         half, omega, config
     )
-    assert_allclose(t, overall_transfer(half, omega, config), atol=1e-14)
-    assert_allclose(t, overall_transfer_quadratic(half, omega, config), atol=1e-9)
+    overall = overall_transfer(half, omega, config)
+    assert_allclose(t, overall, atol=1e-14)
+    assert_allclose(t, TransferTables(config, omega).overall(half), atol=1e-9)
+    assert_allclose(error_function(half, omega, config), np.abs(overall) ** 2 - 1.0,
+                    atol=1e-12)
 
 
 def test_no_aliasing_without_subsampling():
@@ -132,9 +191,10 @@ def test_single_channel_quadratic_is_rank_one():
     assert_allclose(transfer_quadratic(omega, config), np.outer(ua, us), atol=1e-12)
 
 
-def test_aliasing_bound_dominates_coherent_sum():
-    rng = np.random.default_rng(47)
-    half, config = _random_case(rng)
+@settings(derandomize=True, deadline=None)
+@given(_banks())
+def test_aliasing_bound_dominates_coherent_sum(case):
+    half, config = case
     omega = np.linspace(0.0, np.pi, 65)
     coherent = np.abs(aliasing_transfer(half, omega, config))
     bound = aliasing_bound(half, omega, config)
@@ -159,7 +219,7 @@ def test_error_function_definition():
     rng = np.random.default_rng(59)
     half, config = _random_case(rng)
     omega = np.linspace(0.0, np.pi, 33)
-    t = overall_transfer_quadratic(half, omega, config)
+    t = overall_transfer(half, omega, config)
     assert_allclose(error_function(half, omega, config), np.abs(t) ** 2 - 1.0,
                     atol=1e-12)
 
