@@ -8,14 +8,16 @@ whose frequency response is exp(j*phi(omega)) with phi given in closed form
 below.  alpha = 0.5783 approximates the Bark scale at 16 kHz sampling.
 """
 
+import numbers
+
 import numpy as np
 
 
 def _check_alpha(alpha):
-    alpha = float(alpha)
-    if not abs(alpha) < 1.0:
-        raise ValueError("allpass coefficient must satisfy |alpha| < 1, got %r" % alpha)
-    return alpha
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and abs(alpha) < 1.0):
+        raise ValueError("allpass coefficient must satisfy |alpha| < 1, got %r" % (alpha,))
+    return float(alpha)
 
 
 def _maybe_scalar(x, scalar_in):

@@ -1,5 +1,7 @@
 """Reading and writing bank configurations, finished designs, CSV and WAV."""
 
+import dataclasses
+
 import numpy as np
 import yaml
 from scipy.io import wavfile
@@ -13,21 +15,9 @@ class ConfigError(Exception):
     """Raised for malformed configuration or design files."""
 
 
-_CONFIG_KEYS = (
-    "channels",
-    "order",
-    "alpha",
-    "subsampling",
-    "grid_points",
-    "sample_rate_hz",
-    "theta",
-    "psi",
-    "kaiser_beta",
-    "max_inner",
-    "max_outer",
-    "step_tol",
-)
-_REQUIRED_KEYS = ("channels", "order", "alpha")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(BankConfig))
+_REQUIRED_KEYS = [f.name for f in dataclasses.fields(BankConfig)
+                  if f.default is dataclasses.MISSING]
 
 
 def _plain(value):
@@ -76,37 +66,21 @@ def load_config(path):
         raise ConfigError("%s: missing keys %s" % (path, ", ".join(missing)))
     kwargs = dict(data)
     # subsampling defaults to automatic selection when the file omits it
-    sub = kwargs.get("subsampling", "auto")
+    sub = kwargs.pop("subsampling", "auto")
     if isinstance(sub, str) and sub != "auto":
         raise ConfigError("%s: subsampling must be a list or \"auto\"" % path)
-    if isinstance(sub, str):
-        try:
-            kwargs["subsampling"] = select_all(int(data["channels"]), float(data["alpha"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("%s: %s" % (path, exc)) from exc
     try:
-        return BankConfig(**kwargs)
+        config = BankConfig(**kwargs, subsampling=None if sub == "auto" else sub)
+        if sub == "auto":
+            config.subsampling = select_all(config.channels, config.alpha)
+        return config
     except (TypeError, ValueError) as exc:
         raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def save_config(config, path):
     """Write a configuration as YAML; load_config(save_config(c)) == c."""
-    data = {
-        "channels": config.channels,
-        "order": config.order,
-        "alpha": config.alpha,
-        "subsampling": _plain(config.subsampling),
-        "grid_points": config.grid_points,
-        "theta": config.theta,
-        "psi": config.psi,
-        "kaiser_beta": config.kaiser_beta,
-        "max_inner": config.max_inner,
-        "max_outer": config.max_outer,
-        "step_tol": config.step_tol,
-    }
-    if config.sample_rate_hz is not None:
-        data["sample_rate_hz"] = _plain(config.sample_rate_hz)
+    data = {k: v for k, v in dataclasses.asdict(config).items() if v is not None}
     with open(path, "w") as fh:
         yaml.safe_dump(_plain(data), fh, sort_keys=True)
 
@@ -153,27 +127,27 @@ def load_design(path):
         raise ConfigError("%s: bad coefficient data: %s" % (path, exc)) from exc
     if half.ndim != 1 or full.shape != (2 * half.size,):
         raise ConfigError("%s: prototype must be twice the half length" % path)
-    if half.size != int(data["order"]) // 2:
+    if data["order"] != 2 * half.size:
         raise ConfigError("%s: coefficient count does not match order" % path)
-    scale = max(np.abs(full).max(), 1.0)
-    if np.abs(full[: half.size] - half[::-1]).max() > 1e-9 * scale:
-        raise ConfigError("%s: prototype is not the mirrored half" % path)
-    if np.abs(full[half.size :] - half).max() > 1e-9 * scale:
-        raise ConfigError("%s: prototype is not the mirrored half" % path)
     try:
-        return BankDesign(
+        design = BankDesign(
             half=half,
-            channels=int(data["channels"]),
-            alpha=float(data["alpha"]),
-            subsampling=np.asarray(data["subsampling"], dtype=int),
+            channels=data["channels"],
+            alpha=data["alpha"],
+            subsampling=data["subsampling"],
             ripple_db=float(metrics["ripple_db"]),
             max_alias_db=float(metrics["max_alias_db"]),
-            outer_iterations=int(metrics["outer_iterations"]),
-            converged=bool(metrics["converged"]),
+            outer_iterations=metrics["outer_iterations"],
+            converged=metrics["converged"],
             sample_rate_hz=data.get("sample_rate_hz"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError("%s: %s" % (path, exc)) from exc
+    # the half is finite here, so a NaN or inf in the full prototype fails
+    scale = max(np.abs(half).max(), 1.0)
+    if not np.allclose(full, design.prototype(), rtol=0.0, atol=1e-9 * scale):
+        raise ConfigError("%s: prototype is not the mirrored half" % path)
+    return design
 
 
 def write_csv(path, header, columns):

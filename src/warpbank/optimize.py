@@ -18,6 +18,8 @@ from scipy.signal import firwin
 from .modulation import PrototypeHalf
 from .transfer import (
     TransferTables,
+    _check_count,
+    _check_geometry,
     _check_sample_rate,
     aliasing_transfer,
     distortion_transfer,
@@ -61,7 +63,14 @@ class BankDesign:
 
     def __post_init__(self):
         self.half = np.asarray(self.half, dtype=float)
-        self.subsampling = np.asarray(self.subsampling, dtype=int)
+        if not np.all(np.isfinite(self.half)):
+            raise ValueError("prototype coefficients must be finite")
+        self.channels, _, self.alpha, self.subsampling = _check_geometry(
+            self.channels, 2 * self.half.size, self.alpha, self.subsampling
+        )
+        self.outer_iterations = _check_count("outer_iterations", self.outer_iterations, 0)
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValueError("converged must be true or false, got %r" % (self.converged,))
         self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
 
     @property

@@ -31,6 +31,10 @@ from scipy.signal import lfilter
 from .modulation import modulate
 
 _BLOCK = 1 << 16
+# measure_response: settle transient in units of order * max(S) samples, and
+# the Hann window length of the steady-state read
+_SETTLE = 4
+_WINDOW = 8192
 
 
 @dataclass
@@ -85,19 +89,23 @@ def analyze(design, signal):
     ha, _ = _design_filters(design)
     M, N = ha.shape
     b, a = _section_coeffs(design.alpha)
-    y = np.empty((M, x.size))
+    ratios = design.subsampling
+    out = [np.empty(-(-x.size // s)) for s in ratios]
     zi = np.zeros((N - 1, 1))
+    buf = np.empty((N, min(_BLOCK, x.size)))
     for start in range(0, x.size, _BLOCK):
         blk = x[start : start + _BLOCK]
-        taps = np.empty((N, blk.size))
+        taps = buf[:, : blk.size]
         taps[0] = blk
         for n in range(1, N):
             taps[n], zi[n - 1] = lfilter(b, a, taps[n - 1], zi=zi[n - 1])
-        y[:, start : start + _BLOCK] = ha @ taps
-    return [
-        SubbandFrame(k, y[k, :: design.subsampling[k]].copy(), int(design.subsampling[k]))
-        for k in range(M)
-    ]
+        y = ha @ taps
+        # keep every S_k-th sample of the whole signal as the block is made
+        for k, s in enumerate(ratios):
+            part = y[k, (-start) % s :: s]
+            first = -(-start // s)
+            out[k][first : first + part.size] = part
+    return [SubbandFrame(k, out[k], int(s)) for k, s in enumerate(ratios)]
 
 
 def synthesize(design, frames):
@@ -181,26 +189,23 @@ def process_signal(design, signal, gains_db=None):
     return y[: x.size]
 
 
-def measure_response(design, probe_freqs, settle=None, window=8192):
+def measure_response(design, probe_freqs):
     """Measure |T_all| at probe frequencies by running sines through the bank.
 
     Each probe feeds a unit sine, discards a settle transient of
-    4*N*max(S) samples (default), and reads the steady-state amplitude by
-    Hann-windowed quadrature correlation.  Returns magnitudes in dB.  Probes
-    at (or numerically touching) 0 or pi are rejected: the correlation
-    cannot separate the conjugate line there.
+    _SETTLE*N*max(S) samples, and reads the steady-state amplitude by
+    Hann-windowed quadrature correlation over _WINDOW samples.  Returns
+    magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
+    rejected: the correlation cannot separate the conjugate line there.
     """
     freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
     bad = [float(f) for f in freqs if f <= 1e-9 or f >= np.pi - 1e-9]
     if bad:
         raise ValueError("probe frequencies too close to 0 or pi: %r" % bad)
-    if settle is None:
-        settle = 4 * design.order * int(design.subsampling.max())
-    settle = int(settle)
-    window = int(window)
-    win = np.hanning(window)
+    settle = _SETTLE * design.order * int(design.subsampling.max())
+    win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
-    n = np.arange(settle + window)
+    n = np.arange(settle + _WINDOW)
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
         y = process_signal(design, np.sin(w * n))

@@ -31,6 +31,31 @@ def _check_sample_rate(rate):
     return rate
 
 
+def _check_count(name, value, least):
+    """value as an int if it is an integer >= least; 4.9 raises, not truncates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueError("%s must be >= %d, got %r" % (name, least, value))
+    return int(value)
+
+
+def _check_geometry(channels, order, alpha, subsampling):
+    """Checked (channels, order = 2mM, |alpha| < 1, one ratio >= 1 per channel).
+
+    subsampling None means every ratio is 1.
+    """
+    channels = _check_count("channels", channels, 1)
+    order = _check_count("order", order, 2)
+    if order % (2 * channels):
+        raise ValueError("order must be an even multiple of 2*channels, got %d" % order)
+    ratios = np.ones(channels, int) if subsampling is None else np.asarray(subsampling)
+    if ratios.shape != (channels,):
+        raise ValueError("subsampling must hold one ratio per channel")
+    ratios = np.array([_check_count("subsampling", s, 1) for s in ratios.tolist()])
+    return channels, order, _check_alpha(alpha), ratios
+
+
 @dataclass
 class BankConfig:
     """Static description of a bank design problem.
@@ -53,29 +78,14 @@ class BankConfig:
     step_tol: float = 1e-10
 
     def __post_init__(self):
-        self.channels = int(self.channels)
-        self.order = int(self.order)
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.order < 2 or self.order % (2 * self.channels):
-            raise ValueError("order must be an even multiple of 2*channels")
-        self.alpha = _check_alpha(self.alpha)
-        if self.subsampling is None:
-            self.subsampling = np.ones(self.channels, dtype=int)
-        self.subsampling = np.asarray(self.subsampling, dtype=int)
-        if self.subsampling.shape != (self.channels,) or np.any(self.subsampling < 1):
-            raise ValueError("subsampling must hold one ratio >= 1 per channel")
+        self.channels, self.order, self.alpha, self.subsampling = _check_geometry(
+            self.channels, self.order, self.alpha, self.subsampling
+        )
         if self.grid_points is None:
             self.grid_points = max(8 * self.order, 1024)
-        self.grid_points = int(self.grid_points)
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        for name, least in (("grid_points", 2), ("max_inner", 1), ("max_outer", 1)):
+            setattr(self, name, _check_count(name, getattr(self, name), least))
         self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
-        for name in ("max_inner", "max_outer"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
-            setattr(self, name, int(value))
         for name in ("theta", "psi", "kaiser_beta", "step_tol"):
             setattr(self, name, float(getattr(self, name)))
             if not 0.0 <= getattr(self, name) < np.inf:

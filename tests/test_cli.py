@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 from warpbank import (
@@ -317,6 +318,40 @@ def test_process_bad_sample_rate_exits_2(toy_design, tmp_path, capsys):
     assert code == 2
     assert "sample_rate_hz" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def _nan_coefficient(data):
+    half = data["prototype_half"]
+    half[0] = float("nan")
+    data["prototype"][len(half) - 1] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("alpha", lambda d: d.update(alpha=1.5)),
+        ("channels", lambda d: d.update(channels=4.9)),
+        ("subsampling", lambda d: d["subsampling"].__setitem__(0, 0)),
+        ("subsampling", lambda d: d["subsampling"].pop()),
+        ("prototype", _nan_coefficient),
+    ],
+    ids=["alpha-unstable", "channels-fraction", "ratio-zero", "ratios-short",
+         "nan-coefficient"],
+)
+def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, field, edit):
+    with open(toy_design) as fh:
+        data = yaml.safe_load(fh)
+    edit(data)
+    design = tmp_path / "bad.yaml"
+    design.write_text(yaml.safe_dump(data))
+    wav_in = tmp_path / "in.wav"
+    _write_sine(wav_in, seconds=0.1)
+    outputs = [tmp_path / "o.wav", tmp_path / "o.csv"]
+    for argv in (["process", str(design), str(wav_in), str(outputs[0])],
+                 ["evaluate", str(design), "-o", str(outputs[1])]):
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
 
 
 def test_process_stereo_exits_2(toy_design, tmp_path):

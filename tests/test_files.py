@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
 
@@ -84,6 +90,60 @@ def test_config_rejects_malformed_yaml(tmp_path):
     assert_raises(ConfigError, load_config, str(tmp_path / "missing.yaml"))
 
 
+@st.composite
+def _valid_banks(draw):
+    """Bank geometry (channels, order, alpha, ratios) plus an optional rate."""
+    channels = draw(st.integers(1, 6))
+    order = 2 * channels * draw(st.integers(1, 3))
+    alpha = draw(st.floats(-0.99, 0.99, allow_subnormal=False))
+    ratios = draw(st.lists(st.integers(1, 40), min_size=channels, max_size=channels))
+    rate = draw(st.none() | st.integers(1, 192000) | st.floats(1.0, 1e6))
+    return channels, order, alpha, ratios, rate
+
+
+_finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+def _roundtrip_is_fixpoint(obj, save, load):
+    """save(obj), load it, save again: same bytes, same field values."""
+    with tempfile.TemporaryDirectory() as root:
+        p1, p2 = os.path.join(root, "a.yaml"), os.path.join(root, "b.yaml")
+        save(obj, p1)
+        loaded = load(p1)
+        save(loaded, p2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+    for field in dataclasses.fields(obj):
+        assert_equal(getattr(loaded, field.name), getattr(obj, field.name))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_valid_banks(), st.none() | st.integers(2, 5000),
+       st.tuples(_finite, _finite, _finite, _finite).map(np.abs),
+       st.integers(1, 100), st.integers(1, 100))
+def test_config_save_load_fixpoint(bank, grid, reals, max_inner, max_outer):
+    channels, order, alpha, ratios, rate = bank
+    theta, psi, kaiser_beta, step_tol = reals
+    config = BankConfig(
+        channels=channels, order=order, alpha=alpha, subsampling=ratios,
+        grid_points=grid, sample_rate_hz=rate, theta=theta, psi=psi,
+        kaiser_beta=kaiser_beta, max_inner=max_inner, max_outer=max_outer,
+        step_tol=step_tol,
+    )
+    _roundtrip_is_fixpoint(config, save_config, load_config)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_valid_banks(), st.data(), _finite, _finite, st.integers(0, 100),
+       st.booleans())
+def test_design_save_load_fixpoint(bank, data, ripple, alias, outer, converged):
+    channels, order, alpha, ratios, rate = bank
+    half = data.draw(st.lists(_finite, min_size=order // 2, max_size=order // 2))
+    design = BankDesign(half, channels, alpha, ratios, ripple, alias, outer,
+                        converged, rate)
+    _roundtrip_is_fixpoint(design, save_design, load_design)
+
+
 def test_design_roundtrip(tmp_path):
     config = BankConfig(channels=2, order=16, alpha=0.4, subsampling=[2, 2])
     bank, _ = design(config)
@@ -119,6 +179,15 @@ def test_design_file_validation(tmp_path):
 
     broken = text.replace("  ripple_db:", "  ripple_x:")
     assert_raises(ConfigError, load_design, _write(tmp_path / "e4.yaml", broken))
+
+    assert "  converged: true" in text and "  outer_iterations: 1" in text
+    broken = text.replace("  converged: true", "  converged: maybe")
+    with assert_raises(ConfigError, match="converged"):
+        load_design(_write(tmp_path / "e5.yaml", broken))
+
+    broken = text.replace("  outer_iterations: 1", "  outer_iterations: 2.7")
+    with assert_raises(ConfigError, match="outer_iterations"):
+        load_design(_write(tmp_path / "e6.yaml", broken))
 
 
 def test_write_csv(tmp_path):

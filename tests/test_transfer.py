@@ -71,6 +71,11 @@ def test_config_defaults():
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("channels", 4.9),
+        ("order", 32.7),
+        ("grid_points", 100.9),
+        ("subsampling", [2.5, 2, 2, 2]),
+        ("alpha", "0.3"),
         ("max_inner", 0),
         ("max_inner", -1),
         ("max_inner", 2.5),
@@ -92,8 +97,9 @@ def test_config_defaults():
     ],
 )
 def test_config_rejects_out_of_range(field, value):
+    kwargs = {"channels": 4, "order": 32, "alpha": 0.3, field: value}
     with assert_raises(ValueError, match=field):
-        BankConfig(channels=4, order=32, alpha=0.3, **{field: value})
+        BankConfig(**kwargs)
 
 
 def test_config_accepts_range_edges():
