@@ -13,6 +13,15 @@ import numbers
 import numpy as np
 
 
+def _check_count(name, value, least):
+    """value as an int if it is an integer >= least; 4.9 raises, not truncates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueError("%s must be >= %d, got %r" % (name, least, value))
+    return int(value)
+
+
 def _check_alpha(alpha):
     real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
     if not (real and abs(alpha) < 1.0):

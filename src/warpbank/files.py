@@ -1,11 +1,13 @@
 """Reading and writing bank configurations, finished designs, CSV and WAV."""
 
 import dataclasses
+import numbers
 
 import numpy as np
 import yaml
 from scipy.io import wavfile
 
+from .allpass import _check_count
 from .optimize import BankDesign
 from .subsampling import select_all
 from .transfer import BankConfig
@@ -127,9 +129,14 @@ def load_design(path):
         raise ConfigError("%s: bad coefficient data: %s" % (path, exc)) from exc
     if half.ndim != 1 or full.shape != (2 * half.size,):
         raise ConfigError("%s: prototype must be twice the half length" % path)
-    if data["order"] != 2 * half.size:
-        raise ConfigError("%s: coefficient count does not match order" % path)
     try:
+        if _check_count("order", data["order"], 2) != 2 * half.size:
+            raise ValueError("coefficient count does not match order")
+        for key in ("ripple_db", "max_alias_db"):
+            value = metrics[key]
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and np.isfinite(value)):
+                raise ValueError("%s must be a finite number, got %r" % (key, value))
         design = BankDesign(
             half=half,
             channels=data["channels"],

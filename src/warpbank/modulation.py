@@ -6,14 +6,16 @@ length N = 2*m*M.  Analysis filter k is
     h_k[n] = 2 h[n] cos((2k+1) pi/(2M) (n - (N-1)/2) + (-1)^k pi/4)
 
 and the synthesis filter flips the sign of the pi/4 offset, which makes
-f_k[n] = h_k[N-1-n].
+f_k[n] = h_k[N-1-n].  Every channel response reduces to the prototype's,
+exp(-j(N-1)x/2) sum_i h_i 2cos((2i+1)x/2): summed by Clenshaw's recurrence
+for one prototype, or as the recurrence-filled cosine basis for tables.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allpass import allpass_phase
+from .allpass import _check_count, allpass_phase
 
 
 @dataclass
@@ -31,9 +33,7 @@ class PrototypeHalf:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise ValueError("prototype half must be a nonempty 1-D array")
-        if int(self.channels) < 1:
-            raise ValueError("channel count must be >= 1")
-        self.channels = int(self.channels)
+        self.channels = _check_count("channels", self.channels, 1)
         if self.coeffs.size % self.channels != 0:
             raise ValueError(
                 "half length %d is not a multiple of %d channels"
@@ -110,29 +110,73 @@ def cosine_basis(omega, order):
 
     With the linear-phase factor split off, the prototype response is
     exp(-j(N-1)omega/2) * cosine_basis(omega, N) @ half.  Accepts scalar or
-    array omega; the basis index runs along the last axis.
+    array omega; the basis index runs along the last axis.  The stack is
+    filled by the forward recurrence y_{i+1} = 2cos(omega) y_i - y_{i-1},
+    so each angle costs two cosines instead of N/2.
     """
-    order = int(order)
-    if order < 2 or order % 2:
+    if _check_count("order", order, 2) % 2:
         raise ValueError("order must be even and positive")
     w = np.asarray(omega, dtype=float)
-    halves = np.arange(1, order, 2) / 2.0
-    return 2.0 * np.cos(np.multiply.outer(w, halves))
+    a = 2.0 * np.cos(w)
+    y = np.empty((order // 2 + 1,) + w.shape)  # y[i] holds y_{i-1}
+    y[0] = y[1] = 2.0 * np.cos(w / 2.0)  # y_{-1} = y_0
+    for i in range(2, y.shape[0]):
+        np.multiply(a, y[i - 1], out=y[i, ...])
+        y[i] -= y[i - 2]
+    return np.moveaxis(y[1:], 0, -1)
 
 
 def _half_response(coeffs, x):
-    # frequency response of the symmetric filter at angle x, any real x
-    N = 2 * coeffs.size
-    return np.exp(-1j * (N - 1) * np.asarray(x, float) / 2.0) * (
-        cosine_basis(x, N) @ coeffs
-    )
+    """sum_i coeffs[i] 2cos((2i+1)x/2) at any real x, by Clenshaw's recurrence.
+
+    b_i = coeffs[i] + 2cos(x) b_{i+1} - b_{i+2} runs down from b_n = b_{n+1} = 0,
+    and the sum is 2cos(x/2)(b_0 - b_1): two cosines and N/2 multiply-adds per
+    angle, with no (angles x N/2) basis built.  Times exp(-j(N-1)x/2) it is the
+    response of the symmetric filter whose free half is coeffs.
+    """
+    x = np.asarray(x, dtype=float)
+    a = 2.0 * np.cos(x)
+    b1, b2, t = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for h in coeffs[::-1].tolist():
+        np.multiply(a, b1, out=t)
+        t -= b2
+        t += h
+        b1, b2, t = t, b1, b2
+    return 2.0 * np.cos(x / 2.0) * (b1 - b2)
 
 
 def prototype_response(prototype, omega):
     """Complex frequency response of the (unwarped) prototype at omega."""
     scalar_in = np.isscalar(omega)
-    r = _half_response(prototype.coeffs, omega)
+    w = np.asarray(omega, dtype=float)
+    r = np.exp(-0.5j * (prototype.order - 1) * w) * _half_response(prototype.coeffs, w)
     return complex(r) if scalar_in else r
+
+
+def _pair_angles(omega, channel, channels, alpha):
+    """Stacked lookup angles nu -/+ c_k, nu = -phi(omega), c_k = pi(k+0.5)/M."""
+    nu = -allpass_phase(omega, alpha)
+    c = np.pi * (channel + 0.5) / channels
+    return np.stack([nu - c, nu + c])
+
+
+def _channel_pair(g, channel, channels, order, synthesis=False, coeffs=None):
+    """One channel's response from the prototype at its angle pair g = (g1, g2):
+
+        c1 e^{-j(N-1)g1/2} S(g1) + conj(c1) e^{-j(N-1)g2/2} S(g2)
+
+    with c1 = a_k b_k, or conj(a_k) b_k for synthesis.  S is the Clenshaw sum
+    of coeffs; with coeffs None it is the cosine basis, and the result is the
+    vector u with u @ half = the response.
+    """
+    a, b, _ = modulation_constants(channels, order)
+    c1 = (np.conj(a[channel]) if synthesis else a[channel]) * b[channel]
+    s = np.exp(-0.5j * (order - 1) * g)
+    s[0] *= c1
+    s[1] *= np.conj(c1)
+    if coeffs is None:
+        return np.einsum("p...,p...n->...n", s, cosine_basis(g, order))
+    return np.einsum("p...,p...->...", s, _half_response(coeffs, g))
 
 
 def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
@@ -159,12 +203,6 @@ def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
     M = prototype.channels
     if not 0 <= channel < M:
         raise ValueError("channel %d out of range for %d channels" % (channel, M))
-    scalar_in = np.isscalar(omega)
-    a, b, _ = modulation_constants(M, prototype.order)
-    c1 = (np.conj(a[channel]) if synthesis else a[channel]) * b[channel]
-    nu = -allpass_phase(omega, alpha)
-    c = np.pi * (channel + 0.5) / M
-    r = c1 * _half_response(prototype.coeffs, nu - c) + np.conj(c1) * _half_response(
-        prototype.coeffs, nu + c
-    )
-    return complex(r) if scalar_in else r
+    g = _pair_angles(omega, channel, M, alpha)
+    r = _channel_pair(g, channel, M, prototype.order, synthesis, prototype.coeffs)
+    return complex(r) if np.isscalar(omega) else r

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allpass import warp_inverse
+from .allpass import _check_count, warp_inverse
 
 
 @dataclass
@@ -32,9 +32,7 @@ class ChannelBand:
 
 def uniform_edges(channels):
     """Uniform channel edge frequencies k*pi/M for k = 0 .. M."""
-    channels = int(channels)
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
+    channels = _check_count("channels", channels, 1)
     return np.arange(channels + 1) * np.pi / channels
 
 
@@ -44,8 +42,8 @@ def warped_band(channel, channels, alpha):
     Interior channels span the inverse-warped edges one channel below and two
     above; the first channel starts at DC and the last ends at Nyquist.
     """
-    channels = int(channels)
-    if not 0 <= channel < channels:
+    channels = _check_count("channels", channels, 1)
+    if not 0 <= _check_count("channel", channel, 0) < channels:
         raise ValueError("channel %d out of range" % channel)
     edges = uniform_edges(channels)
     if channel == 0:
@@ -97,7 +95,7 @@ def select_ratio(f_lower, f_upper):
 def band_table(channels, alpha):
     """ChannelBand rows for a whole bank."""
     rows = []
-    for k in range(int(channels)):
+    for k in range(_check_count("channels", channels, 1)):
         lo, hi = warped_band(k, channels, alpha)
         s, n = select_ratio(lo, hi)
         rows.append(ChannelBand(k, lo, hi, n, s))

@@ -6,10 +6,10 @@ The analysis-synthesis chain with per-channel decimation by S_k has
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
 transfer.  A given prototype is evaluated directly: one pass over the channels
-computes each F_k^w once and yields the products one image at a time, in
-O(grid * order/2) memory; every transfer curve here sums that pass.  Scoring
-many prototypes on one grid (the optimizer) uses TransferTables instead: the
-per-channel vectors of the quadratic form T_all = h^T U(omega) h.
+computes each F_k^w once by Clenshaw's recurrence and yields the products one
+image at a time, in O(grid) memory; every transfer curve here sums that pass.
+Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
+recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h.
 """
 
 import functools
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modulation
-from .allpass import allpass_phase, _check_alpha
-from .modulation import PrototypeHalf, cosine_basis, modulation_constants
+from .allpass import _check_alpha, _check_count
+from .modulation import PrototypeHalf
 
 
 def _check_sample_rate(rate):
@@ -29,15 +29,6 @@ def _check_sample_rate(rate):
     if rate is not None and not (real and 0.0 < rate < np.inf):
         raise ValueError("sample_rate_hz must be a positive number, got %r" % (rate,))
     return rate
-
-
-def _check_count(name, value, least):
-    """value as an int if it is an integer >= least; 4.9 raises, not truncates."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < least:
-        raise ValueError("%s must be >= %d, got %r" % (name, least, value))
-    return int(value)
 
 
 def _check_geometry(channels, order, alpha, subsampling):
@@ -97,44 +88,16 @@ def frequency_grid(config):
     return np.linspace(0.0, np.pi, config.grid_points)
 
 
-def modulation_angles(omega, image, channel, config):
-    """Pair of prototype lookup angles for one channel and alias image.
-
-    gamma1/gamma2 = -phi(omega + 2 pi image/S_k) -/+ pi(channel+0.5)/M.
+def _response_vector(omega, image, channel, config, synthesis=False):
+    """Vector u with u @ half = H_k^w(omega + 2 pi image/S_k), or F_k^w(omega)
+    for synthesis (image 0).  Shape is omega.shape + (order/2,); complex.
     """
     S = config.subsampling[channel]
     if not 0 <= image < S:
         raise ValueError("image index %d out of range for ratio %d" % (image, S))
-    w = np.asarray(omega, dtype=float)
-    nu = -allpass_phase(w + 2.0 * np.pi * image / S, config.alpha)
-    c = np.pi * (channel + 0.5) / config.channels
-    return nu - c, nu + c
-
-
-def _pair_vector(order, g1, g2, c1):
-    # c1 * e^{-j(N-1)g1/2} C(g1) + conj(c1) * e^{-j(N-1)g2/2} C(g2)
-    e1 = np.exp(-1j * (order - 1) * g1 / 2.0)
-    e2 = np.exp(-1j * (order - 1) * g2 / 2.0)
-    return c1 * e1[..., None] * cosine_basis(g1, order) + np.conj(c1) * e2[
-        ..., None
-    ] * cosine_basis(g2, order)
-
-
-def analysis_vector(omega, image, channel, config):
-    """Vector u with u @ half = H_k^w(omega + 2 pi image / S_k).
-
-    Shape is omega.shape + (order/2,); complex.
-    """
-    a, b, _ = modulation_constants(config.channels, config.order)
-    g1, g2 = modulation_angles(omega, image, channel, config)
-    return _pair_vector(config.order, g1, g2, a[channel] * b[channel])
-
-
-def synthesis_vector(omega, channel, config):
-    """Vector u with u @ half = F_k^w(omega); synthesis uses no alias shift."""
-    a, b, _ = modulation_constants(config.channels, config.order)
-    g1, g2 = modulation_angles(omega, 0, channel, config)
-    return _pair_vector(config.order, g1, g2, np.conj(a[channel]) * b[channel])
+    w = np.asarray(omega, dtype=float) + 2.0 * np.pi * image / S
+    g = modulation._pair_angles(w, channel, config.channels, config.alpha)
+    return modulation._channel_pair(g, channel, config.channels, config.order, synthesis)
 
 
 class TransferTables:
@@ -149,17 +112,13 @@ class TransferTables:
     def __init__(self, config, omega=None):
         self.config = config
         self.omega = frequency_grid(config) if omega is None else np.asarray(omega, float)
-        G = self.omega.size
-        M = config.channels
-        n2 = config.order // 2
-        self.ua = np.zeros((G, M, n2), dtype=complex)
-        self.us = np.zeros((G, M, n2), dtype=complex)
-        for k in range(M):
-            self.us[:, k, :] = synthesis_vector(self.omega, k, config)
-            acc = np.zeros((G, n2), dtype=complex)
+        shape = (self.omega.size, config.channels, config.order // 2)
+        self.ua = np.zeros(shape, dtype=complex)
+        self.us = np.zeros(shape, dtype=complex)
+        for k in range(config.channels):
+            self.us[:, k, :] = _response_vector(self.omega, 0, k, config, synthesis=True)
             for l in range(config.subsampling[k]):
-                acc += analysis_vector(self.omega, l, k, config)
-            self.ua[:, k, :] = acc
+                self.ua[:, k, :] += _response_vector(self.omega, l, k, config)
 
     def channel_products(self, half):
         """(analysis, synthesis) responses per grid point and channel."""
@@ -204,7 +163,7 @@ def _image_products(proto, w, config, distortion=True, aliasing=True):
 
     l = 0 is the distortion image and l = 1 .. S_k-1 the alias images; each
     group is included when its flag is set.  F_k^w is computed once per
-    channel and products come one at a time, so memory is O(grid * order/2).
+    channel and products come one at a time, so memory is O(grid).
     """
     # looked up per call, so bench/run.py's layer tracing counts these calls
     response = modulation.channel_response_warped
@@ -282,18 +241,17 @@ def bifrequency_map(half, config, in_grid, out_grid):
     for k in range(config.channels):
         S = config.subsampling[k]
         hk = modulation.channel_response_warped(proto, k, win, config.alpha)
-        for l in range(S):
-            shifted = np.mod(win + 2.0 * np.pi * l / S, 2.0 * np.pi)
-            folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
-            fk = modulation.channel_response_warped(
-                proto, k, folded, config.alpha, synthesis=True
-            )
-            # nearest output bin per folded frequency
-            pos = np.searchsorted(sorted_out, folded)
-            pos = np.clip(pos, 1, sorted_out.size - 1)
-            left = sorted_out[pos - 1]
-            right = sorted_out[pos]
-            nearest = np.where(folded - left <= right - folded, pos - 1, pos)
-            cols = order[nearest]
-            np.add.at(acc, (rows, cols), hk * fk)
+        # every image l at once, one row each: (S, in) folded frequencies
+        shifted = np.mod(win + 2.0 * np.pi * np.arange(S)[:, None] / S, 2.0 * np.pi)
+        folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
+        fk = modulation.channel_response_warped(
+            proto, k, folded, config.alpha, synthesis=True
+        )
+        # nearest output bin per folded frequency
+        pos = np.searchsorted(sorted_out, folded)
+        pos = np.clip(pos, 1, sorted_out.size - 1)
+        left = sorted_out[pos - 1]
+        right = sorted_out[pos]
+        nearest = np.where(folded - left <= right - folded, pos - 1, pos)
+        np.add.at(acc, (rows, order[nearest]), hk * fk)
     return to_db(acc)

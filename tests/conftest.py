@@ -1,8 +1,13 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 import warpbank as wb
+
+# every property test replays one fixed example sequence and has no deadline
+settings.register_profile("warpbank", derandomize=True, deadline=None)
+settings.load_profile("warpbank")
 
 # warp coefficient approximating the auditory band scale at 16 kHz
 BARK_ALPHA_16K = 0.5783

@@ -1,8 +1,9 @@
-"""Per-sample reference implementations of the allpass structures.
+"""Reference implementations the tests check the vectorized runtime against.
 
-Plain Python loops, one sample at a time, that the tests compare the
-block-filtering runtime in warpbank.streaming against.  No production path
-uses them.
+The allpass structures run as plain Python loops, one sample at a time, for
+the block-filtering runtime in warpbank.streaming; the prototype's cosine
+series is summed term by term with np.cos, for the recurrences in
+warpbank.modulation.  No production path uses them.
 """
 
 import numpy as np
@@ -67,3 +68,13 @@ class AllpassLine:
             taps[i] = y
         return taps
 
+
+def cosine_basis(omega, order):
+    """Half-filter cosine stack [2 cos((2i+1) omega/2)], one np.cos per entry."""
+    halves = np.arange(1, order, 2) / 2.0
+    return 2.0 * np.cos(np.multiply.outer(np.asarray(omega, dtype=float), halves))
+
+
+def half_response(coeffs, x):
+    """sum_i coeffs[i] 2cos((2i+1)x/2) as the cosine stack times the coefficients."""
+    return cosine_basis(x, 2 * len(coeffs)) @ np.asarray(coeffs, dtype=float)

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
@@ -109,6 +111,17 @@ def test_warp_inverse_roundtrip():
         assert_allclose(warp(warp_inverse(nu, alpha), alpha), nu, atol=1e-12)
         assert_allclose(warp_inverse(warp(nu, alpha), alpha), nu, atol=1e-12)
     assert_allclose(warp_inverse(nu, 0.0), nu, atol=1e-15)
+
+
+@given(st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_warp_undoes_warp_inverse(nu, alpha):
+    # the round trip is conditioned by the warp's steepest slope
+    # (1+|alpha|)/(1-|alpha|); its rounding stays within a few eps times that
+    nu = np.array(nu)
+    slope = (1.0 + abs(alpha)) / (1.0 - abs(alpha))
+    tol = 8.0 * np.finfo(float).eps * slope
+    assert_allclose(warp(warp_inverse(nu, alpha), alpha), nu, rtol=0, atol=tol)
 
 
 def test_warp_inverse_is_negated_alpha_warp():

@@ -334,9 +334,12 @@ def _nan_coefficient(data):
         ("subsampling", lambda d: d["subsampling"].__setitem__(0, 0)),
         ("subsampling", lambda d: d["subsampling"].pop()),
         ("prototype", _nan_coefficient),
+        ("ripple_db", lambda d: d["metrics"].update(ripple_db=float("nan"))),
+        ("max_alias_db", lambda d: d["metrics"].update(max_alias_db=float("-inf"))),
+        ("order", lambda d: d.update(order=float(d["order"]))),
     ],
     ids=["alpha-unstable", "channels-fraction", "ratio-zero", "ratios-short",
-         "nan-coefficient"],
+         "nan-coefficient", "ripple-nan", "alias-inf", "order-float"],
 )
 def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, field, edit):
     with open(toy_design) as fh:

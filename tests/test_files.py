@@ -3,7 +3,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
@@ -117,7 +117,6 @@ def _roundtrip_is_fixpoint(obj, save, load):
         assert_equal(getattr(loaded, field.name), getattr(obj, field.name))
 
 
-@settings(derandomize=True, deadline=None)
 @given(_valid_banks(), st.none() | st.integers(2, 5000),
        st.tuples(_finite, _finite, _finite, _finite).map(np.abs),
        st.integers(1, 100), st.integers(1, 100))
@@ -133,7 +132,6 @@ def test_config_save_load_fixpoint(bank, grid, reals, max_inner, max_outer):
     _roundtrip_is_fixpoint(config, save_config, load_config)
 
 
-@settings(derandomize=True, deadline=None)
 @given(_valid_banks(), st.data(), _finite, _finite, st.integers(0, 100),
        st.booleans())
 def test_design_save_load_fixpoint(bank, data, ripple, alias, outer, converged):

@@ -1,7 +1,10 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 
+import oracles
 from warpbank import (
     PrototypeHalf,
     channel_response_warped,
@@ -11,6 +14,7 @@ from warpbank import (
     prototype_response,
     warp_inverse,
 )
+from warpbank.modulation import _half_response
 
 
 def _random_half(rng, channels, taps_per_channel):
@@ -23,6 +27,8 @@ def test_prototype_half_validation():
     assert_raises(ValueError, PrototypeHalf, np.ones(4), 0)
     # half length 3 is not a multiple of 2 channels
     assert_raises(ValueError, PrototypeHalf, np.ones(3), 2)
+    # a fractional count raises instead of running as 4 channels
+    assert_raises(ValueError, PrototypeHalf, np.ones(8), 4.9)
 
 
 def test_prototype_half_full_and_order():
@@ -81,6 +87,34 @@ def test_cosine_basis_values():
     assert_allclose(cosine_basis(1.0, 8), expected, atol=1e-15)
     assert_raises(ValueError, cosine_basis, 0.5, 7)
     assert_raises(ValueError, cosine_basis, 0.5, 0)
+
+
+@st.composite
+def _series(draw):
+    """Prototype halves of order up to 256 and angles in [-20, 20].
+
+    Half the angles lie within 1e-9 of a multiple of pi, where 2cos x is near
+    +-2 and the recurrences lose the most.
+    """
+    n = draw(st.integers(1, 128))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    coeffs = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    near_pi = st.builds(lambda m, d: m * np.pi + d, st.integers(-6, 6),
+                        st.floats(-1e-9, 1e-9, allow_subnormal=False))
+    angles = st.floats(-20.0, 20.0, allow_subnormal=False) | near_pi
+    return coeffs, np.array(draw(st.lists(angles, min_size=1, max_size=32)))
+
+
+@given(_series())
+def test_recurrences_match_cosine_oracle(case):
+    # Both recurrences round to within a few n^2 eps (times sum |h| for the
+    # Clenshaw sum) next to multiples of pi; the tolerance allows 8 n^2 eps.
+    coeffs, x = case
+    tol = 8.0 * coeffs.size**2 * np.finfo(float).eps
+    assert_allclose(cosine_basis(x, 2 * coeffs.size),
+                    oracles.cosine_basis(x, 2 * coeffs.size), rtol=0, atol=tol)
+    assert_allclose(_half_response(coeffs, x), oracles.half_response(coeffs, x),
+                    rtol=0, atol=tol * max(np.abs(coeffs).sum(), 1.0))
 
 
 def test_modulation_constants_unit_modulus():

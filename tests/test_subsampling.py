@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
 
@@ -68,6 +71,43 @@ def test_select_ratio_wideband_cases():
 def test_select_ratio_lowpass_case():
     # baseband-only placement when the band starts at DC
     assert select_ratio(0.0, 0.1) == (5, 1)
+
+
+@st.composite
+def _bands(draw):
+    """Bands 0 <= f_L < f_U <= 0.5 in cycles, f_L = 0 included.
+
+    Widths stay >= 1e-3: select_ratio scans f_U/(f_U - f_L) band indices,
+    which takes 0.2 s at a width of 1e-6 and grows as 1/width below it.
+    """
+    lower = draw(st.just(0.0) | st.floats(0.0, 0.499, allow_subnormal=False))
+    upper = draw(st.floats(lower + 1e-3, 0.5) | st.just(0.5))
+    return lower, upper
+
+
+@given(_bands())
+def test_select_ratio_satisfies_bandpass_sampling(band):
+    # the band lies in one Nyquist zone of the decimated rate:
+    # (n-1)/(2S) <= f_L and f_U <= n/(2S) for the returned ratio S and index n
+    f_lower, f_upper = band
+    ratio, n = select_ratio(f_lower, f_upper)
+    assert ratio >= 1 and n >= 1
+    assert (n - 1) / (2.0 * ratio) <= f_lower * (1 + 1e-12)
+    assert f_upper <= n / (2.0 * ratio) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: uniform_edges(4.9), lambda: warped_band(0, 4.9, 0.5),
+     lambda: warped_band(1.5, 4, 0.5), lambda: band_table(4.9, 0.5),
+     lambda: select_all(4.9, 0.5)],
+    ids=["uniform-edges", "warped-band", "warped-band-channel", "band-table",
+         "select-all"],
+)
+def test_fractional_counts_raise(call):
+    # 4.9 channels used to run as 4 (or give 5 edges) after int() truncation
+    with assert_raises(ValueError, match="channel"):
+        call()
 
 
 def test_select_ratio_validation():
