@@ -232,7 +232,9 @@ def cmd_process(args):
             "need %d gains, got %d" % (design.channels, len(gains))
         )
     out = streaming.process_signal(design, samples, gains)
-    files.write_wav(args.output, rate, out, args.format or kind)
+    clipped = files.write_wav(args.output, rate, out, args.format or kind)
+    if clipped:
+        print("warning: clipped %d samples" % clipped, file=sys.stderr)
     print("wrote %s (%d samples)" % (args.output, out.size))
     return 0
 

@@ -194,12 +194,19 @@ def read_wav(path):
 
 
 def write_wav(path, rate, samples, kind="int16"):
-    """Write float samples as a mono WAV file (int16 output clips)."""
+    """Write float samples as a mono WAV file.
+
+    int16 output clips to the representable range; returns the number of
+    samples that clipped (always 0 for float32).
+    """
     samples = np.asarray(samples, dtype=float)
     if kind == "int16":
-        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, int(rate), np.round(clipped * 32768.0).astype(np.int16))
-    elif kind == "float32":
+        levels = np.round(samples * 32768.0)
+        clipped = np.count_nonzero((levels < -32768.0) | (levels > 32767.0))
+        np.clip(levels, -32768.0, 32767.0, out=levels)
+        wavfile.write(path, int(rate), levels.astype(np.int16))
+        return int(clipped)
+    if kind == "float32":
         wavfile.write(path, int(rate), samples.astype(np.float32))
-    else:
-        raise ValueError("kind must be int16 or float32")
+        return 0
+    raise ValueError("kind must be int16 or float32")

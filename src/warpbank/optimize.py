@@ -270,13 +270,11 @@ def initial_prototype(config):
     N = config.order
     edge = np.pi / (2 * M)
     target = 1.0 / np.sqrt(2.0)
+    # one DFT bin of the taps at the edge frequency
+    bin_edge = np.exp(-1j * edge * np.arange(N))
 
     def edge_amp(cutoff):
-        h = firwin(N, cutoff, window=("kaiser", config.kaiser_beta))
-        proto = PrototypeHalf(h[N // 2 :], M)
-        from .modulation import prototype_response
-
-        return abs(prototype_response(proto, edge))
+        return abs(firwin(N, cutoff, window=("kaiser", config.kaiser_beta)) @ bin_edge)
 
     lo, hi = 0.25 / M, 1.0 / M
     for _ in range(60):

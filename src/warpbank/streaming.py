@@ -17,10 +17,25 @@ summing the warped synthesis filters over the zero-inserted channels u_k,
     sum_k sum_n f_k[n] A^n u_k = sum_n A^n v_n,   v_n = sum_k f_k[n] u_k,
 
 folds by Horner's rule into v_0 + A(v_1 + A(v_2 + ... + A(v_{N-1}))): the
-channels are mixed first and a single 1-D signal passes through the line.
-Per output sample both directions therefore cost N-1 allpass section updates
-and M*N multiply-adds of channel mixing, independent of the channel count on
-the allpass side.
+channels are mixed into one line.
+
+Neither direction steps the recursion sample by sample.  Each is a linear
+time-invariant system with N-1 scalar states (one per allpass section), so
+over a chunk of c = _CHUNK samples its outputs and its end state are fixed
+linear maps of the chunk's inputs x and its start state s (the block, or
+lifted, state-space form):
+
+    outputs   = x Theta + s Psi
+    end state = x Gamma + s Phi
+
+Theta is block Toeplitz (the channel impulse responses), and every state
+map is Toeplitz in the section index because all sections are equal.  One
+run of two sequences down the line fills all four: an impulse, and alpha^t,
+which is what a section puts out from a unit state.  A super-block of
+_BLOCK samples then costs three GEMMs over its chunks plus one (N-1)-square
+GEMV per chunk to carry the state; only the N-1 states persist between
+super-blocks.  Per sample that is about c*M + (M+1)*(N-1) + (N-1)^2/c
+multiply-adds in either direction, for M channels.
 """
 
 from dataclasses import dataclass
@@ -30,7 +45,10 @@ from scipy.signal import lfilter
 
 from .modulation import modulate
 
-_BLOCK = 1 << 16
+# samples per super-block (rounded down to whole chunks), which bounds the
+# working memory, and the chunk length of the block state-space operators
+_BLOCK = 1 << 14
+_CHUNK = 64
 # measure_response: settle transient in units of order * max(S) samples, and
 # the Hann window length of the steady-state read
 _SETTLE = 4
@@ -61,9 +79,107 @@ def _check_finite(samples, what):
         raise ValueError("%s holds non-finite samples (NaN or inf)" % what)
 
 
-def _design_filters(design):
+@dataclass
+class _BlockLine:
+    """One direction of the warped line in block state-space form.
+
+    A chunk holds c samples of P inputs (sample-major, c*P values) and gives
+    c samples of Q outputs; the state is one value per allpass section.
+    """
+
+    theta: np.ndarray  # (c*P, c*Q) chunk input -> outputs
+    psi: np.ndarray  # (N-1, c*Q) start state -> outputs
+    gamma: np.ndarray  # (c*P, N-1) chunk input -> end state
+    phi: np.ndarray  # (N-1, N-1) start state -> end state
+
+    def run(self, chunks, state):
+        """Outputs (chunks, c*Q) of consecutive chunks (chunks, c*P).
+
+        state holds the start state of the first chunk and is advanced in
+        place past the last one.
+        """
+        starts = np.empty((chunks.shape[0], state.size))
+        s = state
+        for j, w in enumerate(chunks @ self.gamma):
+            starts[j] = s
+            s = s @ self.phi + w
+        state[:] = s
+        out = chunks @ self.theta
+        out += starts @ self.psi
+        return out
+
+
+def _line_runs(alpha, taps):
+    """Taps over one chunk of the line fed an impulse and fed alpha^t.
+
+    Returns (H, G), each (taps, c): H[n] is the impulse response at tap n.
+    alpha^t is a section's output from a unit state and no input, so G[d]
+    is the response d sections below a section whose state is one.
+    """
+    b, a = _section_coeffs(alpha)
+    runs = np.zeros((taps, 2, _CHUNK))
+    runs[0, 0, 0] = 1.0
+    runs[0, 1] = alpha ** np.arange(_CHUNK)
+    for n in range(1, taps):
+        runs[n] = lfilter(b, a, runs[n - 1])
+    return runs[:, 0], runs[:, 1]
+
+
+def _toeplitz(resp):
+    """Causal chunk map (c*P, c*Q) from responses resp[p, q, delay]."""
+    P, Q, c = resp.shape
+    lag = np.subtract.outer(np.arange(c), np.arange(c))  # [t, tau] = t - tau
+    blocks = resp[:, :, np.maximum(lag, 0)] * (lag >= 0)  # [p, q, t, tau]
+    return blocks.transpose(3, 0, 2, 1).reshape(c * P, c * Q)
+
+
+def _below(coeffs, resp):
+    """out[n] = sum_d coeffs[:, n+1+d] resp[d] for n < N-1: (N-1, M, c)."""
+    N = coeffs.shape[1]
+    return np.stack([coeffs[:, n + 1 :] @ resp[: N - 1 - n] for n in range(N - 1)])
+
+
+def _block_line(design, analysis=True):
+    """The analysis (default) or synthesis line of a design in block form.
+
+    State n is the lfilter state of section n, its input plus alpha times
+    its output.  In analysis section n maps tap n to tap n+1; in synthesis
+    it is Horner stage n, which filters the running sum of the mixed taps
+    n+1..N-1 before v_n is added.
+    """
     filters = modulate(design.prototype_half())
-    return filters.analysis, filters.synthesis
+    coeffs = filters.analysis if analysis else filters.synthesis
+    M, N = coeffs.shape
+    alpha = design.alpha
+    H, G = _line_runs(alpha, N)
+    # z_imp[n, tau]: end state of section n after a unit impulse at sample tau
+    z_imp = (H[:-1] + alpha * H[1:])[:, ::-1]
+    # z_unit[d]: end state of the section d below one whose start state is 1
+    z_unit = alpha * G[:-1, -1]
+    z_unit[1:] += G[:-2, -1]
+    # shift[m, n] = z_unit[m - n].  The signal runs to higher section indices
+    # in analysis and to lower ones in synthesis, so phi (start state row,
+    # end state column) is shift.T in analysis and shift in synthesis
+    d = np.subtract.outer(np.arange(N - 1), np.arange(N - 1))
+    shift = np.where(d >= 0, z_unit[np.maximum(d, 0)], 0.0)
+    c = _CHUNK
+    if analysis:
+        return _BlockLine(
+            theta=_toeplitz((coeffs @ H)[None]),
+            psi=_below(coeffs, G).transpose(0, 2, 1).reshape(N - 1, c * M),
+            gamma=np.ascontiguousarray(z_imp.T),
+            phi=np.ascontiguousarray(shift.T),
+        )
+    return _BlockLine(
+        theta=_toeplitz((coeffs @ H)[:, None]),
+        psi=G[:-1],
+        gamma=_below(coeffs, z_imp).transpose(2, 1, 0).reshape(c * M, N - 1),
+        phi=shift,
+    )
+
+
+def _block_length():
+    return max(1, _BLOCK // _CHUNK) * _CHUNK
 
 
 def analyze(design, signal):
@@ -86,23 +202,22 @@ def analyze(design, signal):
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a nonempty 1-D array")
     _check_finite(x, "signal")
-    ha, _ = _design_filters(design)
-    M, N = ha.shape
-    b, a = _section_coeffs(design.alpha)
+    return _analyze(design, _block_line(design), x)
+
+
+def _analyze(design, line, x):
     ratios = design.subsampling
     out = [np.empty(-(-x.size // s)) for s in ratios]
-    zi = np.zeros((N - 1, 1))
-    buf = np.empty((N, min(_BLOCK, x.size)))
-    for start in range(0, x.size, _BLOCK):
-        blk = x[start : start + _BLOCK]
-        taps = buf[:, : blk.size]
-        taps[0] = blk
-        for n in range(1, N):
-            taps[n], zi[n - 1] = lfilter(b, a, taps[n - 1], zi=zi[n - 1])
-        y = ha @ taps
+    state = np.zeros(line.phi.shape[0])
+    step = _block_length()
+    for start in range(0, x.size, step):
+        blk = x[start : start + step]
+        chunks = np.zeros(-(-blk.size // _CHUNK) * _CHUNK)
+        chunks[: blk.size] = blk
+        y = line.run(chunks.reshape(-1, _CHUNK), state).reshape(-1, ratios.size)
         # keep every S_k-th sample of the whole signal as the block is made
         for k, s in enumerate(ratios):
-            part = y[k, (-start) % s :: s]
+            part = y[(-start) % s : blk.size : s, k]
             first = -(-start // s)
             out[k][first : first + part.size] = part
     return [SubbandFrame(k, out[k], int(s)) for k, s in enumerate(ratios)]
@@ -116,11 +231,13 @@ def synthesize(design, frames):
     the warped synthesis filters and summed.  Output length is the largest
     upsampled channel length.
 
-    The filtering is evaluated by Horner's rule on one allpass line (see the
-    module docstring): starting from acc = v_{N-1}, each of the N-1 sections
-    filters the running sum once and the next mixed tap v_n = fs[:, n] @ u is
-    added.  Only N-1 scalar section states persist between blocks, one per
-    Horner stage; frame samples must be finite.
+    The zero-inserted frames of a super-block go in as they are, one row of
+    c*M values per chunk: channel mixing and the allpass line together are
+    the chunk GEMMs of the block state-space form (see the module
+    docstring).  The state carried between super-blocks is the N-1 section
+    states of the Horner cascade.  Per output sample that costs about
+    c*M + (M+1)*(N-1) + (N-1)^2/c multiply-adds.  Frame samples must be
+    finite.
     """
     M = design.channels
     if len(frames) != M:
@@ -137,16 +254,19 @@ def synthesize(design, frames):
         if not 0 <= f.phase < f.ratio:
             raise ValueError("frame %d phase out of range" % f.channel)
         _check_finite(f.samples, "frame %d" % f.channel)
-    _, fs = _design_filters(design)
-    M, N = fs.shape
-    b, a = _section_coeffs(design.alpha)
-    length = max(f.phase + f.samples.size * f.ratio for f in order)
+    return _synthesize(_block_line(design, analysis=False), order)
+
+
+def _synthesize(line, frames):
+    M = len(frames)
+    length = max(f.phase + f.samples.size * f.ratio for f in frames)
     out = np.empty(length)
-    zi = np.zeros((N - 1, 1))
-    for start in range(0, length, _BLOCK):
-        stop = min(start + _BLOCK, length)
-        u = np.zeros((M, stop - start))
-        for f in order:
+    state = np.zeros(line.phi.shape[0])
+    step = _block_length()
+    for start in range(0, length, step):
+        stop = min(start + step, length)
+        u = np.zeros((-(-(stop - start) // _CHUNK) * _CHUNK, M))
+        for f in frames:
             s = f.ratio
             first = f.phase if start <= f.phase else start + (-(start - f.phase)) % s
             if first >= stop:
@@ -155,14 +275,11 @@ def synthesize(design, frames):
             count = (stop - 1 - first) // s + 1
             count = min(count, f.samples.size - src)
             if count > 0:
-                u[f.channel, first - start :: s][:count] = (
+                u[first - start :: s, f.channel][:count] = (
                     f.samples[src : src + count] * s
                 )
-        acc = fs[:, N - 1] @ u
-        for n in range(N - 2, -1, -1):
-            acc, zi[n] = lfilter(b, a, acc, zi=zi[n])
-            acc += fs[:, n] @ u
-        out[start:stop] = acc
+        y = line.run(u.reshape(-1, _CHUNK * M), state)
+        out[start:stop] = y.ravel()[: stop - start]
     return out
 
 
@@ -197,6 +314,7 @@ def measure_response(design, probe_freqs):
     Hann-windowed quadrature correlation over _WINDOW samples.  Returns
     magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
     rejected: the correlation cannot separate the conjugate line there.
+    The block operators are built once and serve every probe.
     """
     freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
     bad = [float(f) for f in freqs if f <= 1e-9 or f >= np.pi - 1e-9]
@@ -206,9 +324,11 @@ def measure_response(design, probe_freqs):
     win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)
+    analysis, synthesis = _block_line(design), _block_line(design, analysis=False)
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
-        y = process_signal(design, np.sin(w * n))
-        z = np.sum(win * y[settle:] * np.exp(-1j * w * n[settle:]))
+        # the synthesized signal is at least as long as the sine
+        y = _synthesize(synthesis, _analyze(design, analysis, np.sin(w * n)))
+        z = np.sum(win * y[settle : n.size] * np.exp(-1j * w * n[settle:]))
         out[i] = 20.0 * np.log10(abs(z) / norm)
     return out

@@ -10,6 +10,8 @@ from warpbank import (
     BankConfig,
     BankDesign,
     initial_prototype,
+    load_design,
+    process_signal,
     read_wav,
     save_design,
     write_wav,
@@ -355,6 +357,24 @@ def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, field, edit):
         assert main(argv) == 2
         assert field in capsys.readouterr().err
     assert not any(p.exists() for p in outputs)
+
+
+def test_process_warns_on_clipped_samples(toy_design, tmp_path, capsys):
+    # +12 dB in every channel takes a 0.5 sine to about 2, past int16 full scale
+    wav_in = tmp_path / "in.wav"
+    wav_out = tmp_path / "out.wav"
+    _write_sine(wav_in, seconds=0.2)
+    assert main(["process", toy_design, str(wav_in), str(wav_out)]) == 0
+    assert "clipped" not in capsys.readouterr().err
+    code = main(["process", toy_design, str(wav_in), str(wav_out),
+                 "--gains", "12,12,12,12"])
+    assert code == 0
+    _, x, _ = read_wav(str(wav_in))
+    y = process_signal(load_design(toy_design), x, [12.0] * 4)
+    levels = np.round(y * 32768.0)
+    want = np.count_nonzero((levels < -32768.0) | (levels > 32767.0))
+    assert want > 0
+    assert "warning: clipped %d samples" % want in capsys.readouterr().err
 
 
 def test_process_stereo_exits_2(toy_design, tmp_path):

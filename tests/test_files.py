@@ -231,9 +231,10 @@ def test_wav_float32_roundtrip(tmp_path):
 
 def test_wav_int16_clips(tmp_path):
     path = str(tmp_path / "t.wav")
-    write_wav(path, 8000, np.array([2.0, -2.0, 0.0]), "int16")
+    assert write_wav(path, 8000, np.array([2.0, -2.0, 0.0, 0.99998]), "int16") == 2
     _, y, _ = read_wav(path)
-    assert_allclose(y, [32767.0 / 32768.0, -1.0, 0.0], atol=0)
+    assert_allclose(y, [32767.0 / 32768.0, -1.0, 0.0, 32767.0 / 32768.0], atol=0)
+    assert write_wav(path, 8000, np.array([2.0]), "float32") == 0
 
 
 def test_wav_rejects_bad_input(tmp_path):

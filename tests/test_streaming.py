@@ -1,4 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from pytest import raises as assert_raises
 from scipy.signal import lfilter
@@ -272,3 +277,99 @@ def test_impulse_frames_transform_to_channel_responses():
         dft = np.exp(-1j * np.outer(omega, np.arange(2048))) @ frames[k].samples
         want = channel_response_warped(proto, k, omega, 0.4)
         assert_allclose(dft, want, atol=1e-8)
+
+
+@st.composite
+def _streams(draw):
+    """A toy bank, frame phases, a super-block length and a signal length.
+
+    The length is whole super-blocks plus a part of one, so it runs from
+    below one chunk to across several super-block boundaries.
+    """
+    channels = draw(st.integers(1, 4))
+    order = 2 * channels * draw(st.integers(1, 4))
+    alpha = draw(st.floats(-0.95, 0.95, allow_subnormal=False))
+    ratios = draw(st.lists(st.integers(1, 5), min_size=channels, max_size=channels))
+    phases = [draw(st.integers(0, s - 1)) for s in ratios]
+    block = streaming._CHUNK * draw(st.integers(1, 3))
+    length = block * draw(st.integers(0, 4)) + draw(st.integers(1, block - 1))
+    seed = draw(st.integers(0, 2**16))
+    return _toy_design(channels, order, alpha, ratios), phases, block, length, seed
+
+
+def _oracle_taps(design, x):
+    line = AllpassLine(design.alpha, design.order)
+    return np.array([line.step(v) for v in x]).T
+
+
+@given(_streams())
+def test_analyze_matches_allpass_line_oracle(case):
+    design, _, block, length, seed = case
+    x = np.random.default_rng(seed).standard_normal(length)
+    y = modulate(design.prototype_half()).analysis @ _oracle_taps(design, x)
+    with mock.patch.object(streaming, "_BLOCK", block):
+        frames = analyze(design, x)
+    for k, s in enumerate(design.subsampling):
+        assert_allclose(frames[k].samples, y[k, ::s], atol=1e-12)
+
+
+@given(_streams())
+def test_synthesize_matches_allpass_line_oracle(case):
+    design, phases, block, length, seed = case
+    filters = modulate(design.prototype_half())
+    rng = np.random.default_rng(seed)
+    frames = _phased_frames(rng, design.subsampling, phases, length)
+    size = max(f.phase + f.samples.size * f.ratio for f in frames)
+    want = np.zeros(size)
+    for f in frames:
+        u = np.zeros(size)
+        u[f.phase : f.phase + f.samples.size * f.ratio : f.ratio] = f.samples * f.ratio
+        want += filters.synthesis[f.channel] @ _oracle_taps(design, u)
+    with mock.patch.object(streaming, "_BLOCK", block):
+        got = synthesize(design, frames)
+    assert_allclose(got, want, atol=1e-12)
+
+
+@given(_streams(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_chain_is_linear_property(case, a, b):
+    design, _, block, length, seed = case
+    x1, x2 = np.random.default_rng(seed).standard_normal((2, length))
+    with mock.patch.object(streaming, "_BLOCK", block):
+        lhs = process_signal(design, a * x1 + b * x2)
+        rhs = a * process_signal(design, x1) + b * process_signal(design, x2)
+    assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@given(_streams(), st.integers(1, 3))
+def test_shift_by_common_multiple_shifts_frames_property(case, multiple):
+    design, _, block, length, seed = case
+    shift = multiple * int(np.lcm.reduce(design.subsampling))
+    x = np.random.default_rng(seed).standard_normal(length)
+    delayed = np.concatenate([np.zeros(shift), x])
+    with mock.patch.object(streaming, "_BLOCK", block):
+        base, late = analyze(design, x), analyze(design, delayed)
+        out, late_out = process_signal(design, x), process_signal(design, delayed)
+    for k, s in enumerate(design.subsampling):
+        assert_allclose(late[k].samples[shift // s :], base[k].samples, atol=1e-12)
+    assert_allclose(late_out[shift:], out, atol=1e-12)
+
+
+def test_process_memory_does_not_grow_with_length():
+    # what process_signal holds beyond its frames and its output is the
+    # per-super-block working set, the same at L and 8L samples
+    design = _toy_design(4, 32, 0.6, [4, 3, 2, 1])
+    rng = np.random.default_rng(167)
+    short = 2 * streaming._BLOCK
+    process_signal(design, rng.standard_normal(100))
+    rest = []
+    for length in (short, 8 * short):
+        x = rng.standard_normal(length)
+        tracemalloc.start()
+        process_signal(design, x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        frames = [-(-length // s) for s in design.subsampling]
+        output = max(n * s for n, s in zip(frames, design.subsampling))
+        rest.append(peak - 8 * (sum(frames) + output))
+    # one byte more per sample of the longer signal would show as 7*short
+    assert rest[1] - rest[0] < 7 * short
