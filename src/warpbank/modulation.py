@@ -105,20 +105,25 @@ def modulate(prototype):
     )
 
 
-def cosine_basis(omega, order):
+def cosine_basis(omega, order, out=None):
     """Half-filter cosine stack [2 cos((2i+1) omega/2)], i = 0 .. N/2-1.
 
     With the linear-phase factor split off, the prototype response is
     exp(-j(N-1)omega/2) * cosine_basis(omega, N) @ half.  Accepts scalar or
     array omega; the basis index runs along the last axis.  The stack is
     filled by the forward recurrence y_{i+1} = 2cos(omega) y_i - y_{i-1},
-    so each angle costs two cosines instead of N/2.
+    so each angle costs two cosines instead of N/2.  out, a C-contiguous
+    float array of shape (N/2 + 1,) + omega.shape, takes the recurrence in
+    place of a new array (the result is then a view of out[1:]).
     """
     if _check_count("order", order, 2) % 2:
         raise ValueError("order must be even and positive")
     w = np.asarray(omega, dtype=float)
     a = 2.0 * np.cos(w)
-    y = np.empty((order // 2 + 1,) + w.shape)  # y[i] holds y_{i-1}
+    shape = (order // 2 + 1,) + w.shape
+    y = np.empty(shape) if out is None else out  # y[i] holds y_{i-1}
+    if y.shape != shape or y.dtype != float or not y.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array of shape %s" % (shape,))
     y[0] = y[1] = 2.0 * np.cos(w / 2.0)  # y_{-1} = y_0
     for i in range(2, y.shape[0]):
         np.multiply(a, y[i - 1], out=y[i, ...])
@@ -160,20 +165,30 @@ def _pair_angles(omega, channel, channels, alpha):
     return np.stack([nu - c, nu + c])
 
 
-def _channel_pair(g, channel, channels, order, synthesis=False, coeffs=None):
-    """One channel's response from the prototype at its angle pair g = (g1, g2):
+def _pair_scaling(g, channel, channels, order, synthesis=False):
+    """Complex weights (c1 e^{-j(N-1)g1/2}, conj(c1) e^{-j(N-1)g2/2}) of a pair.
 
-        c1 e^{-j(N-1)g1/2} S(g1) + conj(c1) e^{-j(N-1)g2/2} S(g2)
-
-    with c1 = a_k b_k, or conj(a_k) b_k for synthesis.  S is the Clenshaw sum
-    of coeffs; with coeffs None it is the cosine basis, and the result is the
-    vector u with u @ half = the response.
+    g stacks the pair on its first axis, as _pair_angles returns it; c1 is
+    a_k b_k, or conj(a_k) b_k for synthesis.
     """
     a, b, _ = modulation_constants(channels, order)
     c1 = (np.conj(a[channel]) if synthesis else a[channel]) * b[channel]
     s = np.exp(-0.5j * (order - 1) * g)
     s[0] *= c1
     s[1] *= np.conj(c1)
+    return s
+
+
+def _channel_pair(g, channel, channels, order, synthesis=False, coeffs=None):
+    """One channel's response from the prototype at its angle pair g = (g1, g2):
+
+        c1 e^{-j(N-1)g1/2} S(g1) + conj(c1) e^{-j(N-1)g2/2} S(g2)
+
+    with the weights of _pair_scaling.  S is the Clenshaw sum of coeffs; with
+    coeffs None it is the cosine basis, and the result is the vector u with
+    u @ half = the response.
+    """
+    s = _pair_scaling(g, channel, channels, order, synthesis)
     if coeffs is None:
         return np.einsum("p...,p...n->...n", s, cosine_basis(g, order))
     return np.einsum("p...,p...->...", s, _half_response(coeffs, g))

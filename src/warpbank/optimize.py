@@ -10,7 +10,8 @@ the overall transfer toward an allpass while the subsampling choice keeps
 aliasing down.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import firwin
@@ -36,6 +37,11 @@ class OptimizerReport:
     loop (each segment has inner_iterations[i] + 1 entries and is monotone
     non-increasing; the weights change between segments, so values are not
     comparable across segment boundaries).
+
+    phase_seconds holds wall seconds per phase of design(): "tables" builds
+    the TransferTables, "inner" runs every inner loop, "metrics" computes
+    the final ripple and alias.  The starting prototype and the envelope
+    passes are in no phase, so the values sum to less than the run.
     """
 
     objective_trace: np.ndarray
@@ -45,6 +51,7 @@ class OptimizerReport:
     final_alias_db: float
     flatness: float
     converged: bool
+    phase_seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -85,35 +92,61 @@ class BankDesign:
         return self.prototype_half().full()
 
 
-def _evaluate(half, weights, tables, order=2):
+# grid points per block of the derivative pass: the block's scaled copy of ua
+# is the largest temporary of an order-2 evaluation
+_GRID_BLOCK = 64
+
+
+def _evaluate(half, weights, tables, order=2, products=None):
     """Objective and derivatives of g(h) = sum B E^2 from precomputed tables.
 
     Returns (g, grad, hess, t_all, error); grad/hess are None below the
-    requested derivative order.
+    requested derivative order.  products, if given, is
+    tables.channel_products(half), already computed.
+
+    The derivatives take one pass over blocks of _GRID_BLOCK grid points.
+    Per block, v = (U + U^T) h comes from one batched matmul per table and
+    fills that block of the error gradient; the Hessian's Gauss-Newton
+    terms and its curvature term Re sum c (u_a u_s^T + u_s u_a^T) are
+    accumulated from the block, the latter by one GEMM on the block's scaled
+    ua, kept in one buffer.  So memory above the tables is the
+    (grid, order/2) error gradient plus one block.
     """
-    A, B = tables.channel_products(half)
+    A, B = tables.channel_products(half) if products is None else products
     t = np.einsum("gm,gm->g", A, B)
     err = t.real**2 + t.imag**2 - 1.0
     g = float(np.dot(weights, err * err))
     if order < 1:
         return g, None, None, t, err
-    # v = (U + U^T) h per grid point; E gradient is 2(Re t * Re v + Im t * Im v)
-    v = np.einsum("gmn,gm->gn", tables.ua, B) + np.einsum(
-        "gmn,gm->gn", tables.us, A
-    )
-    grad_err = 2.0 * (t.real[:, None] * v.real + t.imag[:, None] * v.imag)
+    n2 = half.size
+    grad_err = np.empty((t.size, n2))
+    if order >= 2:
+        hess = np.zeros((n2, n2))
+        cross = np.zeros((n2, n2))
+        scaled = np.empty((min(_GRID_BLOCK, t.size),) + tables.ua.shape[1:], complex)
+    w2 = 4.0 * weights * err
+    c = w2 * np.conj(t)
+    for first in range(0, t.size, _GRID_BLOCK):
+        b = slice(first, first + _GRID_BLOCK)
+        ua, us = tables.ua[b], tables.us[b]
+        # v = (U + U^T) h per grid point; E gradient is 2(Re t * Re v + Im t * Im v)
+        v = np.matmul(B[b, None, :], ua)[:, 0]
+        v += np.matmul(A[b, None, :], us)[:, 0]
+        block = grad_err[b]
+        np.multiply(t.real[b, None], v.real, out=block)
+        block += t.imag[b, None] * v.imag
+        block *= 2.0
+        if order < 2:
+            continue
+        hess += block.T @ ((2.0 * weights[b])[:, None] * block)
+        hess += v.real.T @ (w2[b, None] * v.real) + v.imag.T @ (w2[b, None] * v.imag)
+        # curvature of E itself: Re sum c u_a u_s^T, symmetrized below
+        part = np.multiply(c[b, None, None], ua, out=scaled[: ua.shape[0]])
+        cross += (part.reshape(-1, n2).T @ us.reshape(-1, n2)).real
     grad = 2.0 * (weights * err) @ grad_err
     if order < 2:
         return g, grad, None, t, err
-    hess = grad_err.T @ ((2.0 * weights)[:, None] * grad_err)
-    w2 = 4.0 * weights * err
-    hess += v.real.T @ (w2[:, None] * v.real) + v.imag.T @ (w2[:, None] * v.imag)
-    # curvature of E itself: Re[ sum c (u_a u_s^T + u_s u_a^T) ], c = w2 conj(t)
-    c = w2 * np.conj(t)
-    G, M, n2 = tables.ua.shape
-    scaled = (c[:, None, None] * tables.ua).reshape(G * M, n2)
-    cross = scaled.T @ tables.us.reshape(G * M, n2)
-    hess += cross.real + cross.real.T
+    hess += cross + cross.T
     return g, grad, hess, t, err
 
 
@@ -161,7 +194,10 @@ def inner_loop(h0, weights, tables, max_iterations=50, step_tol=1e-10):
                 step = np.linalg.solve(hess + lam * eye, -grad)
                 if not np.all(np.isfinite(step)):
                     raise np.linalg.LinAlgError("non-finite step")
-                g_new = _evaluate(h + step, weights, tables, 0)[0]
+                trial = h + step
+                # kept, so the accepted step's derivatives reuse its products
+                products = tables.channel_products(trial)
+                g_new = _evaluate(trial, weights, tables, 0, products)[0]
                 if np.isfinite(g_new) and g_new <= g:
                     break
             except np.linalg.LinAlgError:
@@ -174,10 +210,10 @@ def inner_loop(h0, weights, tables, max_iterations=50, step_tol=1e-10):
                     "Newton system singular at maximum damping "
                     "(|grad|=%.3e, objective=%.3e)" % (np.max(np.abs(grad)), g)
                 )
-        h = h + step
+        h = trial
         iterations += 1
         lam /= 10.0
-        g, grad, hess, _, _ = _evaluate(h, weights, tables)
+        g, grad, hess, _, _ = _evaluate(h, weights, tables, 2, products)
         trace.append(g)
         if float(step @ step) <= step_tol:
             break
@@ -298,7 +334,11 @@ def design(config):
     hit; a capped run returns the best iterate flagged non-converged.
     """
     omega = frequency_grid(config)
+    clock = time.perf_counter
+    phases = dict.fromkeys(("tables", "inner", "metrics"), 0.0)
+    start = clock()
     tables = TransferTables(config, omega)
+    phases["tables"] = clock() - start
     h = initial_prototype(config).coeffs
     weights = np.ones(omega.size)
     trace = []
@@ -307,9 +347,11 @@ def design(config):
     flat = np.inf
     outer = 0
     for outer in range(1, config.max_outer + 1):
+        start = clock()
         h, n_iter, seg = inner_loop(
             h, weights, tables, config.max_inner, config.step_tol
         )
+        phases["inner"] += clock() - start
         inner_counts.append(n_iter)
         trace.extend(seg)
         err = _evaluate(h, weights, tables, 0)[4]
@@ -320,9 +362,11 @@ def design(config):
             converged = True
             break
         weights = update_weights(weights, beta, config.theta)
+    start = clock()
     t_db = to_db(tables.overall(h))
     ripple = float(t_db.max() - t_db.min())
     alias_db = float(to_db(aliasing_transfer(h, omega, config)).max())
+    phases["metrics"] = clock() - start
     bank = BankDesign(
         half=h,
         channels=config.channels,
@@ -342,5 +386,6 @@ def design(config):
         final_alias_db=alias_db,
         flatness=float(flat),
         converged=converged,
+        phase_seconds=phases,
     )
     return bank, report

@@ -59,34 +59,49 @@ def warped_band(channel, channels, alpha):
     return float(lo), float(hi)
 
 
+# most band indices select_ratio scans, f_U / (f_U - f_L); bounds its cost
+_MAX_BAND_INDEX = 2**16
+
+
 def select_ratio(f_lower, f_upper):
     """Largest alias-free integer decimation ratio for a band, with its index.
 
     Parameters
     ----------
     f_lower, f_upper : float
-        Band edges in cycles per sample, 0 <= f_lower < f_upper <= 0.5.
+        Band edges in cycles per sample, 0 <= f_lower < f_upper <= 0.5, with
+        f_upper / (f_upper - f_lower) at most 2**16.
 
     Returns
     -------
     (ratio, band_index) : (int, int)
         Bandpass-sampling solution maximizing the ratio; ties prefer the
         smaller band index.  Falls back to (1, 1) when nothing larger fits.
+        A ratio too large for a float (edges near 1e-308) is not considered.
     """
     f_lower = float(f_lower)
     f_upper = float(f_upper)
     if not (0.0 <= f_lower < f_upper <= 0.5):
         raise ValueError("need 0 <= f_lower < f_upper <= 0.5")
+    width = f_upper - f_lower
+    if f_upper / width > _MAX_BAND_INDEX:
+        raise ValueError(
+            "band width %.3g is too narrow: f_upper/width exceeds %d band indices"
+            % (width, _MAX_BAND_INDEX)
+        )
     best_s, best_n = 1, 1
-    n_max = max(int(math.floor(f_upper / (f_upper - f_lower))), 1)
+    n_max = max(int(math.floor(f_upper / width)), 1)
     for n in range(1, n_max + 1):
         if f_lower == 0.0:
             if n > 1:
                 break  # lower bound diverges without a guard band
-            lo = 0
+            lo = 0.0
         else:
-            lo = int(math.ceil((n - 1) / (2.0 * f_lower)))
-        hi = int(math.floor(n / (2.0 * f_upper)))
+            lo = (n - 1) / (2.0 * f_lower)
+        hi = n / (2.0 * f_upper)
+        if math.isinf(lo) or math.isinf(hi):
+            break  # edges near 1e-308: both bounds only grow with n
+        lo, hi = math.ceil(lo), math.floor(hi)
         if hi >= max(lo, 1) and hi > best_s:
             best_s, best_n = hi, n
     return best_s, best_n

@@ -100,6 +100,24 @@ def _response_vector(omega, image, channel, config, synthesis=False):
     return modulation._channel_pair(g, channel, config.channels, config.order, synthesis)
 
 
+# bytes one batch of the table build may hold: the cosine basis of its images
+# with their angles and pair weights, plus the product added into the tables
+_BATCH_BYTES = 12 << 20
+
+
+def _images_per_batch(size, n2, ua_bytes):
+    """Alias images per batch of a table build on size grid points.
+
+    One image takes about 16 * size * (n2 + 16) bytes, and the product one
+    image's worth more.  The batch stays within _BATCH_BYTES and within half
+    of ua's bytes, so small tables get no larger working set than a quarter
+    of their own size.  A batch holds at least one image, so a budget below
+    two images' worth is exceeded.
+    """
+    budget = min(_BATCH_BYTES, ua_bytes // 2)
+    return max(1, budget // (16 * size * (n2 + 16)) - 1)
+
+
 class TransferTables:
     """Stacked per-channel response vectors over a frequency grid.
 
@@ -107,18 +125,61 @@ class TransferTables:
     at grid point g; us[g, k, :] @ half gives the synthesis response.  The
     overall transfer at g is then sum_k (ua @ h)(us @ h), one einsum per
     optimizer iteration instead of assembling any U matrix.
+
+    The build runs channel by channel.  A channel's S_k alias images go in
+    batches of as many as _images_per_batch allows: the angle pairs of a batch
+    are stacked, one forward cosine recurrence fills the real basis of the
+    whole stack, and one matmul, batched over grid points, contracts it with
+    the real and imaginary parts of the pair weights into ua, so no complex
+    copy of the basis is made.  The batch with image 0 also gives us, whose
+    angles are the same.  Memory above the tables is one batch.
+    _response_vector computes the same vectors one image at a time.
     """
 
     def __init__(self, config, omega=None):
         self.config = config
         self.omega = frequency_grid(config) if omega is None else np.asarray(omega, float)
-        shape = (self.omega.size, config.channels, config.order // 2)
+        size, n2 = self.omega.size, config.order // 2
+        shape = (size, config.channels, n2)
         self.ua = np.zeros(shape, dtype=complex)
         self.us = np.zeros(shape, dtype=complex)
+        batch = min(_images_per_batch(size, n2, self.ua.nbytes), max(config.subsampling))
+        # work buffers kept across batches: the recurrence rows and the product
+        rows = np.empty((n2 + 1) * size * 2 * batch)
+        prod = np.empty((size, n2, 2))
         for k in range(config.channels):
-            self.us[:, k, :] = _response_vector(self.omega, 0, k, config, synthesis=True)
-            for l in range(config.subsampling[k]):
-                self.ua[:, k, :] += _response_vector(self.omega, l, k, config)
+            S = config.subsampling[k]
+            for first in range(0, S, batch):
+                self._add_images(k, np.arange(first, min(first + batch, S)), rows, prod)
+
+    def _add_images(self, channel, images, rows, prod):
+        """Add channel's analysis vectors for the given images into ua; the
+        batch holding image 0 also sets its synthesis vector in us.  rows (flat,
+        at least (N/2 + 1) * grid * 2 * images floats) and prod (grid, N/2, 2)
+        are work buffers."""
+        config = self.config
+        M, N = config.channels, config.order
+        size = self.omega.size
+        w = self.omega[:, None] + 2.0 * np.pi * images / config.subsampling[channel]
+        g = modulation._pair_angles(w, channel, M, config.alpha)  # (pair, grid, image)
+        # the pair axis goes last, so (image, pair) is one contiguous axis q
+        stack = np.ascontiguousarray(np.moveaxis(g, 0, -1))
+        rows = rows[: (N // 2 + 1) * stack.size].reshape((N // 2 + 1,) + stack.shape)
+        modulation.cosine_basis(stack, N, out=rows)
+        basis = rows[1:].reshape(N // 2, size, -1).transpose(1, 0, 2)  # (grid, n, q)
+
+        def contract(weights, q):
+            # (pair, grid, ...) complex weights as (grid, q, re/im) reals, times
+            # the first q basis columns; a view of prod
+            pairs = np.ascontiguousarray(np.moveaxis(weights, 0, -1))
+            np.matmul(basis[:, :, :q], pairs.view(float).reshape(size, q, 2), out=prod)
+            return prod.view(complex)[..., 0]
+
+        s = modulation._pair_scaling(g, channel, M, N)
+        self.ua[:, channel, :] += contract(s, basis.shape[2])
+        if images[0] == 0:
+            s = modulation._pair_scaling(g[:, :, 0], channel, M, N, synthesis=True)
+            self.us[:, channel, :] = contract(s, 2)
 
     def channel_products(self, half):
         """(analysis, synthesis) responses per grid point and channel."""
@@ -133,11 +194,14 @@ class TransferTables:
 def transfer_quadratic(omega, config):
     """Quadratic-form matrix U(omega) at one frequency, h^T U h = T_all.
 
-    U = sum_k ua_k outer us_k from one-point TransferTables; for small-scale
-    checks of the table vectors against the direct route.
+    U = sum_k ua_k outer us_k from the per-image _response_vector; for
+    small-scale checks of the vectors against the direct route.
     """
-    tables = TransferTables(config, [float(omega)])
-    return tables.ua[0].T @ tables.us[0]
+    U = 0.0
+    for k in range(config.channels):
+        ua = sum(_response_vector(omega, l, k, config) for l in range(config.subsampling[k]))
+        U = U + np.outer(ua, _response_vector(omega, 0, k, config, synthesis=True))
+    return U
 
 
 def _as_proto(half, config):

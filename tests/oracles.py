@@ -3,7 +3,9 @@
 The allpass structures run as plain Python loops, one sample at a time, for
 the block-filtering runtime in warpbank.streaming; the prototype's cosine
 series is summed term by term with np.cos, for the recurrences in
-warpbank.modulation.  No production path uses them.
+warpbank.modulation; the optimizer's Hessian is formed from whole-table
+products, for the grid-blocked one in warpbank.optimize.  No production
+path uses them.
 """
 
 import numpy as np
@@ -78,3 +80,21 @@ def cosine_basis(omega, order):
 def half_response(coeffs, x):
     """sum_i coeffs[i] 2cos((2i+1)x/2) as the cosine stack times the coefficients."""
     return cosine_basis(x, 2 * len(coeffs)) @ np.asarray(coeffs, dtype=float)
+
+
+def hessian(half, weights, tables):
+    """Hessian of sum B E^2 from whole-table products: v by einsum and the
+    curvature term Re sum c (u_a u_s^T + u_s u_a^T) from one scaled copy of
+    ua, with no blocking over the grid."""
+    A, B = tables.channel_products(half)
+    t = np.einsum("gm,gm->g", A, B)
+    err = t.real**2 + t.imag**2 - 1.0
+    v = np.einsum("gmn,gm->gn", tables.ua, B) + np.einsum("gmn,gm->gn", tables.us, A)
+    grad_err = 2.0 * (t.real[:, None] * v.real + t.imag[:, None] * v.imag)
+    hess = grad_err.T @ ((2.0 * weights)[:, None] * grad_err)
+    w2 = 4.0 * weights * err
+    hess += v.real.T @ (w2[:, None] * v.real) + v.imag.T @ (w2[:, None] * v.imag)
+    G, M, n2 = tables.ua.shape
+    scaled = ((w2 * np.conj(t))[:, None, None] * tables.ua).reshape(G * M, n2)
+    cross = scaled.T @ tables.us.reshape(G * M, n2)
+    return hess + cross.real + cross.real.T

@@ -89,6 +89,18 @@ def test_cosine_basis_values():
     assert_raises(ValueError, cosine_basis, 0.5, 0)
 
 
+def test_cosine_basis_fills_out():
+    # the recurrence rows land in out, with the basis a view of out[1:]
+    omega = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    out = np.empty((5, 3, 4))
+    got = cosine_basis(omega, 8, out=out)
+    assert np.shares_memory(got, out)
+    assert_allclose(got, cosine_basis(omega, 8), atol=0)
+    for bad in (np.empty((4, 3, 4)), np.empty((5, 4, 3)).transpose(0, 2, 1),
+                np.empty((5, 3, 4), dtype=np.float32)):
+        assert_raises(ValueError, cosine_basis, omega, 8, out=bad)
+
+
 @st.composite
 def _series(draw):
     """Prototype halves of order up to 256 and angles in [-20, 20].

@@ -1,7 +1,14 @@
+import dataclasses
+import time
+import tracemalloc
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
 
+import oracles
+from warpbank import optimize
 from warpbank import (
     BankConfig,
     TransferTables,
@@ -10,6 +17,7 @@ from warpbank import (
     error_function,
     find_extrema,
     flatness,
+    frequency_grid,
     gradient,
     hessian,
     initial_prototype,
@@ -79,6 +87,43 @@ def test_hessian_matches_finite_differences():
         fd = _fd_hessian(half, weights, tables)
         denom = max(np.max(np.abs(an)), 1e-8)
         assert np.max(np.abs(an - fd)) / denom < 1e-4
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_blocked_hessian_matches_unblocked_oracle(block):
+    # grids of 24 and 300 points: ragged last blocks, and one block at 64
+    rng = np.random.default_rng(1009)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_GRID_BLOCK", block)
+        for channels, taps, points in ((2, 2, 24), (4, 2, 24), (8, 1, 300)):
+            half, weights, tables = _random_problem(rng, channels, taps)
+            if points != tables.omega.size:
+                config = dataclasses.replace(tables.config, grid_points=points)
+                tables = TransferTables(config)
+                weights = rng.uniform(0.1, 2.0, points)
+            got = hessian(half, weights, tables)
+            want = oracles.hessian(half, weights, tables)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _mid_bank():
+    return BankConfig(channels=16, order=64, alpha=0.5,
+                      subsampling=[6, 5, 4, 3] * 4, grid_points=2048)
+
+
+def test_evaluate_memory_is_one_block():
+    # an order-2 evaluation holds one (grid, order/2) gradient and one block
+    # of the scaled table above the tables; a whole-table temporary is 4x over
+    tables = TransferTables(_mid_bank())
+    half = initial_prototype(tables.config).coeffs
+    weights = np.ones(tables.omega.size)
+    tracemalloc.start()
+    try:
+        optimize._evaluate(half, weights, tables, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tables.ua.nbytes / 4
 
 
 def test_hessian_is_symmetric():
@@ -309,3 +354,29 @@ def test_design_example_published_ratios():
     # channel 0 runs past its non-overlap bound here, so only the coherent
     # cancellation keeps aliasing down; no tight floor is asserted
     assert bank.max_alias_db < -40.0
+
+
+def test_forced_outer_passes_do_not_raise_max_error():
+    # the envelope reweighting drives toward minimax: with psi = 0 every pass
+    # is forced, and max |E| on the design grid must not grow from one to the
+    # next (each capped run returns the iterate after its last pass)
+    config = BankConfig(channels=4, order=32, alpha=0.3, subsampling=[2, 2, 2, 2],
+                        psi=0.0, max_outer=3)
+    grid = frequency_grid(config)
+    peaks = []
+    for passes in range(1, config.max_outer + 1):
+        bank, report = design(dataclasses.replace(config, max_outer=passes))
+        assert report.outer_iterations == passes and not report.converged
+        peaks.append(np.max(np.abs(error_function(bank.half, grid, config))))
+    assert all(b <= a for a, b in zip(peaks, peaks[1:])), peaks
+
+
+def test_design_reports_phase_seconds():
+    config = BankConfig(channels=4, order=32, alpha=0.3, subsampling=[2, 2, 2, 2])
+    start = time.perf_counter()
+    _, report = design(config)
+    wall = time.perf_counter() - start
+    phases = report.phase_seconds
+    assert set(phases) == {"tables", "inner", "metrics"}
+    assert all(value >= 0.0 for value in phases.values())
+    assert sum(phases.values()) <= wall

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
@@ -75,25 +77,29 @@ def test_select_ratio_lowpass_case():
 
 @st.composite
 def _bands(draw):
-    """Bands 0 <= f_L < f_U <= 0.5 in cycles, f_L = 0 included.
-
-    Widths stay >= 1e-3: select_ratio scans f_U/(f_U - f_L) band indices,
-    which takes 0.2 s at a width of 1e-6 and grows as 1/width below it.
+    """Bands 0 <= f_L < f_U <= 0.5 in cycles, f_L = 0 included, down to the
+    narrowest select_ratio accepts: f_U/(f_U - f_L) = 2**16 band indices.
     """
     lower = draw(st.just(0.0) | st.floats(0.0, 0.499, allow_subnormal=False))
-    upper = draw(st.floats(lower + 1e-3, 0.5) | st.just(0.5))
+    narrowest = lower / (1.0 - 2.0**-16)
+    upper = draw(
+        st.floats(narrowest, 0.5, exclude_min=True, allow_subnormal=False)
+        | st.just(0.5)
+    )
+    assume(upper / (upper - lower) <= 2**16)
     return lower, upper
 
 
 @given(_bands())
 def test_select_ratio_satisfies_bandpass_sampling(band):
     # the band lies in one Nyquist zone of the decimated rate:
-    # (n-1)/(2S) <= f_L and f_U <= n/(2S) for the returned ratio S and index n
+    # (n-1)/(2S) <= f_L and f_U <= n/(2S) for the returned ratio S and index n,
+    # both multiplied through by 2S: bands near 1e-308 give S near 1e308
     f_lower, f_upper = band
     ratio, n = select_ratio(f_lower, f_upper)
     assert ratio >= 1 and n >= 1
-    assert (n - 1) / (2.0 * ratio) <= f_lower * (1 + 1e-12)
-    assert f_upper <= n / (2.0 * ratio) * (1 + 1e-12)
+    assert n - 1 <= ratio * (2.0 * f_lower) * (1 + 1e-12)
+    assert ratio * (2.0 * f_upper) <= n * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -108,6 +114,20 @@ def test_fractional_counts_raise(call):
     # 4.9 channels used to run as 4 (or give 5 edges) after int() truncation
     with assert_raises(ValueError, match="channel"):
         call()
+
+
+def test_select_ratio_rejects_too_narrow_band():
+    # the index scan is bounded: a band 1e-12 wide would need 3e11 indices
+    t0 = time.perf_counter()
+    with assert_raises(ValueError, match="width 1e-12"):
+        select_ratio(0.3, 0.3 + 1e-12)
+    assert time.perf_counter() - t0 < 0.1
+    # the narrowest accepted band still gets an answer
+    lower = 0.3
+    upper = lower / (1.0 - 2.0**-16)
+    assert upper / (upper - lower) <= 2**16
+    ratio, n = select_ratio(lower, upper)
+    assert (n - 1) / (2.0 * ratio) <= lower and upper <= n / (2.0 * ratio)
 
 
 def test_select_ratio_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from warpbank import (
     to_db,
     transfer_quadratic,
 )
+from warpbank import modulation, transfer
 from warpbank.modulation import _pair_angles
 from warpbank.transfer import _response_vector
 
@@ -38,7 +41,7 @@ def _random_case(rng):
 
 
 @st.composite
-def _banks(draw):
+def _banks(draw, max_ratio=6):
     """The bank space of _random_case, drawn by hypothesis."""
     channels = draw(st.sampled_from([2, 4, 8]))
     taps = draw(st.integers(1, 2))
@@ -46,7 +49,7 @@ def _banks(draw):
     half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
                                   max_size=channels * taps)))
     alpha = draw(st.floats(-0.8, 0.8, allow_subnormal=False))
-    sub = draw(st.lists(st.integers(1, 6), min_size=channels, max_size=channels))
+    sub = draw(st.lists(st.integers(1, max_ratio), min_size=channels, max_size=channels))
     config = BankConfig(
         channels=channels, order=2 * half.size, alpha=alpha, subsampling=sub
     )
@@ -202,6 +205,49 @@ def test_aliasing_bound_dominates_coherent_sum(case):
     coherent = np.abs(aliasing_transfer(half, omega, config))
     bound = aliasing_bound(half, omega, config)
     assert np.all(coherent <= bound + 1e-12)
+
+
+@given(_banks(max_ratio=12), st.integers(2, 5))
+def test_batched_tables_match_per_image_vectors(case, batch):
+    # batch images per cosine recurrence, so most channels take several
+    # batches and a ragged last one
+    half, config = case
+    omega = np.linspace(0.0, np.pi, 37)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return basis(*args, **kwargs)
+
+    basis = modulation.cosine_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_images_per_batch", lambda *args: batch)
+        mp.setattr(modulation, "cosine_basis", counted)
+        tables = TransferTables(config, omega)
+    assert len(calls) == sum(-(-S // batch) for S in config.subsampling)
+    for k in range(config.channels):
+        ua = sum(_response_vector(omega, l, k, config)
+                 for l in range(config.subsampling[k]))
+        us = _response_vector(omega, 0, k, config, synthesis=True)
+        assert np.max(np.abs(tables.ua[:, k] - ua)) <= 1e-12 * np.max(np.abs(ua))
+        assert np.max(np.abs(tables.us[:, k] - us)) <= 1e-12 * np.max(np.abs(us))
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_transfer_tables_build_memory_is_one_batch(grid):
+    # tracemalloc peak of the build above the tables themselves stays within
+    # the batch budget, and within half of ua for small tables; a whole ua
+    # temporary breaks either bound
+    config = BankConfig(channels=16, order=64, alpha=0.5,
+                        subsampling=[6, 5, 4, 3] * 4, grid_points=grid)
+    tracemalloc.start()
+    try:
+        tables = TransferTables(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = tables.ua.nbytes + tables.us.nbytes + tables.omega.nbytes
+    assert peak - own <= min(transfer._BATCH_BYTES, tables.ua.nbytes // 2)
 
 
 def test_transfer_tables_match_pointwise_routines():
