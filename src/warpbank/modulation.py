@@ -179,21 +179,6 @@ def _pair_scaling(g, channel, channels, order, synthesis=False):
     return s
 
 
-def _channel_pair(g, channel, channels, order, synthesis=False, coeffs=None):
-    """One channel's response from the prototype at its angle pair g = (g1, g2):
-
-        c1 e^{-j(N-1)g1/2} S(g1) + conj(c1) e^{-j(N-1)g2/2} S(g2)
-
-    with the weights of _pair_scaling.  S is the Clenshaw sum of coeffs; with
-    coeffs None it is the cosine basis, and the result is the vector u with
-    u @ half = the response.
-    """
-    s = _pair_scaling(g, channel, channels, order, synthesis)
-    if coeffs is None:
-        return np.einsum("p...,p...n->...n", s, cosine_basis(g, order))
-    return np.einsum("p...,p...->...", s, _half_response(coeffs, g))
-
-
 def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
     """Frequency response of warped channel filter at physical frequency omega.
 
@@ -219,5 +204,6 @@ def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
     if not 0 <= channel < M:
         raise ValueError("channel %d out of range for %d channels" % (channel, M))
     g = _pair_angles(omega, channel, M, alpha)
-    r = _channel_pair(g, channel, M, prototype.order, synthesis, prototype.coeffs)
+    s = _pair_scaling(g, channel, M, prototype.order, synthesis)
+    r = np.einsum("p...,p...->...", s, _half_response(prototype.coeffs, g))
     return complex(r) if np.isscalar(omega) else r

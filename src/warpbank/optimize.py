@@ -226,8 +226,8 @@ def find_extrema(abs_error):
     Local maxima are detected by neighbor comparison (plateaus counted once).
     Interior extrema sitting strictly below both neighbors are absorbed
     iteratively, so the list keeps only the peaks that shape the ripple
-    envelope; any remaining value below the minimum of its neighbors (an
-    endpoint against its single neighbor) is raised to that minimum.
+    envelope.  None of them is left below both of its neighbors, so only an
+    endpoint can sit below its one neighbor; it is raised to that value.
     """
     a = np.asarray(abs_error, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -253,15 +253,8 @@ def find_extrema(abs_error):
                 j += 1
     vals = np.asarray(vals)
     clamped = vals.copy()
-    for j in range(len(idx)):
-        nb = []
-        if j > 0:
-            nb.append(vals[j - 1])
-        if j < len(idx) - 1:
-            nb.append(vals[j + 1])
-        lo = min(nb)
-        if clamped[j] < lo:
-            clamped[j] = lo
+    clamped[0] = max(vals[0], vals[1])
+    clamped[-1] = max(vals[-1], vals[-2])
     return list(zip(idx, clamped))
 
 
@@ -331,7 +324,7 @@ def design(config):
 
     Iterates inner_loop / find_extrema / envelope / flatness test /
     update_weights until the envelope spread drops to psi or the outer cap is
-    hit; a capped run returns the best iterate flagged non-converged.
+    hit; a capped run returns the last pass's iterate flagged non-converged.
     """
     omega = frequency_grid(config)
     clock = time.perf_counter
@@ -354,7 +347,7 @@ def design(config):
         phases["inner"] += clock() - start
         inner_counts.append(n_iter)
         trace.extend(seg)
-        err = _evaluate(h, weights, tables, 0)[4]
+        _, _, _, t, err = _evaluate(h, weights, tables, 0)
         ext = find_extrema(np.abs(err))
         beta = envelope(ext, omega)
         flat = flatness(beta)
@@ -363,7 +356,7 @@ def design(config):
             break
         weights = update_weights(weights, beta, config.theta)
     start = clock()
-    t_db = to_db(tables.overall(h))
+    t_db = to_db(t)
     ripple = float(t_db.max() - t_db.min())
     alias_db = float(to_db(aliasing_transfer(h, omega, config)).max())
     phases["metrics"] = clock() - start

@@ -11,13 +11,14 @@ to an ordinary FIR delay line.
 Analysis pushes the input down the line and takes channel outputs as inner
 products of the tap vector with the modulated analysis coefficients.
 
-Synthesis uses the transposed structure.  A is linear and time-invariant, so
-summing the warped synthesis filters over the zero-inserted channels u_k,
+Synthesis is the transposed system.  The line of the synthesis filters f_k,
+built as in analysis with one input and M outputs, is transposed into a line
+with M inputs and one output,
 
-    sum_k sum_n f_k[n] A^n u_k = sum_n A^n v_n,   v_n = sum_k f_k[n] u_k,
+    sum_k sum_n f_k[n] A^n u_k = v_0 + A(v_1 + A(v_2 + ... + A(v_{N-1}))),
 
-folds by Horner's rule into v_0 + A(v_1 + A(v_2 + ... + A(v_{N-1}))): the
-channels are mixed into one line.
+with v_n = sum_k f_k[n] u_k for the zero-inserted channels u_k: the channels
+are mixed into one line, by Horner's rule, with no line per channel.
 
 Neither direction steps the recursion sample by sample.  Each is a linear
 time-invariant system with N-1 scalar states (one per allpass section), so
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .allpass import _check_count
 from .modulation import modulate
 
 # samples per super-block (rounded down to whole chunks), which bounds the
@@ -108,6 +110,24 @@ class _BlockLine:
         out += starts @ self.psi
         return out
 
+    def transposed(self):
+        """The dual line, whose transfer matrix is the transpose of this one's.
+
+        Transposing every map runs a chunk backwards in time, so the samples
+        inside a chunk are reversed as well (R below): Theta' = R Theta^T R,
+        Psi' = Gamma^T R, Gamma' = R Psi^T, Phi' = Phi^T.  A line with one
+        input and M outputs becomes one with M inputs and one output.
+        """
+        c, n = _CHUNK, self.phi.shape[0]
+        P, Q = self.theta.shape[0] // c, self.theta.shape[1] // c
+        theta = self.theta.reshape(c, P, c, Q)[::-1, :, ::-1].transpose(2, 3, 0, 1)
+        return _BlockLine(
+            theta=theta.reshape(c * Q, c * P),
+            psi=self.gamma.reshape(c, P, n)[::-1].transpose(2, 0, 1).reshape(n, c * P),
+            gamma=self.psi.reshape(n, c, Q)[:, ::-1].transpose(1, 2, 0).reshape(c * Q, n),
+            phi=np.ascontiguousarray(self.phi.T),
+        )
+
 
 def _line_runs(alpha, taps):
     """Taps over one chunk of the line fed an impulse and fed alpha^t.
@@ -126,55 +146,37 @@ def _line_runs(alpha, taps):
 
 
 def _toeplitz(resp):
-    """Causal chunk map (c*P, c*Q) from responses resp[p, q, delay]."""
-    P, Q, c = resp.shape
+    """Causal chunk map (c, c*Q) of one input from responses resp[q, delay]."""
+    Q, c = resp.shape
     lag = np.subtract.outer(np.arange(c), np.arange(c))  # [t, tau] = t - tau
-    blocks = resp[:, :, np.maximum(lag, 0)] * (lag >= 0)  # [p, q, t, tau]
-    return blocks.transpose(3, 0, 2, 1).reshape(c * P, c * Q)
+    blocks = resp[:, np.maximum(lag, 0)] * (lag >= 0)  # [q, t, tau]
+    return blocks.transpose(2, 1, 0).reshape(c, c * Q)
 
 
-def _below(coeffs, resp):
-    """out[n] = sum_d coeffs[:, n+1+d] resp[d] for n < N-1: (N-1, M, c)."""
-    N = coeffs.shape[1]
-    return np.stack([coeffs[:, n + 1 :] @ resp[: N - 1 - n] for n in range(N - 1)])
+def _block_line(coeffs, alpha):
+    """The line of taps coeffs (M, N) in block form: one input, M outputs.
 
-
-def _block_line(design, analysis=True):
-    """The analysis (default) or synthesis line of a design in block form.
-
-    State n is the lfilter state of section n, its input plus alpha times
-    its output.  In analysis section n maps tap n to tap n+1; in synthesis
-    it is Horner stage n, which filters the running sum of the mixed taps
-    n+1..N-1 before v_n is added.
+    Output k is sum_n coeffs[k, n] A^n x.  State n is the lfilter state of
+    section n, its input plus alpha times its output; section n maps tap n
+    to tap n+1.
     """
-    filters = modulate(design.prototype_half())
-    coeffs = filters.analysis if analysis else filters.synthesis
     M, N = coeffs.shape
-    alpha = design.alpha
     H, G = _line_runs(alpha, N)
     # z_imp[n, tau]: end state of section n after a unit impulse at sample tau
     z_imp = (H[:-1] + alpha * H[1:])[:, ::-1]
     # z_unit[d]: end state of the section d below one whose start state is 1
     z_unit = alpha * G[:-1, -1]
     z_unit[1:] += G[:-2, -1]
-    # shift[m, n] = z_unit[m - n].  The signal runs to higher section indices
-    # in analysis and to lower ones in synthesis, so phi (start state row,
-    # end state column) is shift.T in analysis and shift in synthesis
+    # phi[m, n] = z_unit[n - m]: the signal runs to higher section indices
     d = np.subtract.outer(np.arange(N - 1), np.arange(N - 1))
-    shift = np.where(d >= 0, z_unit[np.maximum(d, 0)], 0.0)
-    c = _CHUNK
-    if analysis:
-        return _BlockLine(
-            theta=_toeplitz((coeffs @ H)[None]),
-            psi=_below(coeffs, G).transpose(0, 2, 1).reshape(N - 1, c * M),
-            gamma=np.ascontiguousarray(z_imp.T),
-            phi=np.ascontiguousarray(shift.T),
-        )
+    phi = np.where(d <= 0, z_unit[np.maximum(-d, 0)], 0.0)
+    # psi[n, k, t] = sum_d coeffs[k, n+1+d] G[d, t], from the sections below n
+    psi = np.stack([coeffs[:, n + 1 :] @ G[: N - 1 - n] for n in range(N - 1)])
     return _BlockLine(
-        theta=_toeplitz((coeffs @ H)[:, None]),
-        psi=G[:-1],
-        gamma=_below(coeffs, z_imp).transpose(2, 1, 0).reshape(c * M, N - 1),
-        phi=shift,
+        theta=_toeplitz(coeffs @ H),
+        psi=psi.transpose(0, 2, 1).reshape(N - 1, _CHUNK * M),
+        gamma=np.ascontiguousarray(z_imp.T),
+        phi=phi,
     )
 
 
@@ -202,7 +204,8 @@ def analyze(design, signal):
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a nonempty 1-D array")
     _check_finite(x, "signal")
-    return _analyze(design, _block_line(design), x)
+    line = _block_line(modulate(design.prototype_half()).analysis, design.alpha)
+    return _analyze(design, line, x)
 
 
 def _analyze(design, line, x):
@@ -234,27 +237,33 @@ def synthesize(design, frames):
     The zero-inserted frames of a super-block go in as they are, one row of
     c*M values per chunk: channel mixing and the allpass line together are
     the chunk GEMMs of the block state-space form (see the module
-    docstring).  The state carried between super-blocks is the N-1 section
-    states of the Horner cascade.  Per output sample that costs about
+    docstring).  The state carried between super-blocks is the N-1 states
+    of the transposed line.  Per output sample that costs about
     c*M + (M+1)*(N-1) + (N-1)^2/c multiply-adds.  Frame samples must be
     finite.
     """
     M = design.channels
     if len(frames) != M:
         raise ValueError("expected %d frames, got %d" % (M, len(frames)))
+    for f in frames:
+        _check_count("frame channel", f.channel, 0)
     order = sorted(frames, key=lambda f: f.channel)
     if [f.channel for f in order] != list(range(M)):
         raise ValueError("frames must cover channels 0..%d exactly once" % (M - 1))
     for f in order:
-        if f.ratio != design.subsampling[f.channel]:
+        what = "frame %d" % f.channel
+        if _check_count(what + " ratio", f.ratio, 1) != design.subsampling[f.channel]:
             raise ValueError(
-                "frame %d ratio %d does not match design ratio %d"
-                % (f.channel, f.ratio, design.subsampling[f.channel])
+                "%s ratio %d does not match design ratio %d"
+                % (what, f.ratio, design.subsampling[f.channel])
             )
-        if not 0 <= f.phase < f.ratio:
-            raise ValueError("frame %d phase out of range" % f.channel)
-        _check_finite(f.samples, "frame %d" % f.channel)
-    return _synthesize(_block_line(design, analysis=False), order)
+        if _check_count(what + " phase", f.phase, 0) >= f.ratio:
+            raise ValueError("%s phase out of range" % what)
+        _check_finite(f.samples, what)
+    # only the transposed maps stay alive while the line runs
+    line = _block_line(modulate(design.prototype_half()).synthesis, design.alpha)
+    line = line.transposed()
+    return _synthesize(line, order)
 
 
 def _synthesize(line, frames):
@@ -313,18 +322,21 @@ def measure_response(design, probe_freqs):
     _SETTLE*N*max(S) samples, and reads the steady-state amplitude by
     Hann-windowed quadrature correlation over _WINDOW samples.  Returns
     magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
-    rejected: the correlation cannot separate the conjugate line there.
-    The block operators are built once and serve every probe.
+    rejected, since the correlation cannot separate the conjugate line
+    there, and so are non-finite ones.  Both lines are built once, from one
+    modulate call, and serve every probe.
     """
     freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
-    bad = [float(f) for f in freqs if f <= 1e-9 or f >= np.pi - 1e-9]
+    bad = [float(f) for f in freqs if not 1e-9 < f < np.pi - 1e-9]
     if bad:
-        raise ValueError("probe frequencies too close to 0 or pi: %r" % bad)
+        raise ValueError("probe frequencies not inside (0, pi): %r" % bad)
     settle = _SETTLE * design.order * int(design.subsampling.max())
     win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)
-    analysis, synthesis = _block_line(design), _block_line(design, analysis=False)
+    filters = modulate(design.prototype_half())
+    analysis = _block_line(filters.analysis, design.alpha)
+    synthesis = _block_line(filters.synthesis, design.alpha).transposed()
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
         # the synthesized signal is at least as long as the sine

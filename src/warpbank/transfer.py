@@ -9,7 +9,9 @@ transfer.  A given prototype is evaluated directly: one pass over the channels
 computes each F_k^w once by Clenshaw's recurrence and yields the products one
 image at a time, in O(grid) memory; every transfer curve here sums that pass.
 Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
-recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h.
+recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h.  They
+are the only route to those vectors; transfer_quadratic reads U off a
+one-point table.
 """
 
 import functools
@@ -88,18 +90,6 @@ def frequency_grid(config):
     return np.linspace(0.0, np.pi, config.grid_points)
 
 
-def _response_vector(omega, image, channel, config, synthesis=False):
-    """Vector u with u @ half = H_k^w(omega + 2 pi image/S_k), or F_k^w(omega)
-    for synthesis (image 0).  Shape is omega.shape + (order/2,); complex.
-    """
-    S = config.subsampling[channel]
-    if not 0 <= image < S:
-        raise ValueError("image index %d out of range for ratio %d" % (image, S))
-    w = np.asarray(omega, dtype=float) + 2.0 * np.pi * image / S
-    g = modulation._pair_angles(w, channel, config.channels, config.alpha)
-    return modulation._channel_pair(g, channel, config.channels, config.order, synthesis)
-
-
 # bytes one batch of the table build may hold: the cosine basis of its images
 # with their angles and pair weights, plus the product added into the tables
 _BATCH_BYTES = 12 << 20
@@ -133,7 +123,6 @@ class TransferTables:
     the real and imaginary parts of the pair weights into ua, so no complex
     copy of the basis is made.  The batch with image 0 also gives us, whose
     angles are the same.  Memory above the tables is one batch.
-    _response_vector computes the same vectors one image at a time.
     """
 
     def __init__(self, config, omega=None):
@@ -194,14 +183,11 @@ class TransferTables:
 def transfer_quadratic(omega, config):
     """Quadratic-form matrix U(omega) at one frequency, h^T U h = T_all.
 
-    U = sum_k ua_k outer us_k from the per-image _response_vector; for
-    small-scale checks of the vectors against the direct route.
+    U = sum_k ua_k outer us_k from a one-point TransferTables; for
+    small-scale checks of the table vectors against the direct route.
     """
-    U = 0.0
-    for k in range(config.channels):
-        ua = sum(_response_vector(omega, l, k, config) for l in range(config.subsampling[k]))
-        U = U + np.outer(ua, _response_vector(omega, 0, k, config, synthesis=True))
-    return U
+    tables = TransferTables(config, np.reshape(omega, 1))
+    return tables.ua[0].T @ tables.us[0]
 
 
 def _as_proto(half, config):

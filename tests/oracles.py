@@ -3,9 +3,10 @@
 The allpass structures run as plain Python loops, one sample at a time, for
 the block-filtering runtime in warpbank.streaming; the prototype's cosine
 series is summed term by term with np.cos, for the recurrences in
-warpbank.modulation; the optimizer's Hessian is formed from whole-table
-products, for the grid-blocked one in warpbank.optimize.  No production
-path uses them.
+warpbank.modulation; the quadratic-form vectors are formed from the
+modulated taps, for TransferTables in warpbank.transfer; the optimizer's
+Hessian is formed from whole-table products, for the grid-blocked one in
+warpbank.optimize.  No production path uses them.
 """
 
 import numpy as np
@@ -80,6 +81,26 @@ def cosine_basis(omega, order):
 def half_response(coeffs, x):
     """sum_i coeffs[i] 2cos((2i+1)x/2) as the cosine stack times the coefficients."""
     return cosine_basis(x, 2 * len(coeffs)) @ np.asarray(coeffs, dtype=float)
+
+
+def response_vector(omega, image, channel, config, synthesis=False):
+    """Vector u with u @ half = H_k^w(omega + 2 pi image/S_k), or F_k^w(omega)
+    for synthesis (image 0), from the modulated taps.
+
+    The warped channel response is sum_n h_k[n] A^n with A the allpass
+    (e^{-jw} - alpha)/(1 - alpha e^{-jw}) at w = omega + 2 pi image/S_k.  Each
+    tap of the full prototype is one half coefficient, h[N/2 + i] = h[N/2-1-i]
+    = half[i], so u[i] gathers those two terms.  Shape omega.shape + (N/2,).
+    """
+    M, N = config.channels, config.order
+    w = np.asarray(omega, dtype=float) + 2.0 * np.pi * image / config.subsampling[channel]
+    z = np.exp(-1j * w)
+    phase = np.angle((z - config.alpha) / (1.0 - config.alpha * z))
+    n = np.arange(N)
+    offset = (-1.0) ** channel * np.pi / 4 * (-1.0 if synthesis else 1.0)
+    taps = 2.0 * np.cos((2 * channel + 1) * np.pi / (2 * M) * (n - (N - 1) / 2) + offset)
+    full = taps * np.exp(1j * np.multiply.outer(phase, n))
+    return full[..., N // 2 :] + full[..., N // 2 - 1 :: -1]
 
 
 def hessian(half, weights, tables):

@@ -131,6 +131,13 @@ def test_measure_rejects_edge_probes():
     assert_raises(ValueError, measure_response, design, [0.5, 1e-12])
 
 
+def test_measure_rejects_non_finite_probes():
+    design = _toy_design(2, 16, 0.3, [1, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        with assert_raises(ValueError, match="inside"):
+            measure_response(design, [bad, 1.0])
+
+
 def test_analyze_validation():
     design = _toy_design(2, 16, 0.3, [1, 1])
     assert_raises(ValueError, analyze, design, np.array([]))
@@ -147,6 +154,13 @@ def test_synthesize_validation():
     assert_raises(ValueError, synthesize, design, wrong_ratio)
     bad_phase = [SubbandFrame(0, good[0].samples, 2, phase=2), good[1]]
     assert_raises(ValueError, synthesize, design, bad_phase)
+    # frame counts are integers: a float or bool is named, not truncated
+    for field, value in (("phase", 1.0), ("phase", True), ("ratio", 2.0),
+                         ("channel", 0.0)):
+        frame = SubbandFrame(0, good[0].samples, 2)
+        setattr(frame, field, value)
+        with assert_raises(ValueError, match="frame.*integer"):
+            synthesize(design, [frame, good[1]])
 
 
 def test_synthesize_honors_frame_phase():
