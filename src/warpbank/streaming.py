@@ -32,13 +32,22 @@ lifted, state-space form):
 Theta is block Toeplitz (the channel impulse responses), and every state
 map is Toeplitz in the section index because all sections are equal.  One
 run of two sequences down the line fills all four: an impulse, and alpha^t,
-which is what a section puts out from a unit state.  A super-block of
-_BLOCK samples then costs three GEMMs over its chunks plus one (N-1)-square
-GEMV per chunk to carry the state; only the N-1 states persist between
-super-blocks.  Per sample that is about c*M + (M+1)*(N-1) + (N-1)^2/c
-multiply-adds in either direction, for M channels.
+which is what a section puts out from a unit state.  Only the N-1 states
+persist between super-blocks of _BLOCK samples; within one, a GEMV per
+chunk carries the state.
+
+Neither direction computes a channel sample that decimation drops or that
+zero insertion makes zero (the polyphase rule).  Channel k keeps every S_k-th
+sample, and the places of those samples in a chunk repeat every
+P_k = S_k/gcd(S_k, c) chunks, so each chunk class (chunk index mod P_k) has
+fixed columns of [Theta; Psi] (analysis) or rows of [Theta' | Gamma']
+(synthesis).  The channels that share a period run as one batched matmul
+over the chunk classes.  Per sample that is about
+(c + N-1) * sum_k 1/S_k multiply-adds for the kept channel samples, plus
+(N-1) + (N-1)^2/c for the state, in either direction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +76,14 @@ class SubbandFrame:
     phase: int = 0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = _real_samples(self.samples, "frame samples")
+
+
+def _real_samples(samples, what):
+    samples = np.asarray(samples)
+    if np.iscomplexobj(samples) or samples.ndim != 1:
+        raise ValueError("%s must be a real 1-D array" % what)
+    return samples.astype(float, copy=False)
 
 
 def _section_coeffs(alpha):
@@ -94,21 +110,15 @@ class _BlockLine:
     gamma: np.ndarray  # (c*P, N-1) chunk input -> end state
     phi: np.ndarray  # (N-1, N-1) start state -> end state
 
-    def run(self, chunks, state):
-        """Outputs (chunks, c*Q) of consecutive chunks (chunks, c*P).
-
-        state holds the start state of the first chunk and is advanced in
-        place past the last one.
-        """
-        starts = np.empty((chunks.shape[0], state.size))
+    def carry(self, drive, starts, state):
+        """Start states (into starts) of consecutive chunks whose inputs add
+        drive (chunks, N-1) to their end states; state holds the start state
+        of the first chunk and is advanced in place past the last one."""
         s = state
-        for j, w in enumerate(chunks @ self.gamma):
+        for j, w in enumerate(drive):
             starts[j] = s
             s = s @ self.phi + w
         state[:] = s
-        out = chunks @ self.theta
-        out += starts @ self.psi
-        return out
 
     def transposed(self):
         """The dual line, whose transfer matrix is the transpose of this one's.
@@ -184,6 +194,83 @@ def _block_length():
     return max(1, _BLOCK // _CHUNK) * _CHUNK
 
 
+def _period_groups(ratios, phases):
+    """The channels' kept samples, grouped by the period of their places.
+
+    Channel k keeps the samples g = phase_k (mod S_k).  In chunk J they sit
+    at the places t with J*c + t = phase_k (mod S_k), which repeat every
+    P = S_k/gcd(S_k, c) chunks, so each class r = J mod P has a fixed set of
+    at most q_k = ceil(c/S_k) places.  The channels of one period share a
+    class's Q = sum q_k slots, each channel q_k of them (padded where a
+    class keeps fewer).
+
+    Returns (P, Q, members) per period; member (k, slot, index) gives the
+    kept samples of channel k over P*c samples from a chunk J = 0 (mod P),
+    in time order: slot = r*Q + column in the class, and index = t*M + k,
+    the place among a chunk's c*M channel samples (sample-major).
+    """
+    M = len(ratios)
+    periods = {}
+    for k, (s, p) in enumerate(zip(ratios, phases)):
+        s, p = int(s), int(p)
+        periods.setdefault(s // math.gcd(s, _CHUNK), []).append((k, s, p))
+    groups = []
+    for period, channels in sorted(periods.items()):
+        places, width = [], 0
+        for k, s, p in channels:
+            r, t = np.divmod(p + s * np.arange(period * _CHUNK // s), _CHUNK)
+            # rank within the class: classes come in order, so each starts
+            # where searchsorted finds its first place
+            column = width + np.arange(r.size) - np.searchsorted(r, r)
+            places.append((k, r, column, t * M + k))
+            width += -(-_CHUNK // s)
+        members = [(k, r * width + column, index) for k, r, column, index in places]
+        groups.append((period, width, members))
+    return groups
+
+
+@dataclass
+class _Group:
+    """Channels whose kept samples repeat every `period` chunks, with the
+    rows of the block maps that give them, one (Q, c+N-1) matrix per class."""
+
+    period: int
+    weights: np.ndarray  # (period, Q, c+N-1)
+    members: list  # (channel, slot) as from _period_groups
+
+    def classes(self, rows, first, count, margin):
+        """The rows of the whole periods that cover chunks first.. first+count-1,
+        one matrix per class: (period, periods, width).
+
+        The chunks sit at rows[margin:margin+count], with a margin of at least
+        period-1 rows on either side.  Also returns the chunk the first
+        period starts at, a multiple of the period.
+        """
+        lead = first % self.period
+        periods = -(-(lead + count) // self.period)
+        start = margin - lead
+        view = rows[start : start + periods * self.period].reshape(periods, self.period, -1)
+        return first - lead, view.transpose(1, 0, 2)
+
+
+def _groups(line, ratios, phases, synthesis):
+    """Per period group, the rows of [Theta' | Gamma'] (synthesis, scaled by
+    S_k for zero insertion) or the columns of [Theta; Psi] (analysis) that
+    touch kept samples."""
+    groups = []
+    for period, width, members in _period_groups(ratios, phases):
+        weights = np.zeros((period * width, _CHUNK + line.phi.shape[0]))
+        for k, slot, index in members:
+            if synthesis:
+                weights[slot] = ratios[k] * np.hstack([line.theta[index], line.gamma[index]])
+            else:
+                weights[slot] = np.vstack([line.theta[:, index], line.psi[:, index]]).T
+        groups.append(
+            _Group(period, weights.reshape(period, width, -1), [m[:2] for m in members])
+        )
+    return groups
+
+
 def analyze(design, signal):
     """Split a signal into decimated subband frames.
 
@@ -200,29 +287,43 @@ def analyze(design, signal):
         Frame k holds every subsampling[k]-th sample (offset 0) of the
         warped channel-k filter output, length ceil(len(signal)/S_k).
     """
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    x = _real_samples(signal, "signal")
+    if x.size == 0:
         raise ValueError("signal must be a nonempty 1-D array")
     _check_finite(x, "signal")
     line = _block_line(modulate(design.prototype_half()).analysis, design.alpha)
-    return _analyze(design, line, x)
-
-
-def _analyze(design, line, x):
     ratios = design.subsampling
-    out = [np.empty(-(-x.size // s)) for s in ratios]
-    state = np.zeros(line.phi.shape[0])
+    return _analyze(line, _groups(line, ratios, [0] * ratios.size, False), ratios, x)
+
+
+def _analyze(line, groups, ratios, x):
+    c, n = _CHUNK, line.phi.shape[0]
+    out = [np.empty(-(-x.size // int(s))) for s in ratios]
     step = _block_length()
+    margin = max(g.period for g in groups) - 1
+    # rows [chunk input | start state], zero around the super-block's chunks
+    rows = np.zeros((-(-min(step, x.size) // c) + 2 * margin, c + n))
+    state = np.zeros(n)
     for start in range(0, x.size, step):
         blk = x[start : start + step]
-        chunks = np.zeros(-(-blk.size // _CHUNK) * _CHUNK)
-        chunks[: blk.size] = blk
-        y = line.run(chunks.reshape(-1, _CHUNK), state).reshape(-1, ratios.size)
-        # keep every S_k-th sample of the whole signal as the block is made
-        for k, s in enumerate(ratios):
-            part = y[(-start) % s : blk.size : s, k]
-            first = -(-start // s)
-            out[k][first : first + part.size] = part
+        full, rest = divmod(blk.size, c)
+        count = full + (rest > 0)
+        body = rows[margin : margin + count]
+        body[:full, :c] = blk[: full * c].reshape(full, c)
+        if rest:
+            body[full, :c] = 0.0
+            body[full, :rest] = blk[full * c :]
+        line.carry(body[:, :c] @ line.gamma, body[:, c:], state)
+        for g in groups:
+            base, view = g.classes(rows, start // c, count, margin)
+            # (period, periods, Q) -> the kept samples of each period, in order
+            y = np.matmul(view, g.weights.transpose(0, 2, 1))
+            y = y.transpose(1, 0, 2).reshape(y.shape[1], -1)
+            for k, slot in g.members:
+                s = int(ratios[k])
+                lo, hi = -(-start // s), -(-(start + blk.size) // s)
+                skip = lo - base * c // s
+                out[k][lo:hi] = y[:, slot].ravel()[skip : skip + hi - lo]
     return [SubbandFrame(k, out[k], int(s)) for k, s in enumerate(ratios)]
 
 
@@ -234,13 +335,14 @@ def synthesize(design, frames):
     the warped synthesis filters and summed.  Output length is the largest
     upsampled channel length.
 
-    The zero-inserted frames of a super-block go in as they are, one row of
-    c*M values per chunk: channel mixing and the allpass line together are
-    the chunk GEMMs of the block state-space form (see the module
-    docstring).  The state carried between super-blocks is the N-1 states
-    of the transposed line.  Per output sample that costs about
-    c*M + (M+1)*(N-1) + (N-1)^2/c multiply-adds.  Frame samples must be
-    finite.
+    The zero-inserted samples are never formed.  Per super-block, the frame
+    samples of the channels that share a period of chunk classes go through
+    one batched matmul with the rows of the transposed line's maps that they
+    touch, into each chunk's output and the input to its end state (see the
+    module docstring).  The state carried between super-blocks is the N-1
+    states of the transposed line.  Per output sample that costs about
+    (c + N-1) * sum_k 1/S_k + (N-1) + (N-1)^2/c multiply-adds.  Frame
+    samples must be real, 1-D and finite.
     """
     M = design.channels
     if len(frames) != M:
@@ -250,6 +352,7 @@ def synthesize(design, frames):
     order = sorted(frames, key=lambda f: f.channel)
     if [f.channel for f in order] != list(range(M)):
         raise ValueError("frames must cover channels 0..%d exactly once" % (M - 1))
+    checked = []
     for f in order:
         what = "frame %d" % f.channel
         if _check_count(what + " ratio", f.ratio, 1) != design.subsampling[f.channel]:
@@ -259,35 +362,48 @@ def synthesize(design, frames):
             )
         if _check_count(what + " phase", f.phase, 0) >= f.ratio:
             raise ValueError("%s phase out of range" % what)
-        _check_finite(f.samples, what)
+        samples = _real_samples(f.samples, what + " samples")
+        _check_finite(samples, what)
+        checked.append(SubbandFrame(f.channel, samples, f.ratio, f.phase))
     # only the transposed maps stay alive while the line runs
     line = _block_line(modulate(design.prototype_half()).synthesis, design.alpha)
     line = line.transposed()
-    return _synthesize(line, order)
+    groups = _groups(line, [f.ratio for f in checked], [f.phase for f in checked], True)
+    return _synthesize(line, groups, checked)
 
 
-def _synthesize(line, frames):
-    M = len(frames)
+def _synthesize(line, groups, frames):
+    c, n = _CHUNK, line.phi.shape[0]
     length = max(f.phase + f.samples.size * f.ratio for f in frames)
     out = np.empty(length)
-    state = np.zeros(line.phi.shape[0])
     step = _block_length()
+    margin = max(g.period for g in groups) - 1
+    # per chunk, the sum of what the frame samples add to its outputs and
+    # its end state, [outputs | end state], and a margin around the chunks
+    chunks = -(-min(step, length) // c)
+    acc = np.empty((chunks + 2 * margin, c + n))
+    starts = np.empty((chunks, n))
+    state = np.zeros(n)
     for start in range(0, length, step):
         stop = min(start + step, length)
-        u = np.zeros((-(-(stop - start) // _CHUNK) * _CHUNK, M))
-        for f in frames:
-            s = f.ratio
-            first = f.phase if start <= f.phase else start + (-(start - f.phase)) % s
-            if first >= stop:
-                continue
-            src = (first - f.phase) // s
-            count = (stop - 1 - first) // s + 1
-            count = min(count, f.samples.size - src)
-            if count > 0:
-                u[first - start :: s, f.channel][:count] = (
-                    f.samples[src : src + count] * s
-                )
-        y = line.run(u.reshape(-1, _CHUNK * M), state)
+        count = -(-(stop - start) // c)
+        acc.fill(0.0)
+        for g in groups:
+            base, view = g.classes(acc, start // c, count, margin)
+            periods = view.shape[1]
+            # the frame samples of those periods (zero past a frame's end),
+            # in the slots of the compact (periods, P*Q) input
+            u = np.zeros((periods, g.weights.shape[0] * g.weights.shape[1]))
+            for k, slot in g.members:
+                f = frames[k]
+                part = np.zeros(periods * slot.size)
+                kept = f.samples[base * c // f.ratio :][: part.size]
+                part[: kept.size] = kept
+                u[:, slot] = part.reshape(periods, slot.size)
+            view += np.matmul(u.reshape(periods, g.period, -1).transpose(1, 0, 2), g.weights)
+        body = acc[margin : margin + count]
+        line.carry(body[:, c:], starts, state)
+        y = body[:, :c] + starts[:count] @ line.psi
         out[start:stop] = y.ravel()[: stop - start]
     return out
 
@@ -298,7 +414,7 @@ def process_signal(design, signal, gains_db=None):
     gains_db applies a per-channel gain in dB between analysis and synthesis
     (-inf silences a channel; NaN and +inf are rejected).
     """
-    x = np.asarray(signal, dtype=float)
+    x = _real_samples(signal, "signal")
     if gains_db is not None:
         gains_db = np.asarray(gains_db, dtype=float)
         if gains_db.shape != (design.channels,):
@@ -323,8 +439,8 @@ def measure_response(design, probe_freqs):
     Hann-windowed quadrature correlation over _WINDOW samples.  Returns
     magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
     rejected, since the correlation cannot separate the conjugate line
-    there, and so are non-finite ones.  Both lines are built once, from one
-    modulate call, and serve every probe.
+    there, and so are non-finite ones.  Both lines and their period groups
+    are built once, from one modulate call, and serve every probe.
     """
     freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
     bad = [float(f) for f in freqs if not 1e-9 < f < np.pi - 1e-9]
@@ -335,12 +451,16 @@ def measure_response(design, probe_freqs):
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)
     filters = modulate(design.prototype_half())
+    ratios, phases = design.subsampling, [0] * design.subsampling.size
     analysis = _block_line(filters.analysis, design.alpha)
     synthesis = _block_line(filters.synthesis, design.alpha).transposed()
+    split = _groups(analysis, ratios, phases, False)
+    merge = _groups(synthesis, ratios, phases, True)
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
         # the synthesized signal is at least as long as the sine
-        y = _synthesize(synthesis, _analyze(design, analysis, np.sin(w * n)))
+        frames = _analyze(analysis, split, ratios, np.sin(w * n))
+        y = _synthesize(synthesis, merge, frames)
         z = np.sum(win * y[settle : n.size] * np.exp(-1j * w * n[settle:]))
         out[i] = 20.0 * np.log10(abs(z) / norm)
     return out

@@ -90,6 +90,17 @@ def frequency_grid(config):
     return np.linspace(0.0, np.pi, config.grid_points)
 
 
+def _check_grid(omega):
+    """omega as a float array, which must be a nonempty, finite, real 1-D grid."""
+    grid = np.asarray(omega)
+    if np.iscomplexobj(grid) or grid.ndim != 1 or grid.size == 0:
+        raise ValueError("omega must be a nonempty real 1-D array, got shape %s" % (grid.shape,))
+    grid = grid.astype(float, copy=False)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("omega holds non-finite points (NaN or inf)")
+    return grid
+
+
 # bytes one batch of the table build may hold: the cosine basis of its images
 # with their angles and pair weights, plus the product added into the tables
 _BATCH_BYTES = 12 << 20
@@ -127,7 +138,7 @@ class TransferTables:
 
     def __init__(self, config, omega=None):
         self.config = config
-        self.omega = frequency_grid(config) if omega is None else np.asarray(omega, float)
+        self.omega = frequency_grid(config) if omega is None else _check_grid(omega)
         size, n2 = self.omega.size, config.order // 2
         shape = (size, config.channels, n2)
         self.ua = np.zeros(shape, dtype=complex)

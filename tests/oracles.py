@@ -6,11 +6,14 @@ series is summed term by term with np.cos, for the recurrences in
 warpbank.modulation; the quadratic-form vectors are formed from the
 modulated taps, for TransferTables in warpbank.transfer; the optimizer's
 Hessian is formed from whole-table products, for the grid-blocked one in
-warpbank.optimize.  No production path uses them.
+warpbank.optimize; the block line computes every channel sample, kept or
+dropped, for the polyphase one in warpbank.streaming.  No production path
+uses them.
 """
 
 import numpy as np
 
+from warpbank import SubbandFrame, modulate, streaming
 from warpbank.allpass import _check_alpha
 
 
@@ -119,3 +122,76 @@ def hessian(half, weights, tables):
     scaled = ((w2 * np.conj(t))[:, None, None] * tables.ua).reshape(G * M, n2)
     cross = scaled.T @ tables.us.reshape(G * M, n2)
     return hess + cross.real + cross.real.T
+
+
+def run_block_line(line, chunks, state):
+    """Outputs (chunks, c*Q) of a streaming._BlockLine for consecutive
+    chunks (chunks, c*P) of its inputs, every output sample of every chunk.
+
+    state holds the start state of the first chunk and is advanced in place
+    past the last one.
+    """
+    starts = np.empty((chunks.shape[0], state.size))
+    s = state
+    for j, w in enumerate(chunks @ line.gamma):
+        starts[j] = s
+        s = s @ line.phi + w
+    state[:] = s
+    out = chunks @ line.theta
+    out += starts @ line.psi
+    return out
+
+
+def dense_analyze(design, x):
+    """streaming.analyze computing all M outputs at every sample and keeping
+    every S_k-th, one super-block at a time."""
+    c = streaming._CHUNK
+    line = streaming._block_line(modulate(design.prototype_half()).analysis, design.alpha)
+    ratios = design.subsampling
+    out = [np.empty(-(-x.size // s)) for s in ratios]
+    state = np.zeros(line.phi.shape[0])
+    step = streaming._block_length()
+    for start in range(0, x.size, step):
+        blk = x[start : start + step]
+        chunks = np.zeros(-(-blk.size // c) * c)
+        chunks[: blk.size] = blk
+        y = run_block_line(line, chunks.reshape(-1, c), state).reshape(-1, ratios.size)
+        for k, s in enumerate(ratios):
+            part = y[(-start) % s : blk.size : s, k]
+            first = -(-start // s)
+            out[k][first : first + part.size] = part
+    return [SubbandFrame(k, out[k], int(s)) for k, s in enumerate(ratios)]
+
+
+def dense_synthesize(design, frames):
+    """streaming.synthesize pushing the zero-inserted frames, zeros and all,
+    through the transposed line, one super-block at a time.  frames are in
+    channel order."""
+    c, M = streaming._CHUNK, len(frames)
+    line = streaming._block_line(modulate(design.prototype_half()).synthesis, design.alpha)
+    line = line.transposed()
+    length = max(f.phase + f.samples.size * f.ratio for f in frames)
+    out = np.empty(length)
+    state = np.zeros(line.phi.shape[0])
+    step = streaming._block_length()
+    for start in range(0, length, step):
+        stop = min(start + step, length)
+        u = np.zeros((-(-(stop - start) // c) * c, M))
+        for f in frames:
+            s = f.ratio
+            first = f.phase if start <= f.phase else start + (-(start - f.phase)) % s
+            if first >= stop:
+                continue
+            src = (first - f.phase) // s
+            count = min((stop - 1 - first) // s + 1, f.samples.size - src)
+            if count > 0:
+                u[first - start :: s, f.channel][:count] = f.samples[src : src + count] * s
+        y = run_block_line(line, u.reshape(-1, c * M), state)
+        out[start:stop] = y.ravel()[: stop - start]
+    return out
+
+
+def dense_process_signal(design, x):
+    """streaming.process_signal (no gains) by dense_analyze and dense_synthesize."""
+    y = dense_synthesize(design, dense_analyze(design, x))
+    return np.pad(y, (0, max(0, x.size - y.size)))[: x.size]

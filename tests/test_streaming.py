@@ -1,20 +1,23 @@
+import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 from scipy.signal import lfilter
 
-from oracles import AllpassLine
+from oracles import AllpassLine, dense_process_signal, dense_synthesize
 from warpbank import (
     BankConfig,
     BankDesign,
     SubbandFrame,
     analyze,
     channel_response_warped,
+    files,
     initial_prototype,
     measure_response,
     modulate,
@@ -161,6 +164,15 @@ def test_synthesize_validation():
         setattr(frame, field, value)
         with assert_raises(ValueError, match="frame.*integer"):
             synthesize(design, [frame, good[1]])
+    # samples are real and 1-D: no imaginary part is dropped, no 2-D frame
+    # reaches the line
+    for samples in (good[0].samples + 1j, np.ones((2, 20))):
+        with assert_raises(ValueError, match="real 1-D"):
+            SubbandFrame(0, samples, 2)
+        frame = SubbandFrame(0, good[0].samples, 2)
+        frame.samples = samples
+        with assert_raises(ValueError, match="frame 0 samples"):
+            synthesize(design, [frame, good[1]])
 
 
 def test_synthesize_honors_frame_phase():
@@ -224,6 +236,10 @@ def test_non_finite_samples_rejected():
         frames = analyze(design, np.ones(400))
         frames[1].samples[100] = bad
         assert_raises(ValueError, synthesize, design, frames)
+    # a complex signal is rejected, not cut to its real part
+    for call in (analyze, process_signal):
+        with assert_raises(ValueError, match="signal must be a real 1-D"):
+            call(design, np.ones(400) + 1j)
 
 
 def test_zero_frames_give_zero_output():
@@ -293,17 +309,25 @@ def test_impulse_frames_transform_to_channel_responses():
         assert_allclose(dft, want, atol=1e-8)
 
 
+# ratios that divide the chunk or not, coprime to it (7, 13, 27) and above it
+# (65, 97), so that some chunks keep no sample of a channel
+_RATIOS = (1, 2, 3, 4, 5, 7, 13, 27, 65, 97)
+
+
 @st.composite
-def _streams(draw):
+def _streams(draw, pool=_RATIOS):
     """A toy bank, frame phases, a super-block length and a signal length.
 
+    The ratios are a few distinct values from pool shared out over the
+    channels, so channels often repeat a ratio and share a period group.
     The length is whole super-blocks plus a part of one, so it runs from
     below one chunk to across several super-block boundaries.
     """
     channels = draw(st.integers(1, 4))
     order = 2 * channels * draw(st.integers(1, 4))
     alpha = draw(st.floats(-0.95, 0.95, allow_subnormal=False))
-    ratios = draw(st.lists(st.integers(1, 5), min_size=channels, max_size=channels))
+    distinct = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=channels, unique=True))
+    ratios = [draw(st.sampled_from(distinct)) for _ in range(channels)]
     phases = [draw(st.integers(0, s - 1)) for s in ratios]
     block = streaming._CHUNK * draw(st.integers(1, 3))
     length = block * draw(st.integers(0, 4)) + draw(st.integers(1, block - 1))
@@ -354,7 +378,9 @@ def test_chain_is_linear_property(case, a, b):
     assert_allclose(lhs, rhs, atol=1e-10)
 
 
-@given(_streams(), st.integers(1, 3))
+# the shift is a multiple of the ratios' least common multiple, which 65 and
+# 97 next to the others would take into the millions of samples
+@given(_streams(pool=_RATIOS[:-2]), st.integers(1, 3))
 def test_shift_by_common_multiple_shifts_frames_property(case, multiple):
     design, _, block, length, seed = case
     shift = multiple * int(np.lcm.reduce(design.subsampling))
@@ -366,6 +392,40 @@ def test_shift_by_common_multiple_shifts_frames_property(case, multiple):
     for k, s in enumerate(design.subsampling):
         assert_allclose(late[k].samples[shift // s :], base[k].samples, atol=1e-12)
     assert_allclose(late_out[shift:], out, atol=1e-12)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_RATIOS), st.integers(0, 96)), min_size=1, max_size=6))
+def test_period_groups_place_each_kept_sample_once(pairs):
+    ratios = [s for s, _ in pairs]
+    phases = [p % s for s, p in pairs]
+    c, M = streaming._CHUNK, len(ratios)
+    grouped = []
+    for period, width, members in streaming._period_groups(ratios, phases):
+        slots = np.concatenate([m[1] for m in members])
+        assert np.unique(slots).size == slots.size
+        assert slots.min() >= 0 and slots.max() < period * width
+        for k, slot, index in members:
+            s = ratios[k]
+            assert period == s // math.gcd(s, c)
+            t, channel = np.divmod(index, M)
+            assert np.all(channel == k)
+            # class and place give back the kept samples of one period
+            kept = (slot // width) * c + t
+            assert_array_equal(kept, phases[k] + s * np.arange(period * c // s))
+            grouped.append(k)
+    assert sorted(grouped) == list(range(M))
+
+
+def test_flagship_stream_matches_dense_oracle():
+    # the polyphase line against the parent's all-samples line, on the
+    # 22-channel bench design: kept samples only, the same samples
+    design = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    rng = np.random.default_rng(173)
+    x = rng.standard_normal(2 * 16000)
+    assert_allclose(process_signal(design, x), dense_process_signal(design, x), atol=1e-13)
+    phases = [int(rng.integers(0, s)) for s in design.subsampling]
+    frames = _phased_frames(rng, design.subsampling, phases, x.size - 5)
+    assert_allclose(synthesize(design, frames), dense_synthesize(design, frames), atol=1e-13)
 
 
 def test_process_memory_does_not_grow_with_length():

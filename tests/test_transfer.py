@@ -257,6 +257,16 @@ def test_transfer_tables_match_pointwise_routines():
     assert_allclose((A * B).sum(axis=1), tables.overall(half), atol=1e-12)
 
 
+def test_transfer_tables_check_omega():
+    config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[2, 1])
+    bad = (0.5, [[0.1, 0.2]], [], [0.1, np.nan], [np.inf], [0.1 + 0.2j])
+    for omega in bad:
+        with assert_raises(ValueError, match="omega"):
+            TransferTables(config, omega)
+    assert TransferTables(config, [0.1, 0.2]).ua.shape == (2, 2, 4)
+    assert transfer_quadratic(0.4, config).shape == (4, 4)
+
+
 def test_error_function_definition():
     rng = np.random.default_rng(59)
     half, config = _random_case(rng)
