@@ -40,9 +40,12 @@ def _plain(value):
 
 
 def _load_yaml(path):
+    # libyaml's safe loader, where pyyaml has it, builds the same values as
+    # the pure-Python one (same constructor and resolver) about 7x faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
     except yaml.YAMLError as exc:

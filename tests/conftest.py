@@ -1,6 +1,7 @@
 import time
 
 import pytest
+import yaml
 from hypothesis import settings
 
 import warpbank as wb
@@ -33,3 +34,10 @@ def flagship():
     bank, report = wb.design(config)
     elapsed = time.perf_counter() - t0
     return config, bank, report, elapsed
+
+
+@pytest.fixture
+def yaml_loaders():
+    """The pure-Python safe loader and libyaml's, where pyyaml has it.  The
+    readers in warpbank.files take whichever one yaml.CSafeLoader names."""
+    return [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]

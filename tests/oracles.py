@@ -7,8 +7,8 @@ warpbank.modulation; the quadratic-form vectors are formed from the
 modulated taps, for TransferTables in warpbank.transfer; the optimizer's
 Hessian is formed from whole-table products, for the grid-blocked one in
 warpbank.optimize; the block line computes every channel sample, kept or
-dropped, for the polyphase one in warpbank.streaming.  No production path
-uses them.
+dropped, and carries its state one chunk at a time, for the polyphase line
+and the chunked scan in warpbank.streaming.  No production path uses them.
 """
 
 import numpy as np
@@ -124,6 +124,16 @@ def hessian(half, weights, tables):
     return hess + cross.real + cross.real.T
 
 
+def carry_loop(phi, drive, starts, state):
+    """streaming._BlockLine.carry one chunk at a time: starts[j] = s, then
+    s <- s phi + drive[j]; state is advanced in place past the last chunk."""
+    s = state
+    for j, w in enumerate(drive):
+        starts[j] = s
+        s = s @ phi + w
+    state[:] = s
+
+
 def run_block_line(line, chunks, state):
     """Outputs (chunks, c*Q) of a streaming._BlockLine for consecutive
     chunks (chunks, c*P) of its inputs, every output sample of every chunk.
@@ -132,11 +142,7 @@ def run_block_line(line, chunks, state):
     past the last one.
     """
     starts = np.empty((chunks.shape[0], state.size))
-    s = state
-    for j, w in enumerate(chunks @ line.gamma):
-        starts[j] = s
-        s = s @ line.phi + w
-    state[:] = s
+    carry_loop(line.phi, chunks @ line.gamma, starts, state)
     out = chunks @ line.theta
     out += starts @ line.psi
     return out

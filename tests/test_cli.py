@@ -343,7 +343,8 @@ def _nan_coefficient(data):
     ids=["alpha-unstable", "channels-fraction", "ratio-zero", "ratios-short",
          "nan-coefficient", "ripple-nan", "alias-inf", "order-float"],
 )
-def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, field, edit):
+def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, monkeypatch, yaml_loaders,
+                                 field, edit):
     with open(toy_design) as fh:
         data = yaml.safe_load(fh)
     edit(data)
@@ -352,11 +353,13 @@ def test_bad_design_file_exits_2(toy_design, tmp_path, capsys, field, edit):
     wav_in = tmp_path / "in.wav"
     _write_sine(wav_in, seconds=0.1)
     outputs = [tmp_path / "o.wav", tmp_path / "o.csv"]
-    for argv in (["process", str(design), str(wav_in), str(outputs[0])],
-                 ["evaluate", str(design), "-o", str(outputs[1])]):
-        assert main(argv) == 2
-        assert field in capsys.readouterr().err
-    assert not any(p.exists() for p in outputs)
+    for loader in yaml_loaders:
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        for argv in (["process", str(design), str(wav_in), str(outputs[0])],
+                     ["evaluate", str(design), "-o", str(outputs[1])]):
+            assert main(argv) == 2
+            assert field in capsys.readouterr().err
+        assert not any(p.exists() for p in outputs)
 
 
 def test_process_warns_on_clipped_samples(toy_design, tmp_path, capsys):

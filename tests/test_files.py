@@ -1,11 +1,13 @@
 import dataclasses
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 from pytest import raises as assert_raises
 
 from warpbank import (
@@ -84,10 +86,26 @@ def test_config_rejects_bad_subsampling_string(tmp_path):
     assert_raises(ConfigError, load_config, path)
 
 
-def test_config_rejects_malformed_yaml(tmp_path):
-    assert_raises(ConfigError, load_config, _write(tmp_path / "a.yaml", "a: [1,\n"))
-    assert_raises(ConfigError, load_config, _write(tmp_path / "b.yaml", "- 1\n- 2\n"))
-    assert_raises(ConfigError, load_config, str(tmp_path / "missing.yaml"))
+def test_config_rejects_malformed_yaml(tmp_path, monkeypatch, yaml_loaders):
+    for loader in yaml_loaders:
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        assert_raises(ConfigError, load_config, _write(tmp_path / "a.yaml", "a: [1,\n"))
+        assert_raises(ConfigError, load_config, _write(tmp_path / "b.yaml", "- 1\n- 2\n"))
+        assert_raises(ConfigError, load_config, str(tmp_path / "missing.yaml"))
+
+
+def test_design_file_loads_alike_under_both_yaml_loaders(monkeypatch, yaml_loaders):
+    path = Path(__file__).parents[1] / "bench" / "bark22_design.yaml"
+    loaded = []
+    for loader in yaml_loaders:
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        loaded.append(load_design(path))
+    python, libyaml = loaded
+    assert_array_equal(libyaml.half, python.half)
+    assert_array_equal(libyaml.subsampling, python.subsampling)
+    for name in ("channels", "alpha", "ripple_db", "max_alias_db",
+                 "outer_iterations", "converged", "sample_rate_hz"):
+        assert getattr(libyaml, name) == getattr(python, name), name
 
 
 @st.composite

@@ -4,13 +4,18 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 from scipy.signal import lfilter
 
-from oracles import AllpassLine, dense_process_signal, dense_synthesize
+from oracles import (
+    AllpassLine,
+    carry_loop,
+    dense_process_signal,
+    dense_synthesize,
+)
 from warpbank import (
     BankConfig,
     BankDesign,
@@ -213,17 +218,58 @@ def test_warped_synthesis_matches_allpass_line_oracle():
 
 def test_block_splits_match_one_block(monkeypatch):
     # an odd block size that no ratio divides carries the allpass states and
-    # the zero-insertion phase across many block boundaries
+    # the zero-insertion phase across many block boundaries; blocks of 62,
+    # 60 and 58 chunks, which the scan splits into segments of K = 4, leave
+    # tail blocks of 1, K-1 and K+1 of the 63 chunks 4000 samples span
+    c = streaming._CHUNK
     design = _toy_design(4, 32, 0.55, [4, 3, 2, 1])
     rng = np.random.default_rng(163)
-    x = rng.standard_normal(1000)
-    frames = _phased_frames(rng, (4, 3, 2, 1), (2, 1, 1, 0), 1000)
-    whole_frames = analyze(design, x)
-    whole_out = synthesize(design, frames)
-    monkeypatch.setattr(streaming, "_BLOCK", 97)
-    for got, want in zip(analyze(design, x), whole_frames):
-        assert_allclose(got.samples, want.samples, atol=1e-12)
-    assert_allclose(synthesize(design, frames), whole_out, atol=1e-12)
+    one_block = streaming._BLOCK
+    for length, blocks in ((1000, [97]), (4000, [62 * c, 60 * c, 58 * c])):
+        x = rng.standard_normal(length)
+        frames = _phased_frames(rng, (4, 3, 2, 1), (2, 1, 1, 0), length)
+        monkeypatch.setattr(streaming, "_BLOCK", one_block)
+        whole_frames = analyze(design, x)
+        whole_out = synthesize(design, frames)
+        for block in blocks:
+            monkeypatch.setattr(streaming, "_BLOCK", block)
+            for got, want in zip(analyze(design, x), whole_frames):
+                assert_allclose(got.samples, want.samples, atol=1e-12)
+            assert_allclose(synthesize(design, frames), whole_out, atol=1e-12)
+
+
+# chunk counts of one super-block (256), below two segments (1), off a
+# multiple of the segment length, or anything up to 600
+_CHUNK_COUNTS = st.one_of(st.sampled_from([1, 2, 3, 7, 255, 256, 257]), st.integers(1, 600))
+
+
+@given(
+    _CHUNK_COUNTS,
+    st.floats(-0.99, 0.99, allow_subnormal=False),
+    st.integers(2, 180),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@example(256, 0.5783, 176, False, 0)
+@example(256, 0.5783, 176, True, 0)
+@example(1, -0.99, 176, True, 1)
+@example(257, 0.99, 180, False, 2)
+def test_carry_matches_loop_oracle(count, alpha, taps, transposed, seed):
+    rng = np.random.default_rng(seed)
+    line = streaming._block_line(rng.standard_normal((2, taps)), alpha)
+    if transposed:
+        line = line.transposed()
+    n = taps - 1
+    drive = rng.standard_normal((count, n))
+    start = rng.standard_normal(n)
+    # starts is a strided view, as the columns of the analysis rows are
+    rows = np.zeros((count, n + 3))
+    state = start.copy()
+    line.carry(drive, rows[:, 3:], state)
+    want_starts, want_state = np.empty((count, n)), start.copy()
+    carry_loop(line.phi, drive, want_starts, want_state)
+    assert_allclose(rows[:, 3:], want_starts, rtol=0, atol=1e-12 * np.abs(want_starts).max())
+    assert_allclose(state, want_state, rtol=0, atol=1e-12 * np.abs(want_state).max())
 
 
 def test_non_finite_samples_rejected():
