@@ -44,10 +44,12 @@ def _load_yaml(path):
     # the pure-Python one (same constructor and resolver) about 7x faster
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     except yaml.YAMLError as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
     if not isinstance(data, dict):
@@ -160,18 +162,30 @@ def load_design(path):
     return design
 
 
+# rows of a CSV file formatted by one % on the repeated row template
+_CSV_ROWS = 4096
+
+
 def write_csv(path, header, columns):
-    """Write numeric columns as CSV with %.9g formatting."""
+    """Write numeric columns as CSV with %.9g formatting.
+
+    Rows go out in blocks of _CSV_ROWS, each formatted by one % on the row
+    template repeated, so memory stays bounded for large maps.  %g formats
+    an int as the float it converts to, so int columns stacked with float
+    ones print as they do alone.
+    """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(columns) != len(header):
         raise ValueError("one header entry per column required")
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must share a length")
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join("%.9g" % c[i] for c in columns) + "\n")
+        for first in range(0, n, _CSV_ROWS):
+            block = np.column_stack([c[first : first + _CSV_ROWS] for c in columns])
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_wav(path):

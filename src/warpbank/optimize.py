@@ -355,6 +355,9 @@ def design(config):
             converged = True
             break
         weights = update_weights(weights, beta, config.theta)
+    # the tables are the bulk of a design's memory, and the alias curve comes
+    # from the direct route, so they go before it runs
+    del tables
     start = clock()
     t_db = to_db(t)
     ripple = float(t_db.max() - t_db.min())

@@ -181,16 +181,23 @@ class _BlockLine:
         inside a chunk are reversed as well (R below): Theta' = R Theta^T R,
         Psi' = Gamma^T R, Gamma' = R Psi^T, Phi' = Phi^T.  A line with one
         input and M outputs becomes one with M inputs and one output.
+
+        This line is used up: each of its maps is set to None as soon as its
+        copy exists, so the two lines are never both held whole.
         """
         c, n = _CHUNK, self.phi.shape[0]
         P, Q = self.theta.shape[0] // c, self.theta.shape[1] // c
         theta = self.theta.reshape(c, P, c, Q)[::-1, :, ::-1].transpose(2, 3, 0, 1)
-        return _BlockLine(
-            theta=theta.reshape(c * Q, c * P),
-            psi=self.gamma.reshape(c, P, n)[::-1].transpose(2, 0, 1).reshape(n, c * P),
-            gamma=self.psi.reshape(n, c, Q)[:, ::-1].transpose(1, 2, 0).reshape(c * Q, n),
-            phi=np.ascontiguousarray(self.phi.T),
-        )
+        theta = theta.reshape(c * Q, c * P)
+        self.theta = None
+        psi = self.gamma.reshape(c, P, n)[::-1].transpose(2, 0, 1).reshape(n, c * P)
+        self.gamma = None
+        gamma = self.psi.reshape(n, c, Q)[:, ::-1].transpose(1, 2, 0).reshape(c * Q, n)
+        self.psi = None
+        phi = np.ascontiguousarray(self.phi.T)
+        self.phi = None
+        self.powers.clear()
+        return _BlockLine(theta=theta, psi=psi, gamma=gamma, phi=phi)
 
 
 def _line_runs(alpha, taps):

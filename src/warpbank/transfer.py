@@ -5,9 +5,12 @@ The analysis-synthesis chain with per-channel decimation by S_k has
     T_all(omega) = sum_k sum_{l=0..S_k-1} H_k^w(omega + 2 pi l/S_k) F_k^w(omega)
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
-transfer.  A given prototype is evaluated directly: one pass over the channels
-computes each F_k^w once by Clenshaw's recurrence and yields the products one
-image at a time, in O(grid) memory; every transfer curve here sums that pass.
+transfer.  A given prototype is evaluated directly, shift by shift: the
+images l/S_k of all channels fall on few distinct shifts p/q (116 for the 271
+images of the 22-channel Bark bank), and at each shift one cosine basis over
+the warped angles nu and pi - nu gives the response of every channel on it
+by two real GEMMs.  Blocks of shifts and grid points keep memory O(grid).
+Every transfer curve and the bifrequency map read that one pass.
 Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
 recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h.  They
 are the only route to those vectors; transfer_quadratic reads U off a
@@ -15,13 +18,14 @@ one-point table.
 """
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import modulation
-from .allpass import _check_alpha, _check_count
+from .allpass import _check_alpha, _check_count, allpass_phase
 from .modulation import PrototypeHalf
 
 
@@ -208,47 +212,137 @@ def _as_proto(half, config):
 
 
 def _pointwise(reduce):
-    """Let reduce(proto, w, config) over a 1-D grid w take scalar omega too."""
+    """Let reduce(proto, w, config) over a 1-D grid w take scalar or N-D omega."""
 
     @functools.wraps(reduce)
     def wrapper(half, omega, config):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = reduce(_as_proto(half, config), w, config)
+        out = reduce(_as_proto(half, config), w.ravel(), config).reshape(w.shape)
         return out[0].item() if np.isscalar(omega) else out
 
     return wrapper
 
 
-def _image_products(proto, w, config, distortion=True, aliasing=True):
-    """Yield (l, H_k^w(w + 2 pi l/S_k) F_k^w(w)) for every channel k.
+# bytes one block of the shift pass may hold: the cosine basis of its shifts'
+# angles over its grid points, 16 (N/2 + 1) bytes per point and shift
+_PASS_BYTES = 4 << 20
 
-    l = 0 is the distortion image and l = 1 .. S_k-1 the alias images; each
-    group is included when its flag is set.  F_k^w is computed once per
-    channel and products come one at a time, so memory is O(grid).
+
+def _shift_table(ratios, aliasing=True):
+    """The images l/S_k grouped by their shift p/q in lowest terms.
+
+    Returns [((p, q), channels, images)], shift 0 first and listing every
+    channel; channel k with ratio S_k has its images l = 0 .. S_k-1 at the
+    shifts l/S_k, so a ratio shared by several channels, or a divisor shared
+    by their ratios, puts many images on one shift.  Without aliasing only
+    shift 0 is listed.
     """
-    # looked up per call, so bench/run.py's layer tracing counts these calls
-    response = modulation.channel_response_warped
-    for k in range(config.channels):
-        S = config.subsampling[k]
-        images = range(0 if distortion else 1, S if aliasing else 1)
-        if images:
-            f = response(proto, k, w, config.alpha, synthesis=True)
-        for l in images:
-            yield l, response(proto, k, w + 2.0 * np.pi * l / S, config.alpha) * f
+    table = {}
+    for k, S in enumerate(ratios.tolist()):
+        for l in range(S if aliasing else 1):
+            d = math.gcd(l, S)
+            ks, ls = table.setdefault((l // d, S // d), ([], []))
+            ks.append(k)
+            ls.append(l)
+    return [(shift, np.array(ks), np.array(ls)) for shift, (ks, ls) in table.items()]
+
+
+def _split_weights(coeffs, channels):
+    """(wc, ws), each (channels, N/2): channel k's analysis response at
+    warped frequency nu is e^{-j(N-1)nu/2} (wc[k] @ C(nu) + j ws[k] @ C(pi - nu))
+    with C = cosine_basis, and its synthesis response the same with -j.
+
+    With R(x) = C(x) @ coeffs, the pair sum of _pair_scaling is
+    d R(nu - c) + conj(d) R(nu + c) with d = a_k b_k e^{j(N-1)c/2} = a_k,
+    since b_k = e^{-j(N-1)c/2}; synthesis conjugates a_k.  R(nu -/+ c) =
+    P +/- Q, where P = C(nu) @ (coeffs cos((2i+1)c/2)) and Q =
+    2sin((2i+1)nu/2) @ (coeffs sin((2i+1)c/2)), and 2sin((2i+1)nu/2) =
+    (-1)^i C_i(pi - nu).  So the sum is 2Re(a_k) P + 2j Im(a_k) Q, with
+    2Re(a_k) = sqrt 2 and 2Im(a_k) = (-1)^k sqrt 2.
+    """
+    # (2i+1) c_k / 2 = pi m / (4M) with m = (2k+1)(2i+1), reduced mod 2 pi
+    # in integers so that no angle exceeds 2 pi
+    k, i = np.arange(channels), np.arange(coeffs.size)
+    m = np.multiply.outer(2 * k + 1, 2 * i + 1) % (8 * channels)
+    angles = np.pi * m / (4 * channels)
+    wc = np.sqrt(2.0) * coeffs * np.cos(angles)
+    ws = np.sqrt(2.0) * np.outer((-1.0) ** k, (-1.0) ** i * coeffs) * np.sin(angles)
+    return wc, ws
+
+
+def _shift_pass(proto, w, config, aliasing=True):
+    """Every channel's warped response at every alias shift, shift by shift.
+
+    Yields (block, shift, channels, images, phase, z) for each block of
+    grid points and each entry of _shift_table: at w[block] + 2 pi p/q the
+    analysis response of channel channels[i] is phase * z[i], and its
+    synthesis response phase * conj(z[i]).  Each block starts with shift 0,
+    which holds every channel.
+
+    A shift's angles nu = -phi(w + 2 pi p/q) and pi - nu take one cosine
+    basis, shared by the shift's channels; two real GEMMs against their
+    _split_weights give z.  The basis of several shifts is filled by one
+    cosine_basis call, and grid points and shifts go in blocks that hold at
+    most _PASS_BYTES of basis (at least one point and one shift), so
+    memory is O(grid).
+    """
+    N = config.order
+    wc, ws = _split_weights(proto.coeffs, config.channels)
+    table = _shift_table(config.subsampling, aliasing)
+    per_point = 16 * (N // 2 + 1)  # basis bytes per grid point and shift
+    points = max(1, min(w.size, _PASS_BYTES // per_point))
+    batch = max(1, min(len(table), _PASS_BYTES // (per_point * points)))
+    rows = np.empty((N // 2 + 1) * batch * 2 * points)  # basis work buffer
+    for first in range(0, w.size, points):
+        block = slice(first, first + points)
+        wb = w[block]
+        for lo in range(0, len(table), batch):
+            entries = table[lo : lo + batch]
+            shifts = np.array([2.0 * np.pi * p / q for (p, q), _, _ in entries])
+            nu = -allpass_phase(wb + shifts[:, None], config.alpha)
+            angles = np.stack([nu, np.pi - nu], axis=1)
+            out = rows[: (N // 2 + 1) * angles.size].reshape((N // 2 + 1,) + angles.shape)
+            basis = modulation.cosine_basis(angles, N, out=out)
+            for i, (shift, ks, ls) in enumerate(entries):
+                z = np.empty((ks.size, wb.size), complex)
+                z.real = wc[ks] @ basis[i, 0].T
+                z.imag = ws[ks] @ basis[i, 1].T
+                yield block, shift, ks, ls, np.exp(-0.5j * (N - 1) * nu[i]), z
+
+
+def _transfer_parts(proto, w, config, aliasing=True):
+    """(distortion, coherent alias, alias bound) curves over the 1-D grid w.
+
+    Per grid block, shift 0 gives F_k^w(w) of every channel and the
+    distortion sum_k H_k^w F_k^w; each other shift adds the products
+    H_k^w(w + 2 pi p/q) F_k^w(w) of its channels into the coherent alias
+    sum and their magnitudes into the bound.  Without aliasing only the
+    distortion is computed, and the alias curves stay 0.
+    """
+    dist = np.zeros(w.shape, complex)
+    alias = np.zeros(w.shape, complex)
+    bound = np.zeros(w.shape)
+    for block, shift, ks, _, phase, z in _shift_pass(proto, w, config, aliasing):
+        if shift == (0, 1):
+            f = phase * np.conj(z)
+            dist[block] = phase * (z * f).sum(axis=0)
+        else:
+            prod = z * f[ks]
+            alias[block] += phase * prod.sum(axis=0)
+            bound[block] += np.abs(prod).sum(axis=0)
+    return dist, alias, bound
 
 
 @_pointwise
 def distortion_transfer(proto, w, config):
     """Alias-free part of the overall transfer, sum_k H_k^w(omega) F_k^w(omega)."""
-    products = _image_products(proto, w, config, aliasing=False)
-    return sum((p for _, p in products), np.zeros(w.shape, complex))
+    return _transfer_parts(proto, w, config, aliasing=False)[0]
 
 
 @_pointwise
 def aliasing_transfer(proto, w, config):
     """Coherent sum of all alias terms (images l >= 1 of every channel)."""
-    products = _image_products(proto, w, config, distortion=False)
-    return sum((p for _, p in products), np.zeros(w.shape, complex))
+    return _transfer_parts(proto, w, config)[1]
 
 
 @_pointwise
@@ -257,17 +351,14 @@ def aliasing_bound(proto, w, config):
 
     A conservative bound; the coherent aliasing_transfer is what enters T_all.
     """
-    products = _image_products(proto, w, config, distortion=False)
-    return sum((np.abs(p) for _, p in products), np.zeros(w.shape))
+    return _transfer_parts(proto, w, config)[2]
 
 
 @_pointwise
 def overall_transfer(proto, w, config):
     """T_all in one pass; the parts sum apart so it equals distortion + aliasing."""
-    parts = np.zeros((2,) + w.shape, complex)
-    for l, p in _image_products(proto, w, config):
-        parts[min(l, 1)] += p
-    return parts[0] + parts[1]
+    dist, alias, _ = _transfer_parts(proto, w, config)
+    return dist + alias
 
 
 @_pointwise
@@ -298,21 +389,23 @@ def bifrequency_map(half, config, in_grid, out_grid):
     acc = np.zeros((win.size, wout.size), dtype=complex)
     order = np.argsort(wout)
     sorted_out = wout[order]
-    rows = np.arange(win.size)
-    for k in range(config.channels):
-        S = config.subsampling[k]
-        hk = modulation.channel_response_warped(proto, k, win, config.alpha)
-        # every image l at once, one row each: (S, in) folded frequencies
-        shifted = np.mod(win + 2.0 * np.pi * np.arange(S)[:, None] / S, 2.0 * np.pi)
-        folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
-        fk = modulation.channel_response_warped(
-            proto, k, folded, config.alpha, synthesis=True
-        )
+    for block, shift, ks, ls, phase, z in _shift_pass(proto, win, config):
+        if shift == (0, 1):
+            h = phase * z
+        # every image of the shift at once, one row each: (images, in) folded
+        # frequencies, where F_k is conj(F_k) at the shifted one past pi
+        S = config.subsampling[ks][:, None]
+        shifted = np.mod(win[block] + 2.0 * np.pi * ls[:, None] / S, 2.0 * np.pi)
+        passed = shifted > np.pi
+        folded = np.where(passed, 2.0 * np.pi - shifted, shifted)
+        f = phase * np.conj(z)
+        np.conjugate(f, out=f, where=passed)
         # nearest output bin per folded frequency
         pos = np.searchsorted(sorted_out, folded)
         pos = np.clip(pos, 1, sorted_out.size - 1)
         left = sorted_out[pos - 1]
         right = sorted_out[pos]
         nearest = np.where(folded - left <= right - folded, pos - 1, pos)
-        np.add.at(acc, (rows, order[nearest]), hk * fk)
+        rows = np.arange(win.size)[block]
+        np.add.at(acc, (rows, order[nearest]), h[ks] * f)
     return to_db(acc)

@@ -4,16 +4,19 @@ The allpass structures run as plain Python loops, one sample at a time, for
 the block-filtering runtime in warpbank.streaming; the prototype's cosine
 series is summed term by term with np.cos, for the recurrences in
 warpbank.modulation; the quadratic-form vectors are formed from the
-modulated taps, for TransferTables in warpbank.transfer; the optimizer's
-Hessian is formed from whole-table products, for the grid-blocked one in
-warpbank.optimize; the block line computes every channel sample, kept or
+modulated taps, for TransferTables in warpbank.transfer; the transfer
+curves and the bifrequency map sum one Clenshaw-evaluated channel response
+per (channel, image), for the shift-by-shift pass in warpbank.transfer; the
+optimizer's Hessian is formed from whole-table products, for the
+grid-blocked one in warpbank.optimize; the block line computes every channel sample, kept or
 dropped, and carries its state one chunk at a time, for the polyphase line
-and the chunked scan in warpbank.streaming.  No production path uses them.
+and the chunked scan in warpbank.streaming; CSV rows are formatted one at a
+time, for the block writer in warpbank.files.  No production path uses them.
 """
 
 import numpy as np
 
-from warpbank import SubbandFrame, modulate, streaming
+from warpbank import SubbandFrame, channel_response_warped, modulate, streaming
 from warpbank.allpass import _check_alpha
 
 
@@ -104,6 +107,56 @@ def response_vector(omega, image, channel, config, synthesis=False):
     taps = 2.0 * np.cos((2 * channel + 1) * np.pi / (2 * M) * (n - (N - 1) / 2) + offset)
     full = taps * np.exp(1j * np.multiply.outer(phase, n))
     return full[..., N // 2 :] + full[..., N // 2 - 1 :: -1]
+
+
+def image_products(proto, w, config, distortion=True, aliasing=True):
+    """Yield (l, H_k^w(w + 2 pi l/S_k) F_k^w(w)) for every channel k, one
+    Clenshaw call per (channel, image).
+
+    l = 0 is the distortion image and l = 1 .. S_k-1 the alias images; each
+    group is included when its flag is set.
+    """
+    for k in range(config.channels):
+        S = config.subsampling[k]
+        images = range(0 if distortion else 1, S if aliasing else 1)
+        if images:
+            f = channel_response_warped(proto, k, w, config.alpha, synthesis=True)
+        for l in images:
+            yield l, channel_response_warped(proto, k, w + 2.0 * np.pi * l / S, config.alpha) * f
+
+
+def transfer_parts(proto, w, config):
+    """(distortion, coherent alias, alias bound) summed from image_products."""
+    parts = [np.zeros(w.shape, complex), np.zeros(w.shape, complex), np.zeros(w.shape)]
+    for l, p in image_products(proto, w, config):
+        parts[min(l, 1)] += p
+        if l:
+            parts[2] += np.abs(p)
+    return tuple(parts)
+
+
+def bifrequency_cells(proto, config, in_grid, out_grid):
+    """The complex cells of transfer.bifrequency_map (before the dB step),
+    channel by channel: H_k^w at the input frequencies and F_k^w at each
+    image's folded frequency, by Clenshaw's recurrence."""
+    win = np.asarray(in_grid, dtype=float)
+    wout = np.asarray(out_grid, dtype=float)
+    acc = np.zeros((win.size, wout.size), dtype=complex)
+    order = np.argsort(wout)
+    sorted_out = wout[order]
+    rows = np.arange(win.size)
+    for k in range(config.channels):
+        S = config.subsampling[k]
+        hk = channel_response_warped(proto, k, win, config.alpha)
+        shifted = np.mod(win + 2.0 * np.pi * np.arange(S)[:, None] / S, 2.0 * np.pi)
+        folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
+        fk = channel_response_warped(proto, k, folded, config.alpha, synthesis=True)
+        pos = np.clip(np.searchsorted(sorted_out, folded), 1, sorted_out.size - 1)
+        left = sorted_out[pos - 1]
+        right = sorted_out[pos]
+        nearest = np.where(folded - left <= right - folded, pos - 1, pos)
+        np.add.at(acc, (rows, order[nearest]), hk * fk)
+    return acc
 
 
 def hessian(half, weights, tables):
@@ -201,3 +254,12 @@ def dense_process_signal(design, x):
     """streaming.process_signal (no gains) by dense_analyze and dense_synthesize."""
     y = dense_synthesize(design, dense_analyze(design, x))
     return np.pad(y, (0, max(0, x.size - y.size)))[: x.size]
+
+
+def write_csv_rows(path, header, columns):
+    """files.write_csv formatting one row, and within it one value, at a time."""
+    columns = [np.atleast_1d(np.asarray(c)) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(columns[0].size):
+            fh.write(",".join("%.9g" % c[i] for c in columns) + "\n")

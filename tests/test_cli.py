@@ -380,6 +380,23 @@ def test_process_warns_on_clipped_samples(toy_design, tmp_path, capsys):
     assert "warning: clipped %d samples" % want in capsys.readouterr().err
 
 
+def test_non_utf8_files_exit_2(toy_design, tmp_path, capsys, monkeypatch, yaml_loaders):
+    # a UTF-16 byte order mark in a comment is not UTF-8
+    config = tmp_path / "c.yaml"
+    config.write_bytes(TOY_CONFIG.encode() + b"# \xff\xfe\n")
+    design = tmp_path / "d.yaml"
+    with open(toy_design, "rb") as fh:
+        design.write_bytes(b"# \xff\xfe\n" + fh.read())
+    outputs = [tmp_path / "o.yaml", tmp_path / "o.csv"]
+    for loader in yaml_loaders:
+        monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
+        for argv, path in ((["design", str(config), "-o", str(outputs[0])], config),
+                           (["evaluate", str(design), "-o", str(outputs[1])], design)):
+            assert main(argv) == 2
+            assert "%s is not UTF-8 text" % path in capsys.readouterr().err
+        assert not any(p.exists() for p in outputs)
+
+
 def test_process_stereo_exits_2(toy_design, tmp_path):
     from scipy.io import wavfile
 

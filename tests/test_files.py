@@ -4,12 +4,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 from pytest import raises as assert_raises
 
+from oracles import write_csv_rows
 from warpbank import (
     BankConfig,
     BankDesign,
@@ -24,6 +26,7 @@ from warpbank import (
     write_csv,
     write_wav,
 )
+from warpbank import files
 
 
 def _write(path, text):
@@ -216,6 +219,28 @@ def test_write_csv(tmp_path):
     assert_raises(ValueError, write_csv, str(path), ["x"], [np.zeros(2), np.zeros(2)])
     assert_raises(ValueError, write_csv, str(path), ["x", "y"],
                   [np.zeros(2), np.zeros(3)])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 6, 7, 13])
+def test_write_csv_blocks_match_row_writer(tmp_path, monkeypatch, rows):
+    # blocks of 6 rows: none, a part block, one block less or more a row, ragged
+    monkeypatch.setattr(files, "_CSV_ROWS", 6)
+    rng = np.random.default_rng(rows)
+    ints = np.arange(rows) * (2**58 + 1) - 3  # past 2**53, so %g rounds them
+    floats = [
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows),
+        np.array([-0.0, 1e300, -2.5e-320, 123456789012, 0.1, -1, 7, 3e-7,
+                  2**62, -1e-5, 1.5, 1e16, 2.0])[:rows],
+    ]
+    flags = np.arange(rows) % 2 == 0
+    # int and bool columns alone, and stacked with float ones
+    for cols in ([ints, flags], [ints, *floats, flags]):
+        header = ["c%d" % i for i in range(len(cols))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(str(got), header, cols)
+        write_csv_rows(str(want), header, cols)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == rows + 1
 
 
 def test_write_csv_deterministic(tmp_path):

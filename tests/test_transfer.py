@@ -1,13 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 
-from oracles import response_vector
+from oracles import bifrequency_cells, response_vector, transfer_parts
 from warpbank import (
     BankConfig,
     PrototypeHalf,
@@ -339,3 +340,72 @@ def test_bifrequency_matches_line_enumeration():
     want = to_db(acc)
     got = bifrequency_map(half, config, in_grid, out_grid)
     assert_allclose(got, want, atol=1e-9)
+
+
+@st.composite
+def _shift_cases(draw):
+    """1-6 channels, order 2mM, ratios 1-9 that share a value and hold a
+    coprime pair (or are all 1), alpha in (-0.95, 0.95), a grid reaching
+    below 0 and above pi, and a basis budget from below one grid point and
+    shift up to the default."""
+    channels = draw(st.integers(1, 6))
+    taps = draw(st.integers(1, 3))
+    coeffs = st.floats(-3.0, 3.0, allow_subnormal=False)
+    half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
+                                  max_size=channels * taps)))
+    assume(np.any(half != 0.0))
+    if draw(st.booleans()):
+        sub = [1] * channels
+    else:
+        shared = draw(st.integers(2, 9))
+        coprime = draw(st.sampled_from([r for r in range(2, 10) if math.gcd(r, shared) == 1]))
+        rest = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
+        sub = draw(st.permutations(([shared, shared, coprime] + rest)[:channels]))
+    alpha = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True,
+                           allow_subnormal=False))
+    config = BankConfig(channels=channels, order=2 * half.size, alpha=alpha,
+                        subsampling=sub)
+    points = st.floats(-2.0, np.pi + 2.0, allow_subnormal=False)
+    grid = np.array(draw(st.lists(points, min_size=1, max_size=40)) + [-0.5, np.pi + 0.5])
+    budget = draw(st.sampled_from([1, 600, 20000, transfer._PASS_BYTES]))
+    return half, config, grid, draw(points), budget
+
+
+@given(_shift_cases())
+def test_shift_pass_matches_per_image_oracle(case):
+    half, config, grid, scalar, budget = case
+    proto = PrototypeHalf(half, config.channels)
+    want = transfer_parts(proto, grid, config)
+    scale = max(np.abs(want[0] + want[1]).max(), np.abs(want[0]).max(), want[2].max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_PASS_BYTES", budget)
+        got = transfer._transfer_parts(proto, grid, config)
+        public = (distortion_transfer, aliasing_transfer, aliasing_bound)
+        curves = [f(half, grid, config) for f in public]
+        points = [f(half, scalar, config) for f in public]
+        overall = overall_transfer(half, grid, config)
+    for g, c, w in zip(got, curves, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        assert_allclose(c, g, rtol=0, atol=1e-12 * scale)
+    assert_allclose(overall, want[0] + want[1], rtol=0, atol=1e-12 * scale)
+    at = transfer_parts(proto, np.array([scalar]), config)
+    for p, w in zip(points, at):
+        assert np.isscalar(p)
+        assert abs(p - w[0]) <= 1e-12 * max(scale, np.abs(at[0]).max(), at[2].max())
+    if max(config.subsampling) == 1:
+        assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
+        assert aliasing_transfer(half, scalar, config) == 0.0
+
+
+@given(_shift_cases(), st.integers(2, 40))
+def test_bifrequency_matches_per_channel_oracle(case, outputs):
+    half, config, grid, _, budget = case
+    proto = PrototypeHalf(half, config.channels)
+    out_grid = np.linspace(0.0, np.pi, outputs)
+    want = bifrequency_cells(proto, config, grid, out_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_PASS_BYTES", budget)
+        mp.setattr(transfer, "to_db", lambda cells: cells)  # the cells, not dB
+        got = bifrequency_map(half, config, grid, out_grid)
+    assert_array_equal(got != 0, want != 0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
