@@ -217,7 +217,7 @@ def cmd_bifreq(args):
 
 def cmd_process(args):
     design = files.load_design(args.design)
-    rate, samples, kind = files.read_wav(args.input)
+    rate, data, kind = files.open_wav(args.input)
     if design.sample_rate_hz is not None and rate != design.sample_rate_hz:
         print(
             "warning: design expects %g Hz, input is %d Hz"
@@ -229,11 +229,19 @@ def cmd_process(args):
         raise ConfigError(
             "need %d gains, got %d" % (design.channels, len(gains))
         )
-    out = streaming.process_signal(design, samples, gains)
-    clipped = files.write_wav(args.output, rate, out, args.format or kind)
-    if clipped:
-        print("warning: clipped %d samples" % clipped, file=sys.stderr)
-    print("wrote %s (%d samples)" % (args.output, out.size))
+    if data.size == 0:
+        raise ValueError("signal must be a nonempty 1-D array")
+    # block by block: the stream lags by under a chunk, and flush gives
+    # the rest, so the output is as long as the input
+    stream = streaming.BankStream(design, gains)
+    with files.WavWriter(args.output, rate, data.size, args.format or kind) as out:
+        for first in range(0, data.size, files.WAV_BLOCK):
+            block = files.wav_samples(data[first : first + files.WAV_BLOCK], kind)
+            out.write(stream.push(block))
+        out.write(stream.flush())
+    if out.clipped:
+        print("warning: clipped %d samples" % out.clipped, file=sys.stderr)
+    print("wrote %s (%d samples)" % (args.output, data.size))
     return 0
 
 

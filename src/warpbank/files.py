@@ -2,6 +2,8 @@
 
 import dataclasses
 import numbers
+import os
+import struct
 
 import numpy as np
 import yaml
@@ -188,6 +190,45 @@ def write_csv(path, header, columns):
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+# samples per block of the block WAV reader and writer: one super-block of
+# warpbank.streaming, so that `warpbank process` holds no whole signal
+WAV_BLOCK = 8192
+_WAV_TYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
+
+
+def open_wav(path):
+    """Open a mono int16 or float32 WAV file for reading by blocks.
+
+    Returns (rate, data, kind): data is a memory map of the samples in the
+    file's own format, and kind is "int16" or "float32".  Float files holding
+    NaN or inf are rejected; they are checked a block at a time, so no whole
+    copy of the samples is made.
+    """
+    try:
+        rate, data = wavfile.read(path, mmap=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from exc
+    if data.ndim != 1:
+        raise ConfigError("%s: only mono WAV input is supported" % path)
+    if data.dtype == np.int16:
+        return rate, data, "int16"
+    if data.dtype == np.float32:
+        for first in range(0, data.size, WAV_BLOCK):
+            if not np.all(np.isfinite(data[first : first + WAV_BLOCK])):
+                raise ConfigError("%s: samples must be finite (found NaN or inf)" % path)
+        return rate, data, "float32"
+    raise ConfigError("%s: unsupported sample format %s" % (path, data.dtype))
+
+
+def wav_samples(data, kind):
+    """Float samples in [-1, 1] of WAV data of the given kind, as from
+    open_wav, or any slice of it."""
+    samples = np.array(data, dtype=float)
+    if kind == "int16":
+        samples /= 32768.0
+    return samples
+
+
 def read_wav(path):
     """Read a mono WAV file.
 
@@ -195,19 +236,79 @@ def read_wav(path):
     of "int16" / "float32", so a processed file can be written back in the
     format it arrived in.  Float files holding NaN or inf are rejected.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from exc
-    if data.ndim != 1:
-        raise ConfigError("%s: only mono WAV input is supported" % path)
-    if data.dtype == np.int16:
-        return rate, data.astype(float) / 32768.0, "int16"
-    if data.dtype == np.float32:
-        if not np.all(np.isfinite(data)):
-            raise ConfigError("%s: samples must be finite (found NaN or inf)" % path)
-        return rate, data.astype(float), "float32"
-    raise ConfigError("%s: unsupported sample format %s" % (path, data.dtype))
+    rate, data, kind = open_wav(path)
+    return rate, wav_samples(data, kind), kind
+
+
+def _wav_header(rate, count, dtype):
+    """The header scipy.io.wavfile.write puts before count mono samples of
+    dtype: RIFF, or RF64 past 4 GiB, and a fact chunk for float data."""
+    width = dtype.itemsize
+    floating = dtype.kind == "f"
+    fmt = struct.pack("<HHIIHH", 3 if floating else 1, 1, rate, rate * width, width, 8 * width)
+    if floating:
+        fmt += b"\x00\x00"  # cbSize of a non-PCM format
+    fact = struct.pack("<4sII", b"fact", 4, count) if floating else b""
+    nbytes = count * width
+    total = 28 + len(fmt) + len(fact) + nbytes
+    # scipy sizes the file without the fact chunk to choose RF64
+    if 20 + len(fmt) + nbytes <= 0xFFFFFFFF:
+        head = struct.pack("<4sI4s", b"RIFF", total - 8, b"WAVE")
+    else:
+        head = struct.pack("<4sI4s4sIQQQI", b"RF64", 0xFFFFFFFF, b"WAVE", b"ds64", 28,
+                           total + 36 - 8, nbytes, count, 0)
+    head += struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + fact
+    return head + struct.pack("<4sI", b"data", min(nbytes, 0xFFFFFFFF))
+
+
+class WavWriter:
+    """A mono WAV file of count samples, written a block at a time.
+
+    The header goes out first, so the file is byte for byte what
+    scipy.io.wavfile.write makes of the whole signal.  write() takes float
+    samples; int16 output clips to the representable range, and clipped
+    sums the samples that clipped (always 0 for float32).  Used as a context
+    manager, the writer closes the file on exit and removes it if the block
+    raised or fewer than count samples came.
+    """
+
+    def __init__(self, path, rate, count, kind="int16"):
+        if kind not in _WAV_TYPES:
+            raise ValueError("kind must be int16 or float32")
+        self.path = path
+        self.count = int(count)
+        self.kind = kind
+        self.written = 0
+        self.clipped = 0
+        self._fh = open(path, "wb")
+        self._fh.write(_wav_header(int(rate), self.count, _WAV_TYPES[kind]))
+
+    def write(self, samples):
+        """Append float samples; returns how many of them clipped."""
+        samples = np.asarray(samples, dtype=float)
+        if self.written + samples.size > self.count:
+            raise ValueError("more than the %d samples the header states" % self.count)
+        clipped = 0
+        if self.kind == "int16":
+            levels = np.round(samples * 32768.0)
+            clipped = int(np.count_nonzero((levels < -32768.0) | (levels > 32767.0)))
+            samples = np.clip(levels, -32768.0, 32767.0, out=levels)
+        self._fh.write(samples.astype(_WAV_TYPES[self.kind]).data)
+        self.written += samples.size
+        self.clipped += clipped
+        return clipped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        self._fh.close()
+        short = exc_type is None and self.written != self.count
+        if exc_type is not None or short:
+            os.remove(self.path)
+        if short:
+            raise ValueError("wrote %d of the %d samples the header states"
+                             % (self.written, self.count))
 
 
 def write_wav(path, rate, samples, kind="int16"):
@@ -217,13 +318,6 @@ def write_wav(path, rate, samples, kind="int16"):
     samples that clipped (always 0 for float32).
     """
     samples = np.asarray(samples, dtype=float)
-    if kind == "int16":
-        levels = np.round(samples * 32768.0)
-        clipped = np.count_nonzero((levels < -32768.0) | (levels > 32767.0))
-        np.clip(levels, -32768.0, 32767.0, out=levels)
-        wavfile.write(path, int(rate), levels.astype(np.int16))
-        return int(clipped)
-    if kind == "float32":
-        wavfile.write(path, int(rate), samples.astype(np.float32))
-        return 0
-    raise ValueError("kind must be int16 or float32")
+    with WavWriter(path, rate, samples.size, kind) as out:
+        out.write(samples)
+    return out.clipped

@@ -186,7 +186,8 @@ def inner_loop(h0, weights, tables, max_iterations=50, step_tol=1e-10):
     trace = [g]
     lam = 0.0
     iterations = 0
-    for _ in range(int(max_iterations)):
+    max_iterations = int(max_iterations)
+    for _ in range(max_iterations):
         if np.max(np.abs(grad)) == 0.0:
             break
         while True:
@@ -210,13 +211,14 @@ def inner_loop(h0, weights, tables, max_iterations=50, step_tol=1e-10):
                     "Newton system singular at maximum damping "
                     "(|grad|=%.3e, objective=%.3e)" % (np.max(np.abs(grad)), g)
                 )
-        h = trial
+        h, g = trial, g_new
         iterations += 1
         lam /= 10.0
-        g, grad, hess, _, _ = _evaluate(h, weights, tables, 2, products)
         trace.append(g)
-        if float(step @ step) <= step_tol:
+        # the last step's derivatives would go unused
+        if float(step @ step) <= step_tol or iterations == max_iterations:
             break
+        _, grad, hess, _, _ = _evaluate(h, weights, tables, 2, products)
     return h, iterations, trace
 
 

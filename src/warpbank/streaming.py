@@ -31,38 +31,54 @@ lifted, state-space form):
 
 Theta is block Toeplitz (the channel impulse responses), and every state
 map is Toeplitz in the section index because all sections are equal.  One
-run of two sequences down the line fills all four: an impulse, and alpha^t,
-which is what a section puts out from a unit state.  Only the N-1 states
-persist between super-blocks of _BLOCK samples.  Within one, the chunks'
-start states come from the recursion s <- s Phi + x Gamma, run as a
-chunked scan (_BlockLine.carry): segments of K chunks run as GEMMs over all
-segments at once, and Phi^K carries the state from segment to segment.
+run of two sequences down the line gives all four: an impulse, and alpha^t,
+which is what a section puts out from a unit state.  Phi and Gamma depend
+only on alpha, so one copy serves both directions (_StateMaps): the
+transposed line carries its state by Phi^T and reads it out through Gamma^T
+in reversed time order.  Only the N-1 states persist between super-blocks
+of _BLOCK samples.  Within one, the chunks' start states come from the
+recursion s <- s Phi + x Gamma, run as a chunked scan (_StateMaps.carry):
+segments of K chunks run as GEMMs over all segments at once, and Phi^K
+carries the state from segment to segment.
 
 Neither direction computes a channel sample that decimation drops or that
 zero insertion makes zero (the polyphase rule).  Channel k keeps every S_k-th
 sample, and the places of those samples in a chunk repeat every
 P_k = S_k/gcd(S_k, c) chunks, so each chunk class (chunk index mod P_k) has
 fixed columns of [Theta; Psi] (analysis) or rows of [Theta' | Gamma']
-(synthesis).  The channels that share a period run as one batched matmul
-over the chunk classes.  Per sample that is about
-(c + N-1) * sum_k 1/S_k multiply-adds for the kept channel samples, plus
-(N-1) + 2(N-1)^2/c for the state (the scan does twice the work of a plain
-per-chunk step, in 2K + C/K calls per super-block of C chunks in place of
-C), in either direction.
+(synthesis).  These are gathered straight from the line runs and the
+filter coefficients (_groups); the full maps are never formed.  The
+channels that share a period run as one batched matmul over the chunk
+classes.  Per sample that is about (c + N-1) * sum_k 1/S_k multiply-adds
+for the kept channel samples, plus (N-1) + 2(N-1)^2/c for the state (the
+scan does twice the work of a plain per-chunk step, in 2K + C/K calls per
+super-block of C chunks in place of C), in either direction.
+
+BankStream fuses the two directions.  With the frame phases at 0, analysis
+and synthesis share one slot layout per period group, so a group's kept
+samples y = [x | s] W_a^T are the synthesis input as they stand and go
+straight on as y W_s, with the channel gains folded into the rows of W_s:
+no frame is stored, scattered or gathered.  A stream holds its operators
+and one super-block of working memory whatever the signal length, and it
+gives back the output of every whole chunk as soon as the chunk is in, so
+its latency is under c = 64 samples.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import hankel, toeplitz
 from scipy.signal import lfilter
 
 from .allpass import _check_count
 from .modulation import modulate
 
 # samples per super-block (rounded down to whole chunks), which bounds the
-# working memory, and the chunk length of the block state-space operators
-_BLOCK = 1 << 14
+# working memory, and the chunk length of the block state-space operators;
+# on a 2-core host with one BLAS thread, 20 s of flagship noise ran as fast
+# at 8192 as at 16384, and about 30 % slower at 4096
+_BLOCK = 1 << 13
 _CHUNK = 64
 # measure_response: settle transient in units of order * max(S) samples, and
 # the Hann window length of the steady-state read
@@ -101,103 +117,12 @@ def _check_finite(samples, what):
         raise ValueError("%s holds non-finite samples (NaN or inf)" % what)
 
 
-@dataclass
-class _BlockLine:
-    """One direction of the warped line in block state-space form.
-
-    A chunk holds c samples of P inputs (sample-major, c*P values) and gives
-    c samples of Q outputs; the state is one value per allpass section.
-    Once _groups has gathered what a stream run needs of Theta and Psi
-    (analysis) or of Theta and Gamma (synthesis), the run sets those two to
-    None: it reads only Gamma and Phi (analysis) or Psi and Phi.
-    """
-
-    theta: np.ndarray  # (c*P, c*Q) chunk input -> outputs
-    psi: np.ndarray  # (N-1, c*Q) start state -> outputs
-    gamma: np.ndarray  # (c*P, N-1) chunk input -> end state
-    phi: np.ndarray  # (N-1, N-1) start state -> end state
-    powers: dict = field(default_factory=dict, repr=False)  # k -> Phi^k
-
-    def carry(self, drive, starts, state):
-        """Start states (into starts) of consecutive chunks whose inputs add
-        drive (chunks, N-1) to their end states; state holds the start state
-        of the first chunk and is advanced in place past the last one.
-
-        The recursion s <- s Phi + w runs as a chunked scan.  The C chunks
-        split into S segments of K chunks: K GEMMs (S, N-1) by Phi find each
-        segment's end state from a zero start, S GEMVs by Phi^K carry the
-        true segment heads, and K GEMMs run each segment again from its head
-        into starts.  The C - S*K chunks left over, and a call with S < 2,
-        take the plain step.  That is 2K + C/K calls, fewest at K =
-        sqrt(C/2), but the GEMMs do 2C(N-1)^2 multiply-adds, twice the plain
-        step's, at a rate that grows with their S rows; K = ceil(sqrt(C)/2),
-        8 of a super-block's 256 chunks, measured faster than 12.
-        """
-        count, n = drive.shape
-        k = max(1, math.ceil(math.sqrt(count) / 2))
-        segments = count // k
-        s = state
-        done = 0
-        if segments >= 2:
-            done = segments * k
-            # splitting the leading axis keeps views, also of a strided starts
-            w = drive[:done].reshape(segments, k, n)
-            heads = starts[:done].reshape(segments, k, n)
-            ends = w[:, 0].copy()
-            for i in range(1, k):
-                ends = ends @ self.phi
-                ends += w[:, i]
-            power = self.power(k)
-            heads[0, 0] = state
-            for j in range(1, segments):
-                heads[j, 0] = heads[j - 1, 0] @ power + ends[j - 1]
-            for i in range(1, k):
-                np.matmul(heads[:, i - 1], self.phi, out=heads[:, i])
-                heads[:, i] += w[:, i - 1]
-            s = heads[-1, -1] @ self.phi + w[-1, -1]
-        for j in range(done, count):
-            starts[j] = s
-            s = s @ self.phi + drive[j]
-        state[:] = s
-
-    def power(self, k):
-        """Phi^k, built once per k.  Phi is triangular Toeplitz (upper, or
-        lower in a transposed line), and so is Phi^k: its first row (column)
-        is the k-fold self-convolution of Phi's, cut to N-1 terms."""
-        if k not in self.powers:
-            lower = not self.phi[0, 1:].any()
-            first = self.phi[:, 0] if lower else self.phi[0]
-            edge = first
-            for _ in range(k - 1):
-                edge = np.convolve(edge, first)[: first.size]
-            power = _toeplitz(edge[None])
-            self.powers[k] = np.ascontiguousarray(power.T) if lower else power
-        return self.powers[k]
-
-    def transposed(self):
-        """The dual line, whose transfer matrix is the transpose of this one's.
-
-        Transposing every map runs a chunk backwards in time, so the samples
-        inside a chunk are reversed as well (R below): Theta' = R Theta^T R,
-        Psi' = Gamma^T R, Gamma' = R Psi^T, Phi' = Phi^T.  A line with one
-        input and M outputs becomes one with M inputs and one output.
-
-        This line is used up: each of its maps is set to None as soon as its
-        copy exists, so the two lines are never both held whole.
-        """
-        c, n = _CHUNK, self.phi.shape[0]
-        P, Q = self.theta.shape[0] // c, self.theta.shape[1] // c
-        theta = self.theta.reshape(c, P, c, Q)[::-1, :, ::-1].transpose(2, 3, 0, 1)
-        theta = theta.reshape(c * Q, c * P)
-        self.theta = None
-        psi = self.gamma.reshape(c, P, n)[::-1].transpose(2, 0, 1).reshape(n, c * P)
-        self.gamma = None
-        gamma = self.psi.reshape(n, c, Q)[:, ::-1].transpose(1, 2, 0).reshape(c * Q, n)
-        self.psi = None
-        phi = np.ascontiguousarray(self.phi.T)
-        self.phi = None
-        self.powers.clear()
-        return _BlockLine(theta=theta, psi=psi, gamma=gamma, phi=phi)
+def _signal(signal):
+    x = _real_samples(signal, "signal")
+    if x.size == 0:
+        raise ValueError("signal must be a nonempty 1-D array")
+    _check_finite(x, "signal")
+    return x
 
 
 def _line_runs(alpha, taps):
@@ -216,43 +141,97 @@ def _line_runs(alpha, taps):
     return runs[:, 0], runs[:, 1]
 
 
-def _toeplitz(resp):
-    """Causal map (c, c*Q) of one input from responses resp[q, delay], c =
-    resp.shape[1]: a chunk map, or with Q = 1 an upper-triangular Toeplitz
-    matrix whose first row is resp[0]."""
-    Q, c = resp.shape
-    lag = np.subtract.outer(np.arange(c), np.arange(c))  # [t, tau] = t - tau
-    blocks = resp[:, np.maximum(lag, 0)]  # [q, t, tau]
-    blocks[:, lag < 0] = 0.0
-    return blocks.transpose(2, 1, 0).reshape(c, c * Q)
+def _upper_toeplitz(row):
+    """The upper-triangular Toeplitz matrix whose first row is row."""
+    column = np.zeros_like(row)
+    column[0] = row[0]
+    return toeplitz(column, row)
 
 
-def _block_line(coeffs, alpha):
-    """The line of taps coeffs (M, N) in block form: one input, M outputs.
+@dataclass
+class _StateMaps:
+    """The state side of the line in block form, shared by both directions.
 
-    Output k is sum_n coeffs[k, n] A^n x.  State n is the lfilter state of
-    section n, its input plus alpha times its output; section n maps tap n
-    to tap n+1.
+    State n is the lfilter state of section n, its input plus alpha times
+    its output; section n maps tap n to tap n+1.  Analysis advances a chunk
+    by s <- s Phi + x Gamma.  Synthesis runs the transposed line, whose maps
+    are Phi' = Phi^T and Psi' = Gamma^T R (R reverses a chunk in time).
     """
-    M, N = coeffs.shape
-    H, G = _line_runs(alpha, N)
+
+    phi: np.ndarray  # (N-1, N-1) start state -> end state, upper triangular
+    gamma: np.ndarray  # (c, N-1) chunk input -> end state
+    power: tuple = field(default=(1, None), repr=False)  # (k, Phi^k), the last built
+
+    def carry(self, drive, starts, state, transposed=False):
+        """Start states (into starts) of consecutive chunks whose inputs add
+        drive (chunks, N-1) to their end states; state holds the start state
+        of the first chunk and is advanced in place past the last one.  The
+        transposed line carries by Phi^T.
+
+        The recursion s <- s Phi + w runs as a chunked scan.  The C chunks
+        split into S segments of K chunks: K GEMMs (S, N-1) by Phi find each
+        segment's end state from a zero start, S GEMVs by Phi^K carry the
+        true segment heads, and K GEMMs run each segment again from its head
+        into starts.  The C - S*K chunks left over, and a call with S < 2,
+        take the plain step.  That is 2K + C/K calls, fewest at K =
+        sqrt(C/2), but the GEMMs do 2C(N-1)^2 multiply-adds, twice the plain
+        step's, at a rate that grows with their S rows; K = ceil(sqrt(C)/2)
+        (6 of a super-block's 128 chunks; of 256 chunks, 8 measured faster
+        than 12).
+        """
+        phi = self.phi.T if transposed else self.phi
+        count, n = drive.shape
+        k = max(1, math.ceil(math.sqrt(count) / 2))
+        segments = count // k
+        s = state
+        done = 0
+        if segments >= 2:
+            done = segments * k
+            # splitting the leading axis keeps views, also of a strided starts
+            w = drive[:done].reshape(segments, k, n)
+            heads = starts[:done].reshape(segments, k, n)
+            ends = w[:, 0].copy()
+            for i in range(1, k):
+                ends = ends @ phi
+                ends += w[:, i]
+            power = self.phi_power(k).T if transposed else self.phi_power(k)
+            heads[0, 0] = state
+            for j in range(1, segments):
+                heads[j, 0] = heads[j - 1, 0] @ power + ends[j - 1]
+            for i in range(1, k):
+                np.matmul(heads[:, i - 1], phi, out=heads[:, i])
+                heads[:, i] += w[:, i - 1]
+            s = heads[-1, -1] @ phi + w[-1, -1]
+        for j in range(done, count):
+            starts[j] = s
+            s = s @ phi + drive[j]
+        state[:] = s
+
+    def phi_power(self, k):
+        """Phi^k.  Phi is upper-triangular Toeplitz, and so is Phi^k: its
+        first row is the k-fold self-convolution of Phi's, cut to N-1 terms.
+        Only the last power built is kept: a run of whole super-blocks asks
+        for one k."""
+        if k == 1:
+            return self.phi
+        if self.power[0] != k:
+            first = self.phi[0]
+            edge = first
+            for _ in range(k - 1):
+                edge = np.convolve(edge, first)[: first.size]
+            self.power = (k, _upper_toeplitz(edge))
+        return self.power[1]
+
+
+def _state_maps(alpha, runs):
+    H, G = runs
     # z_imp[n, tau]: end state of section n after a unit impulse at sample tau
     z_imp = (H[:-1] + alpha * H[1:])[:, ::-1]
     # z_unit[d]: end state of the section d below one whose start state is 1
     z_unit = alpha * G[:-1, -1]
     z_unit[1:] += G[:-2, -1]
     # phi[m, n] = z_unit[n - m]: the signal runs to higher section indices
-    phi = _toeplitz(z_unit[None])
-    # psi[n, t, k] = sum_d coeffs[k, n+1+d] G[d, t], from the sections below n
-    psi = np.empty((N - 1, _CHUNK, M))
-    for n in range(N - 1):
-        np.matmul(G[: N - 1 - n].T, coeffs[:, n + 1 :].T, out=psi[n])
-    return _BlockLine(
-        theta=_toeplitz(coeffs @ H),
-        psi=psi.reshape(N - 1, _CHUNK * M),
-        gamma=np.ascontiguousarray(z_imp.T),
-        phi=phi,
-    )
+    return _StateMaps(phi=_upper_toeplitz(z_unit), gamma=np.ascontiguousarray(z_imp.T))
 
 
 def _block_length():
@@ -303,37 +282,66 @@ class _Group:
     weights: np.ndarray  # (period, Q, c+N-1)
     members: list  # (channel, slot) as from _period_groups
 
-    def classes(self, rows, first, count, margin):
-        """The rows of the whole periods that cover chunks first.. first+count-1,
-        one matrix per class: (period, periods, width).
 
-        The chunks sit at rows[margin:margin+count], with a margin of at least
-        period-1 rows on either side.  Also returns the chunk the first
-        period starts at, a multiple of the period.
-        """
-        lead = first % self.period
-        periods = -(-(lead + count) // self.period)
-        start = margin - lead
-        view = rows[start : start + periods * self.period].reshape(periods, self.period, -1)
-        return first - lead, view.transpose(1, 0, 2)
+def _classes(rows, period, first, count, margin):
+    """The rows of the whole periods that cover chunks first.. first+count-1,
+    one matrix per class: (period, periods, width).
+
+    The chunks sit at rows[margin:margin+count], with a margin of at least
+    period-1 rows on either side.  Also returns the chunk the first period
+    starts at, a multiple of the period.
+    """
+    lead = first % period
+    periods = -(-(lead + count) // period)
+    start = margin - lead
+    view = rows[start : start + periods * period].reshape(periods, period, -1)
+    return first - lead, view.transpose(1, 0, 2)
 
 
-def _groups(line, ratios, phases, synthesis):
-    """Per period group, the rows of [Theta' | Gamma'] (synthesis, scaled by
-    S_k for zero insertion) or the columns of [Theta; Psi] (analysis) that
-    touch kept samples."""
+def _groups(runs, coeffs, ratios, phases, scale=None):
+    """Per period group, the columns of [Theta; Psi] that give kept samples
+    (analysis, scale None) or the rows of [Theta' | Gamma'] that the frame
+    samples drive (synthesis, channel k times scale[k]).
+
+    The rows come straight from the line runs, one channel at a time: the
+    responses coeffs @ H fill Theta, and the Hankel matrix of
+    coeffs[k, 1:] times G gives Psi_k[n, t] = sum_d coeffs[k, n+1+d] G[d, t],
+    the output at sample t from a unit state in section n.
+    """
+    H, G = runs
+    c, lag = _CHUNK, np.arange(_CHUNK)
+    M, N = coeffs.shape
+    responses = coeffs @ H
     groups = []
     for period, width, members in _period_groups(ratios, phases):
-        weights = np.zeros((period * width, _CHUNK + line.phi.shape[0]))
+        weights = np.zeros((period * width, c + N - 1))
         for k, slot, index in members:
-            if synthesis:
-                weights[slot] = ratios[k] * np.hstack([line.theta[index], line.gamma[index]])
+            t = index // M
+            state = hankel(coeffs[k, 1:]) @ G[:-1]
+            if scale is None:
+                # output at place t from chunk sample tau <= t, and from state
+                delay = t[:, None] - lag
+                weights[slot, c:] = state[:, t].T
             else:
-                weights[slot] = np.vstack([line.theta[:, index], line.psi[:, index]]).T
+                # Theta' = R Theta^T R, Gamma' = R Psi^T: the input at place t
+                # reaches samples tau >= t, and the end state as Psi_k's
+                # output at c-1-t would
+                delay = lag - t[:, None]
+                weights[slot, c:] = state[:, c - 1 - t].T
+            weights[slot, :c] = np.where(delay >= 0, responses[k, np.maximum(delay, 0)], 0.0)
+            if scale is not None:
+                weights[slot] *= scale[k]
         groups.append(
             _Group(period, weights.reshape(period, width, -1), [m[:2] for m in members])
         )
     return groups
+
+
+def _operators(design):
+    """The modulated filters, line runs and state maps of a design."""
+    filters = modulate(design.prototype_half())
+    runs = _line_runs(design.alpha, design.order)
+    return filters, runs, _state_maps(design.alpha, runs)
 
 
 def analyze(design, signal):
@@ -352,19 +360,11 @@ def analyze(design, signal):
         Frame k holds every subsampling[k]-th sample (offset 0) of the
         warped channel-k filter output, length ceil(len(signal)/S_k).
     """
-    x = _real_samples(signal, "signal")
-    if x.size == 0:
-        raise ValueError("signal must be a nonempty 1-D array")
-    _check_finite(x, "signal")
-    line = _block_line(modulate(design.prototype_half()).analysis, design.alpha)
+    x = _signal(signal)
+    filters, runs, maps = _operators(design)
     ratios = design.subsampling
-    groups = _groups(line, ratios, [0] * ratios.size, False)
-    line.theta = line.psi = None
-    return _analyze(line, groups, ratios, x)
-
-
-def _analyze(line, groups, ratios, x):
-    c, n = _CHUNK, line.phi.shape[0]
+    groups = _groups(runs, filters.analysis, ratios, [0] * ratios.size)
+    c, n = _CHUNK, maps.phi.shape[0]
     out = [np.empty(-(-x.size // int(s))) for s in ratios]
     step = _block_length()
     margin = max(g.period for g in groups) - 1
@@ -380,9 +380,9 @@ def _analyze(line, groups, ratios, x):
         if rest:
             body[full, :c] = 0.0
             body[full, :rest] = blk[full * c :]
-        line.carry(body[:, :c] @ line.gamma, body[:, c:], state)
+        maps.carry(body[:, :c] @ maps.gamma, body[:, c:], state)
         for g in groups:
-            base, view = g.classes(rows, start // c, count, margin)
+            base, view = _classes(rows, g.period, start // c, count, margin)
             # (period, periods, Q) -> the kept samples of each period, in order
             y = np.matmul(view, g.weights.transpose(0, 2, 1))
             y = y.transpose(1, 0, 2).reshape(y.shape[1], -1)
@@ -433,16 +433,11 @@ def synthesize(design, frames):
         samples = _real_samples(f.samples, what + " samples")
         _check_finite(samples, what)
         checked.append(SubbandFrame(f.channel, samples, f.ratio, f.phase))
-    line = _block_line(modulate(design.prototype_half()).synthesis, design.alpha)
-    line = line.transposed()
-    groups = _groups(line, [f.ratio for f in checked], [f.phase for f in checked], True)
-    line.theta = line.gamma = None
-    return _synthesize(line, groups, checked)
-
-
-def _synthesize(line, groups, frames):
-    c, n = _CHUNK, line.phi.shape[0]
-    length = max(f.phase + f.samples.size * f.ratio for f in frames)
+    filters, runs, maps = _operators(design)
+    ratios = [f.ratio for f in checked]
+    groups = _groups(runs, filters.synthesis, ratios, [f.phase for f in checked], ratios)
+    c, n = _CHUNK, maps.phi.shape[0]
+    length = max(f.phase + f.samples.size * f.ratio for f in checked)
     out = np.empty(length)
     step = _block_length()
     margin = max(g.period for g in groups) - 1
@@ -451,52 +446,181 @@ def _synthesize(line, groups, frames):
     chunks = -(-min(step, length) // c)
     acc = np.empty((chunks + 2 * margin, c + n))
     starts = np.empty((chunks, n))
+    tail = np.empty((chunks, c))
     state = np.zeros(n)
     for start in range(0, length, step):
         stop = min(start + step, length)
         count = -(-(stop - start) // c)
         acc.fill(0.0)
         for g in groups:
-            base, view = g.classes(acc, start // c, count, margin)
+            base, view = _classes(acc, g.period, start // c, count, margin)
             periods = view.shape[1]
             # the frame samples of those periods (zero past a frame's end),
             # in the slots of the compact (periods, P*Q) input
             u = np.zeros((periods, g.weights.shape[0] * g.weights.shape[1]))
             for k, slot in g.members:
-                f = frames[k]
+                f = checked[k]
                 part = np.zeros(periods * slot.size)
                 kept = f.samples[base * c // f.ratio :][: part.size]
                 part[: kept.size] = kept
                 u[:, slot] = part.reshape(periods, slot.size)
             view += np.matmul(u.reshape(periods, g.period, -1).transpose(1, 0, 2), g.weights)
         body = acc[margin : margin + count]
-        line.carry(body[:, c:], starts, state)
-        y = body[:, :c] + starts[:count] @ line.psi
-        out[start:stop] = y.ravel()[: stop - start]
+        maps.carry(body[:, c:], starts[:count], state, transposed=True)
+        # Psi' = Gamma^T R: the start states' output, reversed in time
+        y = np.matmul(starts[:count], maps.gamma.T, out=tail[:count])[:, ::-1]
+        out[start:stop] = (body[:, :c] + y).ravel()[: stop - start]
     return out
 
 
+def _gain_factors(design, gains_db):
+    if gains_db is None:
+        return np.ones(design.channels)
+    gains_db = np.asarray(gains_db, dtype=float)
+    if gains_db.shape != (design.channels,):
+        raise ValueError("need one gain per channel")
+    if np.any(np.isnan(gains_db) | (gains_db == np.inf)):
+        raise ValueError("gains must be finite dB values or -inf")
+    return 10.0 ** (gains_db / 20.0)
+
+
+class BankStream:
+    """Analysis and synthesis of one design, fused, over a signal that
+    arrives in pieces.
+
+    push(samples) takes the next samples and returns the output of every
+    whole chunk of 64 samples received so far, so the output lags the input
+    by under 64 samples.  flush() pads the last partial chunk with zeros,
+    returns the rest of the output, so that the output is as long as the
+    input, and resets the stream for a new signal.  The output is
+    process_signal's: per-channel gains in dB (gains_db, -inf silences a
+    channel) apply between analysis and synthesis.
+
+    The operators of both directions are built once, and the stream keeps
+    them and one super-block of working memory: nothing that grows with the
+    signal.
+    """
+
+    def __init__(self, design, gains_db=None):
+        gains = _gain_factors(design, gains_db)
+        filters, runs, self._maps = _operators(design)
+        ratios = design.subsampling
+        phases = [0] * ratios.size
+        split = _groups(runs, filters.analysis, ratios, phases)
+        merge = _groups(runs, filters.synthesis, ratios, phases, ratios * gains)
+        # with phase 0 both sides share each group's slot layout
+        self._groups = [
+            (a.period, a.weights.transpose(0, 2, 1), s.weights) for a, s in zip(split, merge)
+        ]
+        c, n = _CHUNK, design.order - 1
+        self._step = _block_length() // c
+        self._margin = max(g.period for g in split) - 1
+        # per chunk of a super-block, with a margin around them: [input |
+        # analysis start state], which the synthesis start states replace
+        # once the groups have read them, and [output | synthesis drive],
+        # which holds the analysis drive until the groups fill it
+        self._rows = np.zeros((self._step + 2 * self._margin, c + n))
+        self._acc = np.zeros_like(self._rows)
+        self._pending = np.empty(c)
+        self.reset()
+
+    def reset(self):
+        """Forget the signal so far: zero state, no samples held."""
+        n = self._maps.phi.shape[0]
+        self._split_state = np.zeros(n)
+        self._merge_state = np.zeros(n)
+        self._held = 0
+        self._chunk = 0
+
+    def push(self, samples):
+        """Output of every whole chunk completed by samples (real, 1-D,
+        finite), in order."""
+        x = _real_samples(samples, "samples")
+        _check_finite(x, "samples")
+        out = np.empty((self._held + x.size) // _CHUNK * _CHUNK)
+        self._feed(x, out)
+        return out
+
+    def flush(self):
+        """The output of the samples held back, and a reset stream."""
+        held = self._held
+        out = np.empty(-(-held // _CHUNK) * _CHUNK)
+        self._feed(np.zeros(out.size - held), out)
+        self.reset()
+        return out[:held]
+
+    def _run(self, x):
+        """The output of the whole checked signal x, ending in a reset stream."""
+        out = np.empty(x.size)
+        whole = x.size // _CHUNK * _CHUNK
+        self._feed(x, out[:whole])
+        out[whole:] = self.flush()
+        return out
+
+    def _feed(self, x, out):
+        """Run the held samples and x for out.size // c whole chunks into
+        out, and hold what is left of x."""
+        c, margin, step = _CHUNK, self._margin, self._step
+        total = out.size // c
+        used = done = 0
+        while done < total:
+            count = min(step, total - done)
+            body = self._rows[margin : margin + count, :c]
+            held = self._held
+            if held:
+                body[0, :held] = self._pending[:held]
+                body[0, held:] = x[: c - held]
+                used, self._held = c - held, 0
+            first = 1 if held else 0
+            end = used + (count - first) * c
+            body[first:] = x[used:end].reshape(count - first, c)
+            used = end
+            self._block(count, out[done * c : (done + count) * c].reshape(count, c))
+            done += count
+        rest = x.size - used
+        self._pending[self._held : self._held + rest] = x[used:]
+        self._held += rest
+
+    def _block(self, count, out):
+        """One super-block: count chunks at self._rows[margin:], output into
+        out (count, c)."""
+        c, margin, maps = _CHUNK, self._margin, self._maps
+        rows, acc = self._rows, self._acc
+        body, merged = rows[margin : margin + count], acc[margin : margin + count]
+        drive = np.matmul(body[:, :c], maps.gamma, out=merged[:, c:])
+        maps.carry(drive, body[:, c:], self._split_state)
+        acc.fill(0.0)
+        for i, (period, split, merge) in enumerate(self._groups):
+            _, view = _classes(rows, period, self._chunk, count, margin)
+            _, into = _classes(acc, period, self._chunk, count, margin)
+            # kept samples, then what they add to each chunk; the first group
+            # writes its share, the others add theirs from a product laid out
+            # as the rows are (a sum from the class order would be buffered)
+            if i == 0:
+                np.matmul(np.matmul(view, split), merge, out=into)
+            else:
+                part = np.empty((into.shape[1], period, into.shape[2])).transpose(1, 0, 2)
+                into += np.matmul(np.matmul(view, split), merge, out=part)
+                del part  # before the next group's is made
+        self._chunk += count
+        starts = body[:, c:]
+        maps.carry(merged[:, c:], starts, self._merge_state, transposed=True)
+        # Psi' = Gamma^T R: the start states' output, reversed in time
+        np.matmul(starts, maps.gamma.T, out=out)
+        np.add(merged[:, :c], out[:, ::-1], out=merged[:, :c])
+        out[:] = merged[:, :c]
+
+
 def process_signal(design, signal, gains_db=None):
-    """Full analysis-synthesis pass, output trimmed to the input length.
+    """Full analysis-synthesis pass, output as long as the input.
 
     gains_db applies a per-channel gain in dB between analysis and synthesis
-    (-inf silences a channel; NaN and +inf are rejected).
+    (-inf silences a channel; NaN and +inf are rejected).  The signal runs
+    through one BankStream, so the working memory beyond the output does not
+    grow with its length.
     """
-    x = _real_samples(signal, "signal")
-    if gains_db is not None:
-        gains_db = np.asarray(gains_db, dtype=float)
-        if gains_db.shape != (design.channels,):
-            raise ValueError("need one gain per channel")
-        if np.any(np.isnan(gains_db) | (gains_db == np.inf)):
-            raise ValueError("gains must be finite dB values or -inf")
-    frames = analyze(design, x)
-    if gains_db is not None:
-        for f in frames:
-            f.samples = f.samples * 10.0 ** (gains_db[f.channel] / 20.0)
-    y = synthesize(design, frames)
-    if y.size < x.size:
-        y = np.pad(y, (0, x.size - y.size))
-    return y[: x.size]
+    x = _signal(signal)
+    return BankStream(design, gains_db)._run(x)
 
 
 def measure_response(design, probe_freqs):
@@ -507,8 +631,7 @@ def measure_response(design, probe_freqs):
     Hann-windowed quadrature correlation over _WINDOW samples.  Returns
     magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
     rejected, since the correlation cannot separate the conjugate line
-    there, and so are non-finite ones.  Both lines and their period groups
-    are built once, from one modulate call, and serve every probe.
+    there, and so are non-finite ones.  One BankStream serves every probe.
     """
     freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
     bad = [float(f) for f in freqs if not 1e-9 < f < np.pi - 1e-9]
@@ -518,18 +641,10 @@ def measure_response(design, probe_freqs):
     win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)
-    filters = modulate(design.prototype_half())
-    ratios, phases = design.subsampling, [0] * design.subsampling.size
-    analysis = _block_line(filters.analysis, design.alpha)
-    synthesis = _block_line(filters.synthesis, design.alpha).transposed()
-    split = _groups(analysis, ratios, phases, False)
-    merge = _groups(synthesis, ratios, phases, True)
-    analysis.theta = analysis.psi = synthesis.theta = synthesis.gamma = None
+    stream = BankStream(design)
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
-        # the synthesized signal is at least as long as the sine
-        frames = _analyze(analysis, split, ratios, np.sin(w * n))
-        y = _synthesize(synthesis, merge, frames)
-        z = np.sum(win * y[settle : n.size] * np.exp(-1j * w * n[settle:]))
+        y = stream._run(np.sin(w * n))
+        z = np.sum(win * y[settle:] * np.exp(-1j * w * n[settle:]))
         out[i] = 20.0 * np.log10(abs(z) / norm)
     return out

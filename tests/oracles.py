@@ -178,7 +178,7 @@ def hessian(half, weights, tables):
 
 
 def carry_loop(phi, drive, starts, state):
-    """streaming._BlockLine.carry one chunk at a time: starts[j] = s, then
+    """streaming._StateMaps.carry one chunk at a time: starts[j] = s, then
     s <- s phi + drive[j]; state is advanced in place past the last chunk."""
     s = state
     for j, w in enumerate(drive):
@@ -187,9 +187,67 @@ def carry_loop(phi, drive, starts, state):
     state[:] = s
 
 
+class BlockLine:
+    """One direction of the warped line in full block form: a chunk holds c
+    samples of P inputs (sample-major, c*P values) and gives c samples of Q
+    outputs, every one of them; the state is one value per allpass section.
+    """
+
+    def __init__(self, theta, psi, gamma, phi):
+        self.theta = theta  # (c*P, c*Q) chunk input -> outputs
+        self.psi = psi  # (N-1, c*Q) start state -> outputs
+        self.gamma = gamma  # (c*P, N-1) chunk input -> end state
+        self.phi = phi  # (N-1, N-1) start state -> end state
+
+    def transposed(self):
+        """The dual line, whose transfer matrix is the transpose of this one's.
+
+        Transposing every map runs a chunk backwards in time, so the samples
+        inside a chunk are reversed as well (R below): Theta' = R Theta^T R,
+        Psi' = Gamma^T R, Gamma' = R Psi^T, Phi' = Phi^T.  A line with one
+        input and M outputs becomes one with M inputs and one output.
+        """
+        c, n = streaming._CHUNK, self.phi.shape[0]
+        P, Q = self.theta.shape[0] // c, self.theta.shape[1] // c
+        theta = self.theta.reshape(c, P, c, Q)[::-1, :, ::-1].transpose(2, 3, 0, 1)
+        psi = self.gamma.reshape(c, P, n)[::-1].transpose(2, 0, 1).reshape(n, c * P)
+        gamma = self.psi.reshape(n, c, Q)[:, ::-1].transpose(1, 2, 0).reshape(c * Q, n)
+        return BlockLine(theta.reshape(c * Q, c * P), psi, gamma, self.phi.T.copy())
+
+
+def chunk_toeplitz(resp):
+    """Causal chunk map (c, c*Q) of one input from responses resp[q, delay],
+    c = resp.shape[1]: [tau, t*Q + q] = resp[q, t - tau] for t >= tau."""
+    Q, c = resp.shape
+    lag = np.subtract.outer(np.arange(c), np.arange(c))  # [t, tau] = t - tau
+    blocks = resp[:, np.maximum(lag, 0)]  # [q, t, tau]
+    blocks[:, lag < 0] = 0.0
+    return blocks.transpose(2, 1, 0).reshape(c, c * Q)
+
+
+def block_line(coeffs, alpha):
+    """The line of taps coeffs (M, N) in full block form: one input, M
+    outputs, Theta and Psi formed whole from the line runs."""
+    M, N = coeffs.shape
+    c = streaming._CHUNK
+    runs = streaming._line_runs(alpha, N)
+    maps = streaming._state_maps(alpha, runs)
+    H, G = runs
+    # psi[n, t, k] = sum_d coeffs[k, n+1+d] G[d, t], from the sections below n
+    psi = np.empty((N - 1, c, M))
+    for n in range(N - 1):
+        np.matmul(G[: N - 1 - n].T, coeffs[:, n + 1 :].T, out=psi[n])
+    return BlockLine(
+        theta=chunk_toeplitz(coeffs @ H),
+        psi=psi.reshape(N - 1, c * M),
+        gamma=maps.gamma,
+        phi=maps.phi,
+    )
+
+
 def run_block_line(line, chunks, state):
-    """Outputs (chunks, c*Q) of a streaming._BlockLine for consecutive
-    chunks (chunks, c*P) of its inputs, every output sample of every chunk.
+    """Outputs (chunks, c*Q) of a BlockLine for consecutive chunks
+    (chunks, c*P) of its inputs, every output sample of every chunk.
 
     state holds the start state of the first chunk and is advanced in place
     past the last one.
@@ -205,7 +263,7 @@ def dense_analyze(design, x):
     """streaming.analyze computing all M outputs at every sample and keeping
     every S_k-th, one super-block at a time."""
     c = streaming._CHUNK
-    line = streaming._block_line(modulate(design.prototype_half()).analysis, design.alpha)
+    line = block_line(modulate(design.prototype_half()).analysis, design.alpha)
     ratios = design.subsampling
     out = [np.empty(-(-x.size // s)) for s in ratios]
     state = np.zeros(line.phi.shape[0])
@@ -227,8 +285,7 @@ def dense_synthesize(design, frames):
     through the transposed line, one super-block at a time.  frames are in
     channel order."""
     c, M = streaming._CHUNK, len(frames)
-    line = streaming._block_line(modulate(design.prototype_half()).synthesis, design.alpha)
-    line = line.transposed()
+    line = block_line(modulate(design.prototype_half()).synthesis, design.alpha).transposed()
     length = max(f.phase + f.samples.size * f.ratio for f in frames)
     out = np.empty(length)
     state = np.zeros(line.phi.shape[0])

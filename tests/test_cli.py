@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from warpbank import (
     BankConfig,
     BankDesign,
+    files,
     initial_prototype,
     load_design,
     process_signal,
@@ -306,6 +308,38 @@ def test_process_non_finite_wav_exits_2(toy_design, tmp_path, capsys):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def test_process_nan_in_last_block_exits_2(toy_design, tmp_path, capsys):
+    # every block is checked before the output file is opened
+    wav_in = tmp_path / "in.wav"
+    x = np.zeros(3 * files.WAV_BLOCK + 5, dtype=np.float32)
+    x[-2] = np.nan
+    write_wav(str(wav_in), 16000, x, "float32")
+    code = main(["process", toy_design, str(wav_in), str(tmp_path / "o.wav")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_process_memory_does_not_grow_with_length(tmp_path):
+    # the WAV file is read and written by blocks through one stream, so 16 s
+    # of the flagship peaks where 2 s does
+    design = str(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    rng = np.random.default_rng(191)
+    peaks = []
+    for seconds in (2, 16):
+        wav_in = tmp_path / ("in%d.wav" % seconds)
+        write_wav(str(wav_in), 16000, 0.25 * rng.standard_normal(seconds * 16000))
+        tracemalloc.start()
+        try:
+            code = main(["process", design, str(wav_in), str(tmp_path / "o.wav")])
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert read_wav(str(tmp_path / "o.wav"))[1].size == seconds * 16000
+    assert peaks[1] - peaks[0] < 0.5, peaks
 
 
 def test_process_bad_sample_rate_exits_2(toy_design, tmp_path, capsys):

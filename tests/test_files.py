@@ -280,6 +280,45 @@ def test_wav_int16_clips(tmp_path):
     assert write_wav(path, 8000, np.array([2.0]), "float32") == 0
 
 
+@pytest.mark.parametrize("kind", ["int16", "float32"])
+def test_block_wav_writer_matches_scipy(tmp_path, kind):
+    # the header states the length up front, so a file written block by
+    # block is byte for byte scipy's file of the whole signal
+    from scipy.io import wavfile
+
+    block = files.WAV_BLOCK
+    rng = np.random.default_rng(181)
+    for n in (1, block - 1, block, block + 1, 3 * block):
+        x = rng.uniform(-1.2, 1.2, n)
+        levels = np.round(x * 32768.0)
+        clipped = np.count_nonzero((levels < -32768.0) | (levels > 32767.0))
+        if kind == "int16":
+            want = np.clip(levels, -32768.0, 32767.0).astype(np.int16)
+        else:
+            want, clipped = x.astype(np.float32), 0
+        wavfile.write(tmp_path / "scipy.wav", 16000, want)
+        with files.WavWriter(tmp_path / "blocks.wav", 16000, n, kind) as out:
+            for first in range(0, n, block):
+                out.write(x[first : first + block])
+        assert out.clipped == clipped
+        assert write_wav(tmp_path / "whole.wav", 16000, x, kind) == out.clipped
+        scipy_bytes = (tmp_path / "scipy.wav").read_bytes()
+        assert (tmp_path / "blocks.wav").read_bytes() == scipy_bytes, n
+        assert (tmp_path / "whole.wav").read_bytes() == scipy_bytes, n
+
+
+def test_block_wav_writer_removes_unfinished_file(tmp_path):
+    path = tmp_path / "o.wav"
+    with assert_raises(ValueError, match="wrote 3 of the 4"):
+        with files.WavWriter(path, 8000, 4) as out:
+            out.write(np.zeros(3))
+    assert not path.exists()
+    with assert_raises(ValueError, match="more than the 4"):
+        with files.WavWriter(path, 8000, 4, "float32") as out:
+            out.write(np.zeros(5))
+    assert not path.exists()
+
+
 def test_wav_rejects_bad_input(tmp_path):
     path = str(tmp_path / "t.wav")
     from scipy.io import wavfile

@@ -201,6 +201,33 @@ def test_inner_loop_descends():
     assert after < before
 
 
+def test_inner_loop_computes_only_used_hessians(monkeypatch):
+    # one order-2 evaluation per Newton step: at the start, then after each
+    # accepted step but the last, whether step_tol or the cap ends the loop
+    config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[2, 2])
+    tables = TransferTables(config)
+    rng = np.random.default_rng(109)
+    h0 = initial_prototype(config).coeffs + 0.05 * rng.standard_normal(4)
+    weights = np.ones(tables.omega.size)
+    evaluate = optimize._evaluate
+    orders = []
+
+    def counted(half, weights, tables, order=2, products=None):
+        orders.append(order)
+        return evaluate(half, weights, tables, order, products)
+
+    monkeypatch.setattr(optimize, "_evaluate", counted)
+    for cap in (50, 2):
+        orders.clear()
+        h, iterations, trace = inner_loop(h0, weights, tables, max_iterations=cap)
+        assert iterations >= 2
+        assert orders.count(2) == iterations, (cap, orders)
+        # the trace is what full order-2 evaluations at each iterate give
+        assert len(trace) == iterations + 1
+        assert trace[-1] == evaluate(h, weights, tables, 2)[0]
+    assert iterations == 2
+
+
 def test_inner_loop_single_point_converges_fast():
     # a one-point grid makes g a quartic in one effective direction
     config = BankConfig(channels=2, order=8, alpha=0.3, grid_points=4)

@@ -19,6 +19,7 @@ from oracles import (
 from warpbank import (
     BankConfig,
     BankDesign,
+    BankStream,
     SubbandFrame,
     analyze,
     channel_response_warped,
@@ -256,18 +257,16 @@ _CHUNK_COUNTS = st.one_of(st.sampled_from([1, 2, 3, 7, 255, 256, 257]), st.integ
 @example(257, 0.99, 180, False, 2)
 def test_carry_matches_loop_oracle(count, alpha, taps, transposed, seed):
     rng = np.random.default_rng(seed)
-    line = streaming._block_line(rng.standard_normal((2, taps)), alpha)
-    if transposed:
-        line = line.transposed()
+    maps = streaming._state_maps(alpha, streaming._line_runs(alpha, taps))
     n = taps - 1
     drive = rng.standard_normal((count, n))
     start = rng.standard_normal(n)
     # starts is a strided view, as the columns of the analysis rows are
     rows = np.zeros((count, n + 3))
     state = start.copy()
-    line.carry(drive, rows[:, 3:], state)
+    maps.carry(drive, rows[:, 3:], state, transposed)
     want_starts, want_state = np.empty((count, n)), start.copy()
-    carry_loop(line.phi, drive, want_starts, want_state)
+    carry_loop(maps.phi.T if transposed else maps.phi, drive, want_starts, want_state)
     assert_allclose(rows[:, 3:], want_starts, rtol=0, atol=1e-12 * np.abs(want_starts).max())
     assert_allclose(state, want_state, rtol=0, atol=1e-12 * np.abs(want_state).max())
 
@@ -438,6 +437,50 @@ def test_shift_by_common_multiple_shifts_frames_property(case, multiple):
     for k, s in enumerate(design.subsampling):
         assert_allclose(late[k].samples[shift // s :], base[k].samples, atol=1e-12)
     assert_allclose(late_out[shift:], out, atol=1e-12)
+
+
+@given(_streams(), st.data())
+def test_stream_splits_match_one_shot(case, data):
+    # pieces shorter than a chunk, and pieces that end inside a chunk, a
+    # period or a super-block; gains fold into the synthesis rows, -inf too
+    design, _, block, length, seed = case
+    x = np.random.default_rng(seed).standard_normal(length)
+    gain = st.one_of(st.just(-np.inf), st.floats(-20.0, 20.0))
+    gains = data.draw(st.lists(gain, min_size=design.channels, max_size=design.channels))
+    sizes = data.draw(st.lists(st.one_of(st.integers(0, 70), st.integers(1, 3 * block))))
+    cuts = np.minimum(np.cumsum(sizes, dtype=int), length)
+    with mock.patch.object(streaming, "_BLOCK", block):
+        want = process_signal(design, x, gains)
+        stream = BankStream(design, gains)
+        parts, seen = [], 0
+        for piece in np.split(x, cuts):
+            parts.append(stream.push(piece))
+            seen += piece.size
+            # every whole chunk in is out: a lag of under one chunk
+            assert sum(p.size for p in parts) == seen // streaming._CHUNK * streaming._CHUNK
+        parts.append(stream.flush())
+    got = np.concatenate(parts)
+    assert got.size == length
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_stream_flush_resets_and_bad_push_changes_nothing():
+    design = _toy_design(4, 32, 0.55, [4, 3, 2, 1])
+    x = np.random.default_rng(179).standard_normal(500)
+    stream = BankStream(design, [0.0, -6.0, -np.inf, 3.0])
+    first = np.concatenate([stream.push(x[:130]), stream.push(x[130:]), stream.flush()])
+    assert_allclose(first, process_signal(design, x, [0.0, -6.0, -np.inf, 3.0]), atol=1e-13)
+    # flush ended the signal: the same signal again gives the same output
+    head = stream.push(x[:130])
+    assert head.size == 128
+    for bad in (np.array([1.0, np.nan]), np.ones((2, 2)), np.ones(3) + 1j):
+        with assert_raises(ValueError):
+            stream.push(bad)
+    again = np.concatenate([head, stream.push(x[130:]), stream.flush()])
+    assert_array_equal(again, first)
+    assert stream.flush().size == 0
+    assert_raises(ValueError, BankStream, design, [0.0, 0.0])
+    assert_raises(ValueError, BankStream, design, [0.0, np.nan, 0.0, 0.0])
 
 
 @given(st.lists(st.tuples(st.sampled_from(_RATIOS), st.integers(0, 96)), min_size=1, max_size=6))
