@@ -7,6 +7,7 @@ a WAV file through the analysis-synthesis chain.  Exit codes: 0 on success,
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -231,6 +232,11 @@ def cmd_process(args):
         )
     if data.size == 0:
         raise ValueError("signal must be a nonempty 1-D array")
+    # the input is read through a memory map while the output is written,
+    # so writing over the input (or a link to it) would truncate it mid-run
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise ConfigError("output %s is the input file; choose another path"
+                          % args.output)
     # block by block: the stream lags by under a chunk, and flush gives
     # the rest, so the output is as long as the input
     stream = streaming.BankStream(design, gains)

@@ -190,8 +190,9 @@ def write_csv(path, header, columns):
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-# samples per block of the block WAV reader and writer: one super-block of
-# warpbank.streaming, so that `warpbank process` holds no whole signal
+# samples per block when a WAV file is checked, read or written by blocks;
+# any size works (BankStream.push takes pieces of any length), it only
+# bounds the memory of one block
 WAV_BLOCK = 8192
 _WAV_TYPES = {"int16": np.dtype("<i2"), "float32": np.dtype("<f4")}
 
@@ -284,19 +285,16 @@ class WavWriter:
         self._fh.write(_wav_header(int(rate), self.count, _WAV_TYPES[kind]))
 
     def write(self, samples):
-        """Append float samples; returns how many of them clipped."""
+        """Append float samples, adding the ones that clip to clipped."""
         samples = np.asarray(samples, dtype=float)
         if self.written + samples.size > self.count:
             raise ValueError("more than the %d samples the header states" % self.count)
-        clipped = 0
         if self.kind == "int16":
             levels = np.round(samples * 32768.0)
-            clipped = int(np.count_nonzero((levels < -32768.0) | (levels > 32767.0)))
+            self.clipped += int(np.count_nonzero((levels < -32768.0) | (levels > 32767.0)))
             samples = np.clip(levels, -32768.0, 32767.0, out=levels)
         self._fh.write(samples.astype(_WAV_TYPES[self.kind]).data)
         self.written += samples.size
-        self.clipped += clipped
-        return clipped
 
     def __enter__(self):
         return self

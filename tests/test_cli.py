@@ -322,6 +322,21 @@ def test_process_nan_in_last_block_exits_2(toy_design, tmp_path, capsys):
     assert not (tmp_path / "o.wav").exists()
 
 
+def test_process_onto_its_own_input_exits_2(toy_design, tmp_path, capsys):
+    # the input is memory-mapped while the output is written, so writing
+    # over it, by its own path or through a link, is refused untouched
+    wav_in = tmp_path / "in.wav"
+    _write_sine(wav_in, seconds=0.1)
+    original = wav_in.read_bytes()
+    (tmp_path / "soft.wav").symlink_to(wav_in)
+    (tmp_path / "hard.wav").hardlink_to(wav_in)
+    for target in ("in.wav", "soft.wav", "hard.wav"):
+        code = main(["process", toy_design, str(wav_in), str(tmp_path / target)])
+        assert code == 2, target
+        assert "is the input file" in capsys.readouterr().err
+        assert wav_in.read_bytes() == original, target
+
+
 def test_process_memory_does_not_grow_with_length(tmp_path):
     # the WAV file is read and written by blocks through one stream, so 16 s
     # of the flagship peaks where 2 s does

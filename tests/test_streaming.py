@@ -308,6 +308,14 @@ def test_process_signal_gains():
     assert_raises(ValueError, process_signal, design, x, [0.0, np.nan])
     assert_raises(ValueError, process_signal, design, x, [np.inf, 0.0])
     assert process_signal(design, x).size == x.size
+    # unequal finite gains, against scaling the frames of analyze by hand
+    gains = rng.uniform(-30.0, 10.0, 2)
+    frames = analyze(design, x)
+    for f, g in zip(frames, gains):
+        f.samples *= 10.0 ** (g / 20.0)
+    want = synthesize(design, frames)[: x.size]
+    got = process_signal(design, x, gains_db=gains)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_allpass_line_matches_block_filtering():
