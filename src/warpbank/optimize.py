@@ -92,8 +92,8 @@ class BankDesign:
         return self.prototype_half().full()
 
 
-# grid points per block of the derivative pass: the block's scaled copy of ua
-# is the largest temporary of an order-2 evaluation
+# grid points per block of the derivative pass; the block's mix d ua is as
+# large as its rows of ua
 _GRID_BLOCK = 64
 
 
@@ -104,13 +104,25 @@ def _evaluate(half, weights, tables, order=2, products=None):
     requested derivative order.  products, if given, is
     tables.channel_products(half), already computed.
 
-    The derivatives take one pass over blocks of _GRID_BLOCK grid points.
-    Per block, v = (U + U^T) h comes from one batched matmul per table and
-    fills that block of the error gradient; the Hessian's Gauss-Newton
-    terms and its curvature term Re sum c (u_a u_s^T + u_s u_a^T) are
-    accumulated from the block, the latter by one GEMM on the block's scaled
-    ua, kept in one buffer.  So memory above the tables is the
-    (grid, order/2) error gradient plus one block.
+    The derivatives take one pass over blocks of _GRID_BLOCK grid points in
+    real arithmetic on the planar ua and the factored synthesis side
+    us = p0 (wc c0 - j ws d0) (see TransferTables); a complex array is a
+    pair of (re, im) planes.  Per block:
+
+    - v = (U + U^T) h is sum_k B_k ua_k, one batched matmul against ua's
+      planes, plus c0 (A' @ wc) - j d0 (A' @ ws) with A' = p0 A, one GEMM.
+      It fills that block of the error gradient.
+    - The Gauss-Newton terms of the Hessian are one GEMM of v against its
+      planes, weighted by a 2x2 matrix per grid point.
+    - The curvature of E, Re sum c ua_k us_k^T (symmetrized), is with d =
+      c p0 the sum over k of wc_k * Re(d ua_k)^T c0 + ws_k * Im(d ua_k)^T d0.
+      The planes of d ua are one batched matmul of 2x2 mixes against ua's;
+      the 2M products with c0 and d0 are one batch of GEMMs added into Z,
+      and the weights (wc, ws) apply to Z once, after the last block.
+
+    So no scaled copy of the table is made.  Memory above the tables is the
+    (grid, order/2) error gradient, Z of (2, channels, order/2, order/2)
+    and one block.
     """
     A, B = tables.channel_products(half) if products is None else products
     t = np.einsum("gm,gm->g", A, B)
@@ -118,34 +130,65 @@ def _evaluate(half, weights, tables, order=2, products=None):
     g = float(np.dot(weights, err * err))
     if order < 1:
         return g, None, None, t, err
-    n2 = half.size
+    n2, M = half.size, A.shape[1]
+    wc, ws = tables.wc, tables.ws
+    # [wc, 0; 0, ws]: rows (Re A', Im A') and (Im A', -Re A') give the
+    # planes of A' @ wc and of -j A' @ ws
+    split = np.zeros((2 * M, 2 * n2))
+    split[:M, :n2], split[M:, n2:] = wc, ws
+    # per grid point, 2 (Re t, Im t): the error gradient's weights on v
+    tt = 2.0 * np.stack([t.real, t.imag], axis=-1)[:, None, :]
     grad_err = np.empty((t.size, n2))
     if order >= 2:
         hess = np.zeros((n2, n2))
-        cross = np.zeros((n2, n2))
-        scaled = np.empty((min(_GRID_BLOCK, t.size),) + tables.ua.shape[1:], complex)
-    w2 = 4.0 * weights * err
-    c = w2 * np.conj(t)
+        w2 = 4.0 * weights * err
+        # Gauss-Newton weights of v's planes, 2 B tt^T tt + w2 I, and the
+        # mixes [Re d, -Im d; Im d, Re d] that take ua's planes to d ua's
+        gn = (2.0 * weights)[:, None, None] * tt.transpose(0, 2, 1) * tt
+        gn += w2[:, None, None] * np.eye(2)
+        d = w2 * np.conj(t) * tables.p0
+        mix = np.stack([d.real, -d.imag, d.imag, d.real], axis=-1).reshape(-1, 2, 2)
+        z = np.zeros((2, M, n2, n2))
+    # work buffers for one block, reused by every block
+    points = min(_GRID_BLOCK, t.size)
+    coef = np.empty((points, 4, M))
+    rows = np.empty((points, 4, M))
+    v = np.empty((points, 2, n2))
+    q = np.empty((points, 2, 2, n2))
+    work = np.empty(points * 2 * M * n2 if order >= 2 else 0)
     for first in range(0, t.size, _GRID_BLOCK):
         b = slice(first, first + _GRID_BLOCK)
-        ua, us = tables.ua[b], tables.us[b]
-        # v = (U + U^T) h per grid point; E gradient is 2(Re t * Re v + Im t * Im v)
-        v = np.matmul(B[b, None, :], ua)[:, 0]
-        v += np.matmul(A[b, None, :], us)[:, 0]
-        block = grad_err[b]
-        np.multiply(t.real[b, None], v.real, out=block)
-        block += t.imag[b, None] * v.imag
-        block *= 2.0
+        ua, basis0 = tables.ua[b], tables.basis0[b]
+        size = ua.shape[0]
+        if size < points:
+            coef, rows, v, q = coef[:size], rows[:size], v[:size], q[:size]
+        # analysis half: (Re B, -Im B) and (Im B, Re B) against ua's planes
+        Bb, pa = B[b], tables.p0[b, None] * A[b]
+        coef[:, 0] = coef[:, 3] = Bb.real
+        coef[:, 2] = Bb.imag
+        np.negative(Bb.imag, out=coef[:, 1])
+        np.matmul(coef.reshape(size, 2, 2 * M), ua.reshape(size, 2 * M, n2), out=v)
+        # synthesis half: q[g, plane, c0/d0] from one GEMM, times the bases
+        rows[:, 0] = pa.real
+        rows[:, 1] = rows[:, 2] = pa.imag
+        np.negative(pa.real, out=rows[:, 3])
+        np.matmul(rows.reshape(2 * size, 2 * M), split, out=q.reshape(2 * size, 2 * n2))
+        q *= basis0[:, None]
+        v += q[:, :, 0]
+        v += q[:, :, 1]
+        np.matmul(tt[b], v, out=grad_err[b, None])
         if order < 2:
             continue
-        hess += block.T @ ((2.0 * weights[b])[:, None] * block)
-        hess += v.real.T @ (w2[b, None] * v.real) + v.imag.T @ (w2[b, None] * v.imag)
-        # curvature of E itself: Re sum c u_a u_s^T, symmetrized below
-        part = np.multiply(c[b, None, None], ua, out=scaled[: ua.shape[0]])
-        cross += (part.reshape(-1, n2).T @ us.reshape(-1, n2)).real
+        hess += v.reshape(-1, n2).T @ np.matmul(gn[b], v).reshape(-1, n2)
+        # z[0, k] += Re(d ua_k)^T c0 and z[1, k] += Im(d ua_k)^T d0
+        du = work[: size * 2 * M * n2].reshape(size, 2, M * n2)
+        np.matmul(mix[b], ua.reshape(size, 2, M * n2), out=du)
+        du = du.reshape(size, 2, M, n2).transpose(1, 2, 3, 0)
+        z += np.matmul(du, basis0.transpose(1, 0, 2)[:, None])
     grad = 2.0 * (weights * err) @ grad_err
     if order < 2:
         return g, grad, None, t, err
+    cross = np.einsum("qkj,qkij->ij", np.stack([wc, ws]), z)
     hess += cross + cross.T
     return g, grad, hess, t, err
 

@@ -12,9 +12,13 @@ the warped angles nu and pi - nu gives the response of every channel on it
 by two real GEMMs.  Blocks of shifts and grid points keep memory O(grid).
 Every transfer curve and the bifrequency map read that one pass.
 Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
-recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h.  They
-are the only route to those vectors; transfer_quadratic reads U off a
-one-point table.
+recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h,
+U = sum_k ua_k us_k^T.  The alias-summed analysis vectors ua are stored as
+real and imaginary planes; the synthesis vectors us are image 0 only and
+factor into one cosine basis over nu0 and pi - nu0 (the shift-0 basis of
+the direct pass), a phase per grid point and fixed per-channel weights, so
+only those factors are kept.  The tables are the only route to these
+vectors; transfer_quadratic reads U off a one-point table.
 """
 
 import functools
@@ -126,27 +130,36 @@ def _images_per_batch(size, n2, ua_bytes):
 class TransferTables:
     """Stacked per-channel response vectors over a frequency grid.
 
-    ua[g, k, :] @ half gives the alias-summed analysis response of channel k
-    at grid point g; us[g, k, :] @ half gives the synthesis response.  The
-    overall transfer at g is then sum_k (ua @ h)(us @ h), one einsum per
-    optimizer iteration instead of assembling any U matrix.
+    ua holds the alias-summed analysis vectors in planar real form, (grid, 2,
+    channels, N/2): (ua[g, 0, k] + j ua[g, 1, k]) @ half is the analysis
+    response of channel k at grid point g, summed over its S_k images.  The
+    synthesis vectors are image 0 only, and by the identity of _split_weights
+    they factor as
+
+        us[g, k, :] = p0[g] (wc[k] c0[g] - j ws[k] d0[g])
+
+    with c0, d0 the real cosine bases at nu0 = -phi(omega) and pi - nu0,
+    stored as basis0 = (grid, 2, N/2) with c0 first, p0 = e^{-j(N-1) nu0/2}
+    and (wc, ws) = _split_weights(ones(N/2), M).  The tables keep those
+    factors, not us, so they hold G M N/2 complex entries once;
+    synthesis_vectors forms us for given grid rows.  The overall transfer
+    at g is sum_k (ua @ h)(us @ h).
 
     The build runs channel by channel.  A channel's S_k alias images go in
     batches of as many as _images_per_batch allows: the angle pairs of a batch
     are stacked, one forward cosine recurrence fills the real basis of the
     whole stack, and one matmul, batched over grid points, contracts it with
     the real and imaginary parts of the pair weights into ua, so no complex
-    copy of the basis is made.  The batch with image 0 also gives us, whose
-    angles are the same.  Memory above the tables is one batch.
+    copy of the basis is made.  One more recurrence over nu0 and pi - nu0
+    gives c0 and d0.  Memory above the tables is one batch.
     """
 
     def __init__(self, config, omega=None):
         self.config = config
         self.omega = frequency_grid(config) if omega is None else _check_grid(omega)
-        size, n2 = self.omega.size, config.order // 2
-        shape = (size, config.channels, n2)
-        self.ua = np.zeros(shape, dtype=complex)
-        self.us = np.zeros(shape, dtype=complex)
+        size, N = self.omega.size, config.order
+        n2 = N // 2
+        self.ua = np.zeros((size, 2, config.channels, n2))
         batch = min(_images_per_batch(size, n2, self.ua.nbytes), max(config.subsampling))
         # work buffers kept across batches: the recurrence rows and the product
         rows = np.empty((n2 + 1) * size * 2 * batch)
@@ -155,12 +168,17 @@ class TransferTables:
             S = config.subsampling[k]
             for first in range(0, S, batch):
                 self._add_images(k, np.arange(first, min(first + batch, S)), rows, prod)
+        nu = -allpass_phase(self.omega, config.alpha)
+        out = rows[: (n2 + 1) * size * 2].reshape(n2 + 1, size, 2)
+        basis = modulation.cosine_basis(np.stack([nu, np.pi - nu], axis=1), N, out=out)
+        self.basis0 = np.ascontiguousarray(basis)
+        self.p0 = np.exp(-0.5j * (N - 1) * nu)
+        self.wc, self.ws = _split_weights(np.ones(n2), config.channels)
 
     def _add_images(self, channel, images, rows, prod):
-        """Add channel's analysis vectors for the given images into ua; the
-        batch holding image 0 also sets its synthesis vector in us.  rows (flat,
-        at least (N/2 + 1) * grid * 2 * images floats) and prod (grid, N/2, 2)
-        are work buffers."""
+        """Add channel's analysis vectors for the given images into ua.  rows
+        (flat, at least (N/2 + 1) * grid * 2 * images floats) and prod
+        (grid, N/2, 2) are work buffers."""
         config = self.config
         M, N = config.channels, config.order
         size = self.omega.size
@@ -171,23 +189,28 @@ class TransferTables:
         rows = rows[: (N // 2 + 1) * stack.size].reshape((N // 2 + 1,) + stack.shape)
         modulation.cosine_basis(stack, N, out=rows)
         basis = rows[1:].reshape(N // 2, size, -1).transpose(1, 0, 2)  # (grid, n, q)
-
-        def contract(weights, q):
-            # (pair, grid, ...) complex weights as (grid, q, re/im) reals, times
-            # the first q basis columns; a view of prod
-            pairs = np.ascontiguousarray(np.moveaxis(weights, 0, -1))
-            np.matmul(basis[:, :, :q], pairs.view(float).reshape(size, q, 2), out=prod)
-            return prod.view(complex)[..., 0]
-
+        # (pair, grid, image) complex weights as (grid, q, re/im) reals
         s = modulation._pair_scaling(g, channel, M, N)
-        self.ua[:, channel, :] += contract(s, basis.shape[2])
-        if images[0] == 0:
-            s = modulation._pair_scaling(g[:, :, 0], channel, M, N, synthesis=True)
-            self.us[:, channel, :] = contract(s, 2)
+        pairs = np.ascontiguousarray(np.moveaxis(s, 0, -1)).view(float)
+        np.matmul(basis, pairs.reshape(size, -1, 2), out=prod)
+        self.ua[:, :, channel] += prod.transpose(0, 2, 1)
+
+    def synthesis_vectors(self, rows=slice(None)):
+        """us at the given grid rows, complex (points, channels, N/2), formed
+        from the factors."""
+        c0, d0 = self.basis0[rows, None, 0], self.basis0[rows, None, 1]
+        return self.p0[rows, None, None] * (self.wc * c0 - 1j * (self.ws * d0))
 
     def channel_products(self, half):
-        """(analysis, synthesis) responses per grid point and channel."""
-        return self.ua @ half, self.us @ half
+        """(analysis, synthesis) responses per grid point and channel.
+
+        The analysis one is one real GEMV over ua; the synthesis one is
+        p0 (c0 @ (wc h)^T - j d0 @ (ws h)^T), two real GEMMs."""
+        half = np.asarray(half, dtype=float)
+        a = (self.ua.reshape(-1, half.size) @ half).reshape(self.ua.shape[:3])
+        bc = self.basis0[:, 0] @ (self.wc * half).T
+        bd = self.basis0[:, 1] @ (self.ws * half).T
+        return a[:, 0] + 1j * a[:, 1], self.p0[:, None] * (bc - 1j * bd)
 
     def overall(self, half):
         """T_all over the grid via the quadratic form."""
@@ -198,11 +221,13 @@ class TransferTables:
 def transfer_quadratic(omega, config):
     """Quadratic-form matrix U(omega) at one frequency, h^T U h = T_all.
 
-    U = sum_k ua_k outer us_k from a one-point TransferTables; for
-    small-scale checks of the table vectors against the direct route.
+    U = sum_k ua_k outer us_k from a one-point TransferTables, us formed by
+    synthesis_vectors; for small-scale checks of the table vectors against
+    the direct route.
     """
     tables = TransferTables(config, np.reshape(omega, 1))
-    return tables.ua[0].T @ tables.us[0]
+    ua = tables.ua[0, 0] + 1j * tables.ua[0, 1]
+    return ua.T @ tables.synthesis_vectors(slice(0, 1))[0]
 
 
 def _as_proto(half, config):

@@ -7,11 +7,13 @@ warpbank.modulation; the quadratic-form vectors are formed from the
 modulated taps, for TransferTables in warpbank.transfer; the transfer
 curves and the bifrequency map sum one Clenshaw-evaluated channel response
 per (channel, image), for the shift-by-shift pass in warpbank.transfer; the
-optimizer's Hessian is formed from whole-table products, for the
-grid-blocked one in warpbank.optimize; the block line computes every channel sample, kept or
-dropped, and carries its state one chunk at a time, for the polyphase line
-and the chunked scan in warpbank.streaming; CSV rows are formatted one at a
-time, for the block writer in warpbank.files.  No production path uses them.
+optimizer's objective, gradient and Hessian are formed from complex
+whole-table products of those vectors, for the grid-blocked real-arithmetic
+ones on the planar and factored tables in warpbank.optimize; the block line
+computes every channel sample, kept or dropped, and carries its state one
+chunk at a time, for the polyphase line and the chunked scan in
+warpbank.streaming; CSV rows are formatted one at a time, for the block
+writer in warpbank.files.  No production path uses them.
 """
 
 import numpy as np
@@ -159,22 +161,29 @@ def bifrequency_cells(proto, config, in_grid, out_grid):
     return acc
 
 
-def hessian(half, weights, tables):
-    """Hessian of sum B E^2 from whole-table products: v by einsum and the
-    curvature term Re sum c (u_a u_s^T + u_s u_a^T) from one scaled copy of
-    ua, with no blocking over the grid."""
-    A, B = tables.channel_products(half)
+def derivatives(half, weights, config, omega):
+    """(g, grad, hess) of sum B E^2 on the grid omega, from complex tables
+    ua (image sums) and us (image 0) of response_vector, with no blocking
+    over the grid: v by einsum and the curvature term Re sum c (u_a u_s^T +
+    u_s u_a^T) from one scaled copy of ua."""
+    ua = np.stack([sum(response_vector(omega, l, k, config)
+                       for l in range(config.subsampling[k]))
+                   for k in range(config.channels)], axis=1)
+    us = np.stack([response_vector(omega, 0, k, config, synthesis=True)
+                   for k in range(config.channels)], axis=1)
+    A, B = ua @ half, us @ half
     t = np.einsum("gm,gm->g", A, B)
     err = t.real**2 + t.imag**2 - 1.0
-    v = np.einsum("gmn,gm->gn", tables.ua, B) + np.einsum("gmn,gm->gn", tables.us, A)
+    v = np.einsum("gmn,gm->gn", ua, B) + np.einsum("gmn,gm->gn", us, A)
     grad_err = 2.0 * (t.real[:, None] * v.real + t.imag[:, None] * v.imag)
+    grad = 2.0 * (weights * err) @ grad_err
     hess = grad_err.T @ ((2.0 * weights)[:, None] * grad_err)
     w2 = 4.0 * weights * err
     hess += v.real.T @ (w2[:, None] * v.real) + v.imag.T @ (w2[:, None] * v.imag)
-    G, M, n2 = tables.ua.shape
-    scaled = ((w2 * np.conj(t))[:, None, None] * tables.ua).reshape(G * M, n2)
-    cross = scaled.T @ tables.us.reshape(G * M, n2)
-    return hess + cross.real + cross.real.T
+    G, M, n2 = ua.shape
+    scaled = ((w2 * np.conj(t))[:, None, None] * ua).reshape(G * M, n2)
+    cross = scaled.T @ us.reshape(G * M, n2)
+    return float(np.dot(weights, err * err)), grad, hess + cross.real + cross.real.T
 
 
 def carry_loop(phi, drive, starts, state):

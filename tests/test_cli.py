@@ -99,10 +99,13 @@ def test_design_out_of_range_value_exits_2(tmp_path, capsys):
 
 
 def test_design_nonconvergence_warns_but_succeeds(tmp_path, capsys):
+    # ratio 2 on channel 0 keeps the ripple at 6.6 dB and the envelope
+    # flatness at 0.23 after both passes; with all ratios 1 this bank reaches
+    # T = 1 to rounding, and whether its equal peaks then pass psi is chance
     cfg = tmp_path / "c.yaml"
     cfg.write_text(
         "channels: 2\norder: 8\nalpha: 0.0\ngrid_points: 128\n"
-        "psi: 1.0e-9\nmax_outer: 2\n"
+        "psi: 1.0e-9\nmax_outer: 2\nsubsampling: [2, 1]\n"
     )
     out = tmp_path / "d.yaml"
     assert main(["design", str(cfg), "-o", str(out)]) == 0

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
 
@@ -102,8 +104,52 @@ def test_blocked_hessian_matches_unblocked_oracle(block):
                 tables = TransferTables(config)
                 weights = rng.uniform(0.1, 2.0, points)
             got = hessian(half, weights, tables)
-            want = oracles.hessian(half, weights, tables)
+            want = oracles.derivatives(half, weights, tables.config, tables.omega)[2]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def _evaluation_problems(draw):
+    """(channels, taps, alpha, ratios, grid points, seed); the grid's last
+    block of _GRID_BLOCK points is ragged."""
+    channels = draw(st.integers(1, 6))
+    taps = draw(st.integers(1, 2))
+    alpha = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True,
+                           allow_subnormal=False))
+    ratios = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
+    block = optimize._GRID_BLOCK
+    points = block * draw(st.integers(0, 2)) + draw(st.integers(1, block - 1))
+    return channels, taps, alpha, ratios, points, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_evaluation_problems())
+@example((4, 2, 0.5783, [1, 1, 1, 1], 130, 7))
+def test_evaluate_matches_complex_table_oracle(problem):
+    # objective, gradient and Hessian of the planar, factored tables against
+    # complex ua/us summed from the per-image response vectors, each within
+    # 1e-12 of its max.  On some banks the alias images of ua cancel (one
+    # channel with an even ratio keeps only odd taps at alpha 0), which
+    # leaves ua with rounding of about eps max|us| in both routes; the
+    # derivatives are quadratic in ua, so that tolerance grows by kappa^2,
+    # kappa = max|us| / max|ua| where it exceeds 1
+    channels, taps, alpha, ratios, points, seed = problem
+    config = BankConfig(channels=channels, order=2 * channels * taps, alpha=alpha,
+                        subsampling=ratios)
+    rng = np.random.default_rng(seed)
+    half = 0.5 * rng.standard_normal(channels * taps)
+    weights = rng.uniform(0.1, 2.0, points)
+    omega = np.sort(rng.uniform(0.0, np.pi, points))
+    tables = TransferTables(config, omega)
+    kappa = np.max(np.abs(tables.synthesis_vectors())) / np.max(np.abs(tables.ua))
+    want = oracles.derivatives(half, weights, config, omega)
+    scales = [max(1.0, kappa) ** 2 * np.max(np.abs(w)) for w in want]
+    for order in (0, 1, 2):
+        got = optimize._evaluate(half, weights, tables, order)[:3]
+        for i, (a, b) in enumerate(zip(got, want)):
+            if i > order:
+                assert a is None
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * scales[i], (order, i)
 
 
 def _mid_bank():

@@ -526,8 +526,8 @@ def test_flagship_stream_matches_dense_oracle():
 
 
 def test_process_memory_does_not_grow_with_length():
-    # what process_signal holds beyond its frames and its output is the
-    # per-super-block working set, the same at L and 8L samples
+    # what process_signal holds beyond its output is the per-super-block
+    # working set, the same at L and 8L samples; the stream keeps no frames
     design = _toy_design(4, 32, 0.6, [4, 3, 2, 1])
     rng = np.random.default_rng(167)
     short = 2 * streaming._BLOCK
@@ -539,8 +539,6 @@ def test_process_memory_does_not_grow_with_length():
         process_signal(design, x)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        frames = [-(-length // s) for s in design.subsampling]
-        output = max(n * s for n, s in zip(frames, design.subsampling))
-        rest.append(peak - 8 * (sum(frames) + output))
+        rest.append(peak - 8 * length)
     # one byte more per sample of the longer signal would show as 7*short
     assert rest[1] - rest[0] < 7 * short

@@ -218,13 +218,18 @@ def test_batched_tables_match_per_image_vectors(case, batch):
         mp.setattr(transfer, "_images_per_batch", lambda *args: batch)
         mp.setattr(modulation, "cosine_basis", counted)
         tables = TransferTables(config, omega)
-    assert len(calls) == sum(-(-S // batch) for S in config.subsampling)
+    # one recurrence per batch, and one for the synthesis factors
+    assert len(calls) == sum(-(-S // batch) for S in config.subsampling) + 1
+    synthesis = tables.synthesis_vectors()
     for k in range(config.channels):
         ua = sum(response_vector(omega, l, k, config)
                  for l in range(config.subsampling[k]))
         us = response_vector(omega, 0, k, config, synthesis=True)
-        assert np.max(np.abs(tables.ua[:, k] - ua)) <= 1e-12 * np.max(np.abs(ua))
-        assert np.max(np.abs(tables.us[:, k] - us)) <= 1e-12 * np.max(np.abs(us))
+        got = tables.ua[:, 0, k] + 1j * tables.ua[:, 1, k]
+        assert np.max(np.abs(got - ua)) <= 1e-12 * np.max(np.abs(ua))
+        assert np.max(np.abs(synthesis[:, k] - us)) <= 1e-12 * np.max(np.abs(us))
+    rows = [3, 0, 36]
+    assert_array_equal(tables.synthesis_vectors(rows), synthesis[rows])
 
 
 @pytest.mark.parametrize("grid", [256, 2048])
@@ -240,8 +245,23 @@ def test_transfer_tables_build_memory_is_one_batch(grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = tables.ua.nbytes + tables.us.nbytes + tables.omega.nbytes
+    own = _table_bytes(tables)
     assert peak - own <= min(transfer._BATCH_BYTES, tables.ua.nbytes // 2)
+
+
+def _table_bytes(tables):
+    return sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("grid", [24, 1408])
+def test_transfer_tables_hold_ua_once(grid):
+    # the synthesis side is kept as factors of O(grid * order) bytes, not as
+    # a second table the size of ua
+    config = BankConfig(channels=22, order=176, alpha=0.5783,
+                        subsampling=[4, 3] * 11, grid_points=grid)
+    tables = TransferTables(config)
+    assert tables.ua.nbytes == 16 * grid * config.channels * config.order // 2
+    assert _table_bytes(tables) <= tables.ua.nbytes + 64 * grid * config.order // 2
 
 
 def test_transfer_tables_match_pointwise_routines():
@@ -249,8 +269,8 @@ def test_transfer_tables_match_pointwise_routines():
     half, config = _random_case(rng)
     omega = np.linspace(0.0, np.pi, 21)
     tables = TransferTables(config, omega)
-    assert tables.ua.shape == (21, config.channels, config.order // 2)
-    assert tables.us.shape == tables.ua.shape
+    assert tables.ua.shape == (21, 2, config.channels, config.order // 2)
+    assert tables.synthesis_vectors().shape == (21, config.channels, config.order // 2)
     assert_allclose(
         tables.overall(half), overall_transfer(half, omega, config), atol=1e-9
     )
@@ -264,7 +284,7 @@ def test_transfer_tables_check_omega():
     for omega in bad:
         with assert_raises(ValueError, match="omega"):
             TransferTables(config, omega)
-    assert TransferTables(config, [0.1, 0.2]).ua.shape == (2, 2, 4)
+    assert TransferTables(config, [0.1, 0.2]).ua.shape == (2, 2, 2, 4)
     assert transfer_quadratic(0.4, config).shape == (4, 4)
 
 
