@@ -92,8 +92,8 @@ class BankDesign:
         return self.prototype_half().full()
 
 
-# grid points per block of the derivative pass; the block's mix d ua is as
-# large as its rows of ua
+# grid points per block of the derivative pass; the block's mix d ta is as
+# large as its rows of ta
 _GRID_BLOCK = 64
 
 
@@ -104,25 +104,31 @@ def _evaluate(half, weights, tables, order=2, products=None):
     requested derivative order.  products, if given, is
     tables.channel_products(half), already computed.
 
-    The derivatives take one pass over blocks of _GRID_BLOCK grid points in
-    real arithmetic on the planar ua and the factored synthesis side
-    us = p0 (wc c0 - j ws d0) (see TransferTables); a complex array is a
-    pair of (re, im) planes.  Per block:
+    The tables hold the quadratic form in the DCT-IV basis of the cosine
+    modulation, U = sum_c ta_c us'_c^T with us'_c = p0 (sc_c c0 - j ss_c d0)
+    (see TransferTables): each canonical column c selects m = N/(2M) signed
+    columns of c0 and of d0.  With G grid points, M channels and n = N/2,
+    orders 0 and 1 cost one GEMV over ta (2 G M n multiply-adds) and two
+    (G, n) x (n, M) GEMMs, as with per-channel tables.  The derivatives take
+    one pass over blocks of _GRID_BLOCK grid points in real arithmetic; a
+    complex array is a pair of (re, im) planes.  Per block:
 
-    - v = (U + U^T) h is sum_k B_k ua_k, one batched matmul against ua's
-      planes, plus c0 (A' @ wc) - j d0 (A' @ ws) with A' = p0 A, one GEMM.
+    - v = (U + U^T) h is sum_c B_c ta_c, one batched matmul against ta's
+      planes, plus c0 (A' @ sc) - j d0 (A' @ ss) with A' = p0 A, one GEMM.
       It fills that block of the error gradient.
     - The Gauss-Newton terms of the Hessian are one GEMM of v against its
       planes, weighted by a 2x2 matrix per grid point.
-    - The curvature of E, Re sum c ua_k us_k^T (symmetrized), is with d =
-      c p0 the sum over k of wc_k * Re(d ua_k)^T c0 + ws_k * Im(d ua_k)^T d0.
-      The planes of d ua are one batched matmul of 2x2 mixes against ua's;
-      the 2M products with c0 and d0 are one batch of GEMMs added into Z,
-      and the weights (wc, ws) apply to Z once, after the last block.
+    - The curvature of E, Re sum c ta_c us'_c^T (symmetrized), is with d =
+      c p0 the sum over c of Re(d ta_c)^T (sc_c c0) + Im(d ta_c)^T (ss_c d0).
+      The planes of d ta are one batched matmul of 2x2 mixes against ta's;
+      one batched matmul takes them against the m signed c0 and d0 columns
+      each canonical column selects, gathered from basis0 for the block:
+      2 G n^2 multiply-adds in all, where per-channel weights took 2 M G
+      n^2.  Z of (2, channels, n, m) gathers the products, and it is
+      scattered into the (n, n) cross term once, after the last block.
 
     So no scaled copy of the table is made.  Memory above the tables is the
-    (grid, order/2) error gradient, Z of (2, channels, order/2, order/2)
-    and one block.
+    (grid, order/2) error gradient and one block.
     """
     A, B = tables.channel_products(half) if products is None else products
     t = np.einsum("gm,gm->g", A, B)
@@ -131,11 +137,10 @@ def _evaluate(half, weights, tables, order=2, products=None):
     if order < 1:
         return g, None, None, t, err
     n2, M = half.size, A.shape[1]
-    wc, ws = tables.wc, tables.ws
-    # [wc, 0; 0, ws]: rows (Re A', Im A') and (Im A', -Re A') give the
-    # planes of A' @ wc and of -j A' @ ws
+    # [sc, 0; 0, ss]: rows (Re A', Im A') and (Im A', -Re A') give the
+    # planes of A' @ sc and of -j A' @ ss
     split = np.zeros((2 * M, 2 * n2))
-    split[:M, :n2], split[M:, n2:] = wc, ws
+    split[:M, :n2], split[M:, n2:] = tables.sc, tables.ss
     # per grid point, 2 (Re t, Im t): the error gradient's weights on v
     tt = 2.0 * np.stack([t.real, t.imag], axis=-1)[:, None, :]
     grad_err = np.empty((t.size, n2))
@@ -143,12 +148,18 @@ def _evaluate(half, weights, tables, order=2, products=None):
         hess = np.zeros((n2, n2))
         w2 = 4.0 * weights * err
         # Gauss-Newton weights of v's planes, 2 B tt^T tt + w2 I, and the
-        # mixes [Re d, -Im d; Im d, Re d] that take ua's planes to d ua's
+        # mixes [Re d, -Im d; Im d, Re d] that take ta's planes to d ta's
         gn = (2.0 * weights)[:, None, None] * tt.transpose(0, 2, 1) * tt
         gn += w2[:, None, None] * np.eye(2)
         d = w2 * np.conj(t) * tables.p0
         mix = np.stack([d.real, -d.imag, d.imag, d.real], axis=-1).reshape(-1, 2, 2)
-        z = np.zeros((2, M, n2, n2))
+        # the columns of (c0, d0) that canonical column c selects, (2, M, m)
+        # with their signs, and as flat positions in a (2 n) row of basis0
+        select = np.stack([tables.sc, tables.ss])
+        columns = np.nonzero(select)[2].reshape(2, M, -1)
+        signs = np.take_along_axis(select, columns, axis=2)
+        flat = (columns + n2 * np.arange(2)[:, None, None]).ravel()
+        z = np.zeros((2, M, n2, columns.shape[2]))
     # work buffers for one block, reused by every block
     points = min(_GRID_BLOCK, t.size)
     coef = np.empty((points, 4, M))
@@ -158,16 +169,16 @@ def _evaluate(half, weights, tables, order=2, products=None):
     work = np.empty(points * 2 * M * n2 if order >= 2 else 0)
     for first in range(0, t.size, _GRID_BLOCK):
         b = slice(first, first + _GRID_BLOCK)
-        ua, basis0 = tables.ua[b], tables.basis0[b]
-        size = ua.shape[0]
+        ta, basis0 = tables.ta[b], tables.basis0[b]
+        size = ta.shape[0]
         if size < points:
             coef, rows, v, q = coef[:size], rows[:size], v[:size], q[:size]
-        # analysis half: (Re B, -Im B) and (Im B, Re B) against ua's planes
+        # analysis half: (Re B, -Im B) and (Im B, Re B) against ta's planes
         Bb, pa = B[b], tables.p0[b, None] * A[b]
         coef[:, 0] = coef[:, 3] = Bb.real
         coef[:, 2] = Bb.imag
         np.negative(Bb.imag, out=coef[:, 1])
-        np.matmul(coef.reshape(size, 2, 2 * M), ua.reshape(size, 2 * M, n2), out=v)
+        np.matmul(coef.reshape(size, 2, 2 * M), ta.reshape(size, 2 * M, n2), out=v)
         # synthesis half: q[g, plane, c0/d0] from one GEMM, times the bases
         rows[:, 0] = pa.real
         rows[:, 1] = rows[:, 2] = pa.imag
@@ -180,15 +191,19 @@ def _evaluate(half, weights, tables, order=2, products=None):
         if order < 2:
             continue
         hess += v.reshape(-1, n2).T @ np.matmul(gn[b], v).reshape(-1, n2)
-        # z[0, k] += Re(d ua_k)^T c0 and z[1, k] += Im(d ua_k)^T d0
+        # z[0, c] += Re(d ta_c)^T (sc_c c0) and z[1, c] += Im(d ta_c)^T (ss_c d0)
         du = work[: size * 2 * M * n2].reshape(size, 2, M * n2)
-        np.matmul(mix[b], ua.reshape(size, 2, M * n2), out=du)
+        np.matmul(mix[b], ta.reshape(size, 2, M * n2), out=du)
         du = du.reshape(size, 2, M, n2).transpose(1, 2, 3, 0)
-        z += np.matmul(du, basis0.transpose(1, 0, 2)[:, None])
+        picked = np.take(basis0.reshape(size, 2 * n2), flat, axis=1).reshape(size, *signs.shape)
+        picked *= signs
+        z += np.matmul(du, picked.transpose(1, 2, 0, 3))
     grad = 2.0 * (weights * err) @ grad_err
     if order < 2:
         return g, grad, None, t, err
-    cross = np.einsum("qkj,qkij->ij", np.stack([wc, ws]), z)
+    cross = np.zeros((n2, n2))
+    for zp, cols in zip(z, columns):
+        cross[:, cols.ravel()] += zp.transpose(1, 0, 2).reshape(n2, n2)
     hess += cross + cross.T
     return g, grad, hess, t, err
 
@@ -311,11 +326,18 @@ def envelope(extrema, grid):
     return np.interp(grid, grid[idx], vals)
 
 
+# |E| at or below this is rounding, not ripple: a prototype whose T_all is 1
+# to rounding leaves peaks of about 1e-15 to 1e-12 whose spread is noise.
+# The flagship's |E| is about 2e-6, four decades above.
+_FLAT_FLOOR = 1e-10
+
+
 def flatness(envelope_values):
-    """Relative envelope spread (max-min)/(max+min); 0 for an all-zero envelope."""
+    """Relative envelope spread (max-min)/(max+min); 0 for an envelope that
+    peaks at or below _FLAT_FLOOR, all-zero included."""
     b = np.asarray(envelope_values, dtype=float)
     hi, lo = b.max(), b.min()
-    if hi == 0.0:
+    if hi <= _FLAT_FLOOR:
         return 0.0
     return (hi - lo) / (hi + lo)
 

@@ -13,12 +13,17 @@ by two real GEMMs.  Blocks of shifts and grid points keep memory O(grid).
 Every transfer curve and the bifrequency map read that one pass.
 Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
 recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h,
-U = sum_k ua_k us_k^T.  The alias-summed analysis vectors ua are stored as
-real and imaginary planes; the synthesis vectors us are image 0 only and
+U = sum_k ua_k us_k^T.  The synthesis vectors us are image 0 only and
 factor into one cosine basis over nu0 and pi - nu0 (the shift-0 basis of
-the direct pass), a phase per grid point and fixed per-channel weights, so
-only those factors are kept.  The tables are the only route to these
-vectors; transfer_quadratic reads U off a one-point table.
+the direct pass), a phase per grid point and fixed per-channel weights
+(wc, ws) = _split_weights(ones).  The cosine modulation is a DCT-IV: wc =
+C Sc and ws = C Ss, where C is sqrt 2 times the M-point DCT-IV (C C^T = M I)
+and Sc, Ss hold one +-1 per column (_dct4_split).  So U = sum_c T_c us'_c^T
+with T_c = sum_k C[k, c] ua_k and us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the
+tables keep T (the size of ua, as real and imaginary planes) and the
+factors of us', whose synthesis side selects N/(2M) cosine columns per
+canonical column c instead of weighting all N/2.  The tables are the only
+route to these vectors; transfer_quadratic reads U off a one-point table.
 """
 
 import functools
@@ -127,44 +132,54 @@ def _images_per_batch(size, n2, ua_bytes):
     return max(1, budget // (16 * size * (n2 + 16)) - 1)
 
 
+# grid points per block of the in-place DCT-IV mix of the table; numpy copies
+# the block it overwrites, so this bounds that copy (1 MB on the flagship)
+_MIX_POINTS = 32
+
+
 class TransferTables:
-    """Stacked per-channel response vectors over a frequency grid.
+    """Stacked response vectors over a frequency grid, in the DCT-IV basis
+    of the cosine modulation.
 
-    ua holds the alias-summed analysis vectors in planar real form, (grid, 2,
-    channels, N/2): (ua[g, 0, k] + j ua[g, 1, k]) @ half is the analysis
-    response of channel k at grid point g, summed over its S_k images.  The
-    synthesis vectors are image 0 only, and by the identity of _split_weights
-    they factor as
+    ta holds, in planar real form (grid, 2, channels, N/2), the canonical
+    analysis vectors T_c = sum_k C[k, c] ua_k: (ta[g, 0, c] + j ta[g, 1, c])
+    @ half is the response of canonical column c at grid point g, where
+    ua_k is channel k's analysis vector summed over its S_k images and C,
+    sc, ss come from _dct4_split.  The synthesis side factors as
 
-        us[g, k, :] = p0[g] (wc[k] c0[g] - j ws[k] d0[g])
+        us'[g, c, :] = p0[g] (sc[c] c0[g] - j ss[c] d0[g])
 
     with c0, d0 the real cosine bases at nu0 = -phi(omega) and pi - nu0,
-    stored as basis0 = (grid, 2, N/2) with c0 first, p0 = e^{-j(N-1) nu0/2}
-    and (wc, ws) = _split_weights(ones(N/2), M).  The tables keep those
-    factors, not us, so they hold G M N/2 complex entries once;
-    synthesis_vectors forms us for given grid rows.  The overall transfer
-    at g is sum_k (ua @ h)(us @ h).
+    stored as basis0 = (grid, 2, N/2) with c0 first, and p0 = e^{-j(N-1)
+    nu0/2}; each row of sc and ss selects N/(2M) columns with signs.  The
+    channel synthesis vectors are us_k = sum_c C[k, c] us'_c, so the overall
+    transfer at g is sum_k (ua_k @ h)(us_k @ h) = sum_c (ta_c @ h)(us'_c @ h).
+    The tables hold G M N/2 complex entries once; synthesis_vectors forms
+    us' for given grid rows.
 
-    The build runs channel by channel.  A channel's S_k alias images go in
-    batches of as many as _images_per_batch allows: the angle pairs of a batch
-    are stacked, one forward cosine recurrence fills the real basis of the
-    whole stack, and one matmul, batched over grid points, contracts it with
-    the real and imaginary parts of the pair weights into ua, so no complex
-    copy of the basis is made.  One more recurrence over nu0 and pi - nu0
-    gives c0 and d0.  Memory above the tables is one batch.
+    The build runs channel by channel into ta.  A channel's S_k alias
+    images go in batches of as many as _images_per_batch allows: the angle
+    pairs of a batch are stacked, one forward cosine recurrence fills the
+    real basis of the whole stack, and one matmul, batched over grid points,
+    contracts it with the real and imaginary parts of the pair weights into
+    the channel's ua, so no complex copy of the basis is made.  One more
+    recurrence over nu0 and pi - nu0 gives c0 and d0.  Then C^T mixes the
+    channel axis in place, _MIX_POINTS grid points at a time (M^2 N/2
+    multiply-adds per point and plane).  Memory above the tables is one
+    batch.
     """
 
     def __init__(self, config, omega=None):
         self.config = config
         self.omega = frequency_grid(config) if omega is None else _check_grid(omega)
-        size, N = self.omega.size, config.order
+        size, M, N = self.omega.size, config.channels, config.order
         n2 = N // 2
-        self.ua = np.zeros((size, 2, config.channels, n2))
-        batch = min(_images_per_batch(size, n2, self.ua.nbytes), max(config.subsampling))
+        self.ta = np.zeros((size, 2, M, n2))
+        batch = min(_images_per_batch(size, n2, self.ta.nbytes), max(config.subsampling))
         # work buffers kept across batches: the recurrence rows and the product
         rows = np.empty((n2 + 1) * size * 2 * batch)
         prod = np.empty((size, n2, 2))
-        for k in range(config.channels):
+        for k in range(M):
             S = config.subsampling[k]
             for first in range(0, S, batch):
                 self._add_images(k, np.arange(first, min(first + batch, S)), rows, prod)
@@ -172,13 +187,19 @@ class TransferTables:
         out = rows[: (n2 + 1) * size * 2].reshape(n2 + 1, size, 2)
         basis = modulation.cosine_basis(np.stack([nu, np.pi - nu], axis=1), N, out=out)
         self.basis0 = np.ascontiguousarray(basis)
+        # the batch buffers go before the mix makes its block copies
+        del rows, prod, out, basis
         self.p0 = np.exp(-0.5j * (N - 1) * nu)
-        self.wc, self.ws = _split_weights(np.ones(n2), config.channels)
+        C, self.sc, self.ss = _dct4_split(n2, M)
+        for first in range(0, size, _MIX_POINTS):
+            block = self.ta[first : first + _MIX_POINTS].reshape(-1, M, n2)
+            np.matmul(C.T, block, out=block)
 
     def _add_images(self, channel, images, rows, prod):
-        """Add channel's analysis vectors for the given images into ua.  rows
-        (flat, at least (N/2 + 1) * grid * 2 * images floats) and prod
-        (grid, N/2, 2) are work buffers."""
+        """Add channel's analysis vectors for the given images into ta, which
+        holds per-channel vectors until the build mixes it.  rows (flat, at
+        least (N/2 + 1) * grid * 2 * images floats) and prod (grid, N/2, 2)
+        are work buffers."""
         config = self.config
         M, N = config.channels, config.order
         size = self.omega.size
@@ -193,23 +214,25 @@ class TransferTables:
         s = modulation._pair_scaling(g, channel, M, N)
         pairs = np.ascontiguousarray(np.moveaxis(s, 0, -1)).view(float)
         np.matmul(basis, pairs.reshape(size, -1, 2), out=prod)
-        self.ua[:, :, channel] += prod.transpose(0, 2, 1)
+        self.ta[:, :, channel] += prod.transpose(0, 2, 1)
 
     def synthesis_vectors(self, rows=slice(None)):
-        """us at the given grid rows, complex (points, channels, N/2), formed
-        from the factors."""
+        """us' at the given grid rows, complex (points, channels, N/2): the
+        synthesis vectors of the canonical columns, formed from the factors."""
         c0, d0 = self.basis0[rows, None, 0], self.basis0[rows, None, 1]
-        return self.p0[rows, None, None] * (self.wc * c0 - 1j * (self.ws * d0))
+        return self.p0[rows, None, None] * (self.sc * c0 - 1j * (self.ss * d0))
 
     def channel_products(self, half):
-        """(analysis, synthesis) responses per grid point and channel.
+        """(analysis, synthesis) products of the canonical columns, each
+        (grid, channels): ta_c @ h and us'_c @ h, whose products sum to T_all
+        at each grid point (they are not per-channel responses).
 
-        The analysis one is one real GEMV over ua; the synthesis one is
-        p0 (c0 @ (wc h)^T - j d0 @ (ws h)^T), two real GEMMs."""
+        The analysis one is one real GEMV over ta; the synthesis one is
+        p0 (c0 @ (sc h)^T - j d0 @ (ss h)^T), two real GEMMs."""
         half = np.asarray(half, dtype=float)
-        a = (self.ua.reshape(-1, half.size) @ half).reshape(self.ua.shape[:3])
-        bc = self.basis0[:, 0] @ (self.wc * half).T
-        bd = self.basis0[:, 1] @ (self.ws * half).T
+        a = (self.ta.reshape(-1, half.size) @ half).reshape(self.ta.shape[:3])
+        bc = self.basis0[:, 0] @ (self.sc * half).T
+        bd = self.basis0[:, 1] @ (self.ss * half).T
         return a[:, 0] + 1j * a[:, 1], self.p0[:, None] * (bc - 1j * bd)
 
     def overall(self, half):
@@ -221,13 +244,14 @@ class TransferTables:
 def transfer_quadratic(omega, config):
     """Quadratic-form matrix U(omega) at one frequency, h^T U h = T_all.
 
-    U = sum_k ua_k outer us_k from a one-point TransferTables, us formed by
-    synthesis_vectors; for small-scale checks of the table vectors against
-    the direct route.
+    U = sum_c ta_c outer us'_c over the canonical columns of a one-point
+    TransferTables, us' formed by synthesis_vectors; this equals sum_k ua_k
+    outer us_k over the channels.  For small-scale checks of the table
+    vectors against the direct route.
     """
     tables = TransferTables(config, np.reshape(omega, 1))
-    ua = tables.ua[0, 0] + 1j * tables.ua[0, 1]
-    return ua.T @ tables.synthesis_vectors(slice(0, 1))[0]
+    ta = tables.ta[0, 0] + 1j * tables.ta[0, 1]
+    return ta.T @ tables.synthesis_vectors(slice(0, 1))[0]
 
 
 def _as_proto(half, config):
@@ -272,6 +296,41 @@ def _shift_table(ratios, aliasing=True):
     return [(shift, np.array(ks), np.array(ls)) for shift, (ks, ls) in table.items()]
 
 
+def _dct4_fold(r, channels):
+    """(c, sign) with cos(pi (2k+1) r / (4M)) = sign cos(pi (2k+1)(2c+1) / (4M))
+    for every k, for odd integers r: the angle is reduced mod 2 pi by
+    cos(x + 2 pi (2k+1)) = cos x, folded by cos(-x) = cos x and by
+    cos((2k+1) pi - x) = -cos x."""
+    r = np.mod(r, 8 * channels)
+    r = np.where(r > 4 * channels, 8 * channels - r, r)
+    back = r > 2 * channels
+    r = np.where(back, 4 * channels - r, r)
+    return (r - 1) // 2, np.where(back, -1.0, 1.0)
+
+
+def _dct4_split(n2, channels):
+    """(C, sc, ss) with _split_weights(coeffs, M) = (C (sc coeffs), C (ss coeffs)).
+
+    C[k, c] = sqrt 2 cos(pi (2k+1)(2c+1) / (4M)) is sqrt 2 times the M-point
+    DCT-IV, so C C^T = M I.  sc and ss are (M, n2) and hold one +-1 per
+    column.  Column i of wc is sqrt 2 cos(pi (2k+1) r / (4M)) at r = 2i + 1;
+    column i of ws is sqrt 2 (-1)^(k+i) sin(pi (2k+1) r / (4M)) =
+    sqrt 2 (-1)^i cos(pi (2k+1)(2M - r) / (4M)), since (-1)^k sin((2k+1) x) =
+    cos((2k+1)(pi/2 - x)).  _dct4_fold takes both to +-C[:, c].  Each run
+    of M columns covers every c once for either weight (the column of ws is
+    the column of wc's M-1-c), so a row of sc or ss selects N/(2M) columns.
+    """
+    odd, i = 2 * np.arange(channels) + 1, np.arange(n2)
+    # (2k+1)(2c+1) reduced mod 8M in integers, so that no angle exceeds 2 pi
+    C = np.sqrt(2.0) * np.cos(np.pi * (np.outer(odd, odd) % (8 * channels)) / (4 * channels))
+    sc, ss = np.zeros((2, channels, n2))
+    col, sign = _dct4_fold(2 * i + 1, channels)
+    sc[col, i] = sign
+    col, sign = _dct4_fold(2 * channels - 2 * i - 1, channels)
+    ss[col, i] = sign * (-1.0) ** i
+    return C, sc, ss
+
+
 def _split_weights(coeffs, channels):
     """(wc, ws), each (channels, N/2): channel k's analysis response at
     warped frequency nu is e^{-j(N-1)nu/2} (wc[k] @ C(nu) + j ws[k] @ C(pi - nu))
@@ -283,16 +342,15 @@ def _split_weights(coeffs, channels):
     P +/- Q, where P = C(nu) @ (coeffs cos((2i+1)c/2)) and Q =
     2sin((2i+1)nu/2) @ (coeffs sin((2i+1)c/2)), and 2sin((2i+1)nu/2) =
     (-1)^i C_i(pi - nu).  So the sum is 2Re(a_k) P + 2j Im(a_k) Q, with
-    2Re(a_k) = sqrt 2 and 2Im(a_k) = (-1)^k sqrt 2.
+    2Re(a_k) = sqrt 2 and 2Im(a_k) = (-1)^k sqrt 2: wc[k, i] = sqrt 2
+    coeffs[i] cos((2k+1)(2i+1) pi/(4M)) and ws[k, i] = sqrt 2 (-1)^(k+i)
+    coeffs[i] sin((2k+1)(2i+1) pi/(4M)).  Both are formed from the DCT-IV
+    factors of _dct4_split, so every column is exactly a signed column of
+    the DCT-IV matrix times its coefficient.
     """
-    # (2i+1) c_k / 2 = pi m / (4M) with m = (2k+1)(2i+1), reduced mod 2 pi
-    # in integers so that no angle exceeds 2 pi
-    k, i = np.arange(channels), np.arange(coeffs.size)
-    m = np.multiply.outer(2 * k + 1, 2 * i + 1) % (8 * channels)
-    angles = np.pi * m / (4 * channels)
-    wc = np.sqrt(2.0) * coeffs * np.cos(angles)
-    ws = np.sqrt(2.0) * np.outer((-1.0) ** k, (-1.0) ** i * coeffs) * np.sin(angles)
-    return wc, ws
+    coeffs = np.asarray(coeffs, dtype=float)
+    C, sc, ss = _dct4_split(coeffs.size, channels)
+    return C @ (sc * coeffs), C @ (ss * coeffs)
 
 
 def _shift_pass(proto, w, config, aliasing=True):

@@ -8,8 +8,8 @@ modulated taps, for TransferTables in warpbank.transfer; the transfer
 curves and the bifrequency map sum one Clenshaw-evaluated channel response
 per (channel, image), for the shift-by-shift pass in warpbank.transfer; the
 optimizer's objective, gradient and Hessian are formed from complex
-whole-table products of those vectors, for the grid-blocked real-arithmetic
-ones on the planar and factored tables in warpbank.optimize; the block line
+whole-table products of those vectors per channel, for the grid-blocked
+real-arithmetic ones on the planar DCT-IV-basis tables in warpbank.optimize; the block line
 computes every channel sample, kept or dropped, and carries its state one
 chunk at a time, for the polyphase line and the chunked scan in
 warpbank.streaming; CSV rows are formatted one at a time, for the block
@@ -140,10 +140,12 @@ def transfer_parts(proto, w, config):
 def bifrequency_cells(proto, config, in_grid, out_grid):
     """The complex cells of transfer.bifrequency_map (before the dB step),
     channel by channel: H_k^w at the input frequencies and F_k^w at each
-    image's folded frequency, by Clenshaw's recurrence."""
+    image's folded frequency, by Clenshaw's recurrence; and the count of
+    products that land in each cell."""
     win = np.asarray(in_grid, dtype=float)
     wout = np.asarray(out_grid, dtype=float)
     acc = np.zeros((win.size, wout.size), dtype=complex)
+    hits = np.zeros(acc.shape, dtype=int)
     order = np.argsort(wout)
     sorted_out = wout[order]
     rows = np.arange(win.size)
@@ -158,19 +160,35 @@ def bifrequency_cells(proto, config, in_grid, out_grid):
         right = sorted_out[pos]
         nearest = np.where(folded - left <= right - folded, pos - 1, pos)
         np.add.at(acc, (rows, order[nearest]), hk * fk)
-    return acc
+        np.add.at(hits, (rows, order[nearest]), 1)
+    return acc, hits
 
 
-def derivatives(half, weights, config, omega):
-    """(g, grad, hess) of sum B E^2 on the grid omega, from complex tables
-    ua (image sums) and us (image 0) of response_vector, with no blocking
-    over the grid: v by einsum and the curvature term Re sum c (u_a u_s^T +
-    u_s u_a^T) from one scaled copy of ua."""
+def complex_tables(config, omega):
+    """(ua, us), each complex (grid, channels, N/2): per channel, the
+    analysis vectors of response_vector summed over the S_k images, and the
+    synthesis vectors (image 0)."""
     ua = np.stack([sum(response_vector(omega, l, k, config)
                        for l in range(config.subsampling[k]))
                    for k in range(config.channels)], axis=1)
     us = np.stack([response_vector(omega, 0, k, config, synthesis=True)
                    for k in range(config.channels)], axis=1)
+    return ua, us
+
+
+def dct4(channels):
+    """sqrt 2 times the M-point DCT-IV, C[k, c] = sqrt 2 cos(pi (2k+1)(2c+1)/(4M)),
+    one np.cos per entry; C C^T = M I."""
+    k = np.arange(channels)
+    return np.sqrt(2.0) * np.cos(np.pi * np.outer(2 * k + 1, 2 * k + 1) / (4 * channels))
+
+
+def derivatives(half, weights, config, omega):
+    """(g, grad, hess) of sum B E^2 on the grid omega, from the per-channel
+    complex tables of complex_tables, with no blocking over the grid: v by
+    einsum and the curvature term Re sum c (u_a u_s^T + u_s u_a^T) from one
+    scaled copy of ua."""
+    ua, us = complex_tables(config, omega)
     A, B = ua @ half, us @ half
     t = np.einsum("gm,gm->g", A, B)
     err = t.real**2 + t.imag**2 - 1.0

@@ -26,6 +26,7 @@ from warpbank import (
     inner_loop,
     objective,
     prototype_response,
+    select_all,
     update_weights,
 )
 
@@ -113,7 +114,7 @@ def _evaluation_problems(draw):
     """(channels, taps, alpha, ratios, grid points, seed); the grid's last
     block of _GRID_BLOCK points is ragged."""
     channels = draw(st.integers(1, 6))
-    taps = draw(st.integers(1, 2))
+    taps = draw(st.integers(1, 6))
     alpha = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True,
                            allow_subnormal=False))
     ratios = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
@@ -124,14 +125,17 @@ def _evaluation_problems(draw):
 
 @given(_evaluation_problems())
 @example((4, 2, 0.5783, [1, 1, 1, 1], 130, 7))
+@example((22, 4, 0.5783, select_all(22, 0.5783).tolist(), 130, 11))
 def test_evaluate_matches_complex_table_oracle(problem):
-    # objective, gradient and Hessian of the planar, factored tables against
-    # complex ua/us summed from the per-image response vectors, each within
-    # 1e-12 of its max.  On some banks the alias images of ua cancel (one
-    # channel with an even ratio keeps only odd taps at alpha 0), which
-    # leaves ua with rounding of about eps max|us| in both routes; the
-    # derivatives are quadratic in ua, so that tolerance grows by kappa^2,
-    # kappa = max|us| / max|ua| where it exceeds 1
+    # objective, gradient and Hessian of the planar DCT-IV-basis tables
+    # against complex per-channel ua/us summed from the per-image response
+    # vectors, each within 1e-12 of its max.  Taps up to 6 put columns in
+    # all four quadrants of the DCT-IV fold and past its wrap; the flagship
+    # geometry is an explicit example.  On some banks the alias images of
+    # ua cancel (one channel with an even ratio keeps only odd taps at alpha
+    # 0), which leaves ua with rounding of about eps max|us| in both routes;
+    # the derivatives are quadratic in ua, so that tolerance grows by
+    # kappa^2, kappa = max|us| / max|ua| where it exceeds 1
     channels, taps, alpha, ratios, points, seed = problem
     config = BankConfig(channels=channels, order=2 * channels * taps, alpha=alpha,
                         subsampling=ratios)
@@ -140,7 +144,8 @@ def test_evaluate_matches_complex_table_oracle(problem):
     weights = rng.uniform(0.1, 2.0, points)
     omega = np.sort(rng.uniform(0.0, np.pi, points))
     tables = TransferTables(config, omega)
-    kappa = np.max(np.abs(tables.synthesis_vectors())) / np.max(np.abs(tables.ua))
+    ua, us = oracles.complex_tables(config, omega)
+    kappa = np.max(np.abs(us)) / np.max(np.abs(ua))
     want = oracles.derivatives(half, weights, config, omega)
     scales = [max(1.0, kappa) ** 2 * np.max(np.abs(w)) for w in want]
     for order in (0, 1, 2):
@@ -165,11 +170,14 @@ def test_evaluate_memory_is_one_block():
     weights = np.ones(tables.omega.size)
     tracemalloc.start()
     try:
-        optimize._evaluate(half, weights, tables, 2)
+        got = optimize._evaluate(half, weights, tables, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tables.ua.nbytes / 4
+    assert peak < tables.ta.nbytes / 4
+    want = oracles.derivatives(half, weights, tables.config, tables.omega)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_hessian_is_symmetric():
@@ -358,6 +366,38 @@ def test_flatness_values():
     assert flatness(np.full(9, 0.3)) == 0.0
     assert_allclose(flatness(np.array([1.0, 3.0])), 0.5, atol=0)
     assert flatness(np.zeros(4)) == 0.0
+
+
+def test_flatness_is_zero_at_rounding_level():
+    # peaks one ulp apart at rounding level are flat, whatever their spread;
+    # a spread above the floor still counts
+    low = 2.5e-12
+    assert flatness(np.array([low, np.nextafter(low, 1.0), low])) == 0.0
+    assert flatness(np.array([1e-16, 1e-10])) == 0.0
+    assert flatness(np.array([1e-10, 2e-10])) > 0.3
+
+
+def test_rounding_floor_keeps_bank_pass_counts(flagship):
+    # the floor sits four decades below the flagship's |E|, so real banks
+    # keep their outer passes: 1 for the flagship, 3 for the 8-channel side
+    # bank of the benchmark
+    report = flagship[2]
+    assert report.converged and report.outer_iterations == 1
+    config = BankConfig(channels=8, order=64, alpha=0.4, subsampling=select_all(8, 0.4))
+    _, report = design(config)
+    assert report.converged and report.outer_iterations == 3
+
+
+def test_design_at_rounding_level_converges_in_one_pass():
+    # with every ratio 1 this bank reaches T = 1 to rounding in its first
+    # pass; the flag must not hinge on one-ulp differences between peaks
+    config = BankConfig(channels=2, order=8, alpha=0.0, grid_points=128,
+                        psi=1e-9, max_outer=2)
+    bank, report = design(config)
+    error = error_function(bank.half, frequency_grid(config), config)
+    assert np.max(np.abs(error)) <= optimize._FLAT_FLOOR
+    assert report.converged and report.outer_iterations == 1
+    assert report.flatness == 0.0
 
 
 def test_update_weights():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 
-from oracles import bifrequency_cells, response_vector, transfer_parts
+from oracles import bifrequency_cells, complex_tables, dct4, response_vector, transfer_parts
 from warpbank import (
     BankConfig,
     PrototypeHalf,
@@ -201,6 +201,32 @@ def test_aliasing_bound_dominates_coherent_sum(case):
     assert np.all(coherent <= bound + 1e-12)
 
 
+@given(st.integers(1, 40), st.integers(1, 8))
+def test_split_weights_factor_through_dct4(channels, taps):
+    # the cosine modulation is a DCT-IV: every column of wc and ws is exactly
+    # a signed column of C = wc[:, :M], C C^T = M I, and each column of C is
+    # picked taps times by either weight; the closed forms pin the folds
+    # and signs, past the first wrap of the angle at taps > 4
+    n2 = channels * taps
+    wc, ws = transfer._split_weights(np.ones(n2), channels)
+    C = wc[:, :channels]
+    # the oracle's angles reach 40 pi unreduced, so it holds to about 1e-13
+    assert_allclose(C, dct4(channels), rtol=0, atol=1e-13)
+    assert np.max(np.abs(C @ C.T - channels * np.eye(channels))) <= 1e-13 * channels
+    _, sc, ss = transfer._dct4_split(n2, channels)
+    for w, select in ((wc, sc), (ws, ss)):
+        S = np.rint(C.T @ w / channels)
+        assert np.all(np.isin(S, (-1.0, 0.0, 1.0)))
+        assert_array_equal(np.abs(S).sum(axis=0), np.ones(n2))
+        assert_array_equal(np.abs(S).sum(axis=1), np.full(channels, taps))
+        assert_array_equal(C @ S, w)
+        assert_array_equal(select, S)
+    k, i = np.arange(channels)[:, None], np.arange(n2)
+    angle = np.pi * ((2 * k + 1) * (2 * i + 1) % (8 * channels)) / (4 * channels)
+    assert_allclose(wc, np.sqrt(2.0) * np.cos(angle), rtol=0, atol=1e-14)
+    assert_allclose(ws, np.sqrt(2.0) * (-1.0) ** (k + i) * np.sin(angle), rtol=0, atol=1e-14)
+
+
 @given(_banks(max_ratio=12), st.integers(2, 5))
 def test_batched_tables_match_per_image_vectors(case, batch):
     # batch images per cosine recurrence, so most channels take several
@@ -220,16 +246,24 @@ def test_batched_tables_match_per_image_vectors(case, batch):
         tables = TransferTables(config, omega)
     # one recurrence per batch, and one for the synthesis factors
     assert len(calls) == sum(-(-S // batch) for S in config.subsampling) + 1
+    _assert_canonical_tables(tables, config, omega)
     synthesis = tables.synthesis_vectors()
-    for k in range(config.channels):
-        ua = sum(response_vector(omega, l, k, config)
-                 for l in range(config.subsampling[k]))
-        us = response_vector(omega, 0, k, config, synthesis=True)
-        got = tables.ua[:, 0, k] + 1j * tables.ua[:, 1, k]
-        assert np.max(np.abs(got - ua)) <= 1e-12 * np.max(np.abs(ua))
-        assert np.max(np.abs(synthesis[:, k] - us)) <= 1e-12 * np.max(np.abs(us))
     rows = [3, 0, 36]
     assert_array_equal(tables.synthesis_vectors(rows), synthesis[rows])
+
+
+def _assert_canonical_tables(tables, config, omega, rows=slice(None)):
+    """ta and synthesis_vectors at the grid rows are the per-image sums of
+    response_vector in the DCT-IV basis, C^T ua and C^T us / M, each within
+    1e-12 of its max; us_k = sum_c C[k, c] us'_c by C C^T = M I."""
+    ua, us = complex_tables(config, omega[rows])
+    C = dct4(config.channels)
+    want_a = np.einsum("kc,gkn->gcn", C, ua)
+    want_s = np.einsum("kc,gkn->gcn", C, us) / config.channels
+    got_a = tables.ta[rows, 0] + 1j * tables.ta[rows, 1]
+    got_s = tables.synthesis_vectors(rows)
+    assert np.max(np.abs(got_a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+    assert np.max(np.abs(got_s - want_s)) <= 1e-12 * np.max(np.abs(want_s))
 
 
 @pytest.mark.parametrize("grid", [256, 2048])
@@ -246,7 +280,10 @@ def test_transfer_tables_build_memory_is_one_batch(grid):
     finally:
         tracemalloc.stop()
     own = _table_bytes(tables)
-    assert peak - own <= min(transfer._BATCH_BYTES, tables.ua.nbytes // 2)
+    assert peak - own <= min(transfer._BATCH_BYTES, tables.ta.nbytes // 2)
+    # the mix in place left every block of rows in the DCT-IV basis
+    block = transfer._MIX_POINTS
+    _assert_canonical_tables(tables, config, tables.omega, [0, block - 1, block, grid - 1])
 
 
 def _table_bytes(tables):
@@ -255,13 +292,15 @@ def _table_bytes(tables):
 
 @pytest.mark.parametrize("grid", [24, 1408])
 def test_transfer_tables_hold_ua_once(grid):
-    # the synthesis side is kept as factors of O(grid * order) bytes, not as
-    # a second table the size of ua
+    # the analysis side is one table the size of ua, mixed into the DCT-IV
+    # basis in place, and the synthesis side is kept as factors of
+    # O(grid * order) bytes, not as a second table the size of ua
     config = BankConfig(channels=22, order=176, alpha=0.5783,
                         subsampling=[4, 3] * 11, grid_points=grid)
     tables = TransferTables(config)
-    assert tables.ua.nbytes == 16 * grid * config.channels * config.order // 2
-    assert _table_bytes(tables) <= tables.ua.nbytes + 64 * grid * config.order // 2
+    assert tables.ta.nbytes == 16 * grid * config.channels * config.order // 2
+    assert _table_bytes(tables) <= tables.ta.nbytes + 64 * grid * config.order // 2
+    _assert_canonical_tables(tables, config, tables.omega, [0, grid // 2, grid - 1])
 
 
 def test_transfer_tables_match_pointwise_routines():
@@ -269,7 +308,7 @@ def test_transfer_tables_match_pointwise_routines():
     half, config = _random_case(rng)
     omega = np.linspace(0.0, np.pi, 21)
     tables = TransferTables(config, omega)
-    assert tables.ua.shape == (21, 2, config.channels, config.order // 2)
+    assert tables.ta.shape == (21, 2, config.channels, config.order // 2)
     assert tables.synthesis_vectors().shape == (21, config.channels, config.order // 2)
     assert_allclose(
         tables.overall(half), overall_transfer(half, omega, config), atol=1e-9
@@ -284,7 +323,7 @@ def test_transfer_tables_check_omega():
     for omega in bad:
         with assert_raises(ValueError, match="omega"):
             TransferTables(config, omega)
-    assert TransferTables(config, [0.1, 0.2]).ua.shape == (2, 2, 2, 4)
+    assert TransferTables(config, [0.1, 0.2]).ta.shape == (2, 2, 2, 4)
     assert transfer_quadratic(0.4, config).shape == (4, 4)
 
 
@@ -422,10 +461,12 @@ def test_bifrequency_matches_per_channel_oracle(case, outputs):
     half, config, grid, _, budget = case
     proto = PrototypeHalf(half, config.channels)
     out_grid = np.linspace(0.0, np.pi, outputs)
-    want = bifrequency_cells(proto, config, grid, out_grid)
+    want, hits = bifrequency_cells(proto, config, grid, out_grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_PASS_BYTES", budget)
         mp.setattr(transfer, "to_db", lambda cells: cells)  # the cells, not dB
         got = bifrequency_map(half, config, grid, out_grid)
-    assert_array_equal(got != 0, want != 0)
+    # a cell no product lands in is exactly 0; where images cancel, either
+    # route may leave rounding or an exact 0, so those cells go by value
+    assert_array_equal(got[hits == 0], 0.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
