@@ -153,11 +153,9 @@ def _evaluate(half, weights, tables, order=2, products=None):
         gn += w2[:, None, None] * np.eye(2)
         d = w2 * np.conj(t) * tables.p0
         mix = np.stack([d.real, -d.imag, d.imag, d.real], axis=-1).reshape(-1, 2, 2)
-        # the columns of (c0, d0) that canonical column c selects, (2, M, m)
-        # with their signs, and as flat positions in a (2 n) row of basis0
-        select = np.stack([tables.sc, tables.ss])
-        columns = np.nonzero(select)[2].reshape(2, M, -1)
-        signs = np.take_along_axis(select, columns, axis=2)
+        # the columns of (c0, d0) that canonical column c selects, (2, M, m),
+        # as flat positions in a (2 n) row of basis0
+        columns, signs = tables.columns, tables.signs
         flat = (columns + n2 * np.arange(2)[:, None, None]).ravel()
         z = np.zeros((2, M, n2, columns.shape[2]))
     # work buffers for one block, reused by every block

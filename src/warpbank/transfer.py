@@ -151,7 +151,8 @@ class TransferTables:
 
     with c0, d0 the real cosine bases at nu0 = -phi(omega) and pi - nu0,
     stored as basis0 = (grid, 2, N/2) with c0 first, and p0 = e^{-j(N-1)
-    nu0/2}; each row of sc and ss selects N/(2M) columns with signs.  The
+    nu0/2}; each row of sc and ss selects N/(2M) columns with signs, which
+    columns and signs also hold as (2, channels, N/(2M)) indices.  The
     channel synthesis vectors are us_k = sum_c C[k, c] us'_c, so the overall
     transfer at g is sum_k (ua_k @ h)(us_k @ h) = sum_c (ta_c @ h)(us'_c @ h).
     The tables hold G M N/2 complex entries once; synthesis_vectors forms
@@ -191,6 +192,11 @@ class TransferTables:
         del rows, prod, out, basis
         self.p0 = np.exp(-0.5j * (N - 1) * nu)
         C, self.sc, self.ss = _dct4_split(n2, M)
+        # the same selections as (2, channels, N/(2M)) column indices into c0
+        # (plane 0) and d0 (plane 1) per canonical column, and their signs
+        select = np.stack([self.sc, self.ss])
+        self.columns = np.nonzero(select)[2].reshape(2, M, -1)
+        self.signs = np.take_along_axis(select, self.columns, axis=2)
         for first in range(0, size, _MIX_POINTS):
             block = self.ta[first : first + _MIX_POINTS].reshape(-1, M, n2)
             np.matmul(C.T, block, out=block)
@@ -296,39 +302,27 @@ def _shift_table(ratios, aliasing=True):
     return [(shift, np.array(ks), np.array(ls)) for shift, (ks, ls) in table.items()]
 
 
-def _dct4_fold(r, channels):
-    """(c, sign) with cos(pi (2k+1) r / (4M)) = sign cos(pi (2k+1)(2c+1) / (4M))
-    for every k, for odd integers r: the angle is reduced mod 2 pi by
-    cos(x + 2 pi (2k+1)) = cos x, folded by cos(-x) = cos x and by
-    cos((2k+1) pi - x) = -cos x."""
-    r = np.mod(r, 8 * channels)
-    r = np.where(r > 4 * channels, 8 * channels - r, r)
-    back = r > 2 * channels
-    r = np.where(back, 4 * channels - r, r)
-    return (r - 1) // 2, np.where(back, -1.0, 1.0)
-
-
 def _dct4_split(n2, channels):
     """(C, sc, ss) with _split_weights(coeffs, M) = (C (sc coeffs), C (ss coeffs)).
 
-    C[k, c] = sqrt 2 cos(pi (2k+1)(2c+1) / (4M)) is sqrt 2 times the M-point
-    DCT-IV, so C C^T = M I.  sc and ss are (M, n2) and hold one +-1 per
-    column.  Column i of wc is sqrt 2 cos(pi (2k+1) r / (4M)) at r = 2i + 1;
-    column i of ws is sqrt 2 (-1)^(k+i) sin(pi (2k+1) r / (4M)) =
-    sqrt 2 (-1)^i cos(pi (2k+1)(2M - r) / (4M)), since (-1)^k sin((2k+1) x) =
-    cos((2k+1)(pi/2 - x)).  _dct4_fold takes both to +-C[:, c].  Each run
-    of M columns covers every c once for either weight (the column of ws is
-    the column of wc's M-1-c), so a row of sc or ss selects N/(2M) columns.
+    At coeffs = 1 the split weights have the closed forms wc[k, i] = sqrt 2
+    cos(pi (2k+1) r / (4M)) and ws[k, i] = sqrt 2 (-1)^(k+i) sin(pi (2k+1) r
+    / (4M)) with r = 2i + 1.  C = wc[:, :M] is sqrt 2 times the M-point
+    DCT-IV, so C C^T = M I, and every column of either weight is +- a
+    column of C: the cosine is even and 8M-periodic in r and changes sign at
+    4M - r, and (-1)^k sin((2k+1) x) = cos((2k+1)(pi/2 - x)).  So sc = C^T
+    wc / M and ss = C^T ws / M are (M, n2) signed selections to rounding,
+    one +-1 per column, and rint makes them exact.  Each run of M columns
+    covers every c once for either weight, so a row of sc or ss selects
+    N/(2M) columns.
     """
-    odd, i = 2 * np.arange(channels) + 1, np.arange(n2)
-    # (2k+1)(2c+1) reduced mod 8M in integers, so that no angle exceeds 2 pi
-    C = np.sqrt(2.0) * np.cos(np.pi * (np.outer(odd, odd) % (8 * channels)) / (4 * channels))
-    sc, ss = np.zeros((2, channels, n2))
-    col, sign = _dct4_fold(2 * i + 1, channels)
-    sc[col, i] = sign
-    col, sign = _dct4_fold(2 * channels - 2 * i - 1, channels)
-    ss[col, i] = sign * (-1.0) ** i
-    return C, sc, ss
+    k, i = np.arange(channels)[:, None], np.arange(n2)
+    # (2k+1)(2i+1) reduced mod 8M in integers, so that no angle exceeds 2 pi
+    angles = np.pi * ((2 * k + 1) * (2 * i + 1) % (8 * channels)) / (4 * channels)
+    wc = np.sqrt(2.0) * np.cos(angles)
+    ws = np.sqrt(2.0) * (-1.0) ** (k + i) * np.sin(angles)
+    C = wc[:, :channels]
+    return C, np.rint(C.T @ wc / channels), np.rint(C.T @ ws / channels)
 
 
 def _split_weights(coeffs, channels):
