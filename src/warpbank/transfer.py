@@ -5,25 +5,26 @@ The analysis-synthesis chain with per-channel decimation by S_k has
     T_all(omega) = sum_k sum_{l=0..S_k-1} H_k^w(omega + 2 pi l/S_k) F_k^w(omega)
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
-transfer.  A given prototype is evaluated directly, shift by shift: the
-images l/S_k of all channels fall on few distinct shifts p/q (116 for the 271
-images of the 22-channel Bark bank), and at each shift one cosine basis over
-the warped angles nu and pi - nu gives the response of every channel on it
-by two real GEMMs.  Blocks of shifts and grid points keep memory O(grid).
-Every transfer curve and the bifrequency map read that one pass.
-Scoring many prototypes on one grid (the optimizer) uses TransferTables: the
-recurrence-filled vectors of the quadratic form T_all = h^T U(omega) h,
-U = sum_k ua_k us_k^T.  The synthesis vectors us are image 0 only and
-factor into one cosine basis over nu0 and pi - nu0 (the shift-0 basis of
-the direct pass), a phase per grid point and fixed per-channel weights
-(wc, ws) = _split_weights(ones).  The cosine modulation is a DCT-IV: wc =
-C Sc and ws = C Ss, where C is sqrt 2 times the M-point DCT-IV (C C^T = M I)
-and Sc, Ss hold one +-1 per column (_dct4_split).  So U = sum_c T_c us'_c^T
-with T_c = sum_k C[k, c] ua_k and us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the
-tables keep T (the size of ua, as real and imaginary planes) and the
-factors of us', whose synthesis side selects N/(2M) cosine columns per
-canonical column c instead of weighting all N/2.  The tables are the only
-route to these vectors; transfer_quadratic reads U off a one-point table.
+transfer.  The images l/S_k of all channels fall on few distinct shifts p/q
+(116 for the 249 images of the 22-channel Bark bank).  One generator,
+_shift_bases, fills per block of grid points and batch of shifts one cosine
+basis over the warped angles nu and pi - nu of each shift, within a byte
+budget its caller sets.  The direct pass (_shift_pass) evaluates a given
+prototype from it, two real GEMMs per shift for all of the shift's
+channels, and every transfer curve and the bifrequency map read that pass.
+Scoring many prototypes on one grid (the optimizer) uses TransferTables,
+built from the same bases: the vectors of the quadratic form T_all =
+h^T U(omega) h, U = sum_k ua_k us_k^T.  The synthesis vectors us are image 0
+only and factor into the shift-0 basis over nu0 and pi - nu0, a phase per
+grid point and fixed per-channel weights (wc, ws) = _split_weights(ones).
+The cosine modulation is a DCT-IV: wc = C Sc and ws = C Ss, where C is
+sqrt 2 times the M-point DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per
+column (_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c]
+ua_k and us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the tables keep T (the size
+of ua, as real and imaginary planes) and the factors of us', whose
+synthesis side selects N/(2M) cosine columns per canonical column c
+instead of weighting all N/2.  The tables are the only route to these
+vectors; transfer_quadratic reads U off a one-point table.
 """
 
 import functools
@@ -114,29 +115,6 @@ def _check_grid(omega):
     return grid
 
 
-# bytes one batch of the table build may hold: the cosine basis of its images
-# with their angles and pair weights, plus the product added into the tables
-_BATCH_BYTES = 12 << 20
-
-
-def _images_per_batch(size, n2, ua_bytes):
-    """Alias images per batch of a table build on size grid points.
-
-    One image takes about 16 * size * (n2 + 16) bytes, and the product one
-    image's worth more.  The batch stays within _BATCH_BYTES and within half
-    of ua's bytes, so small tables get no larger working set than a quarter
-    of their own size.  A batch holds at least one image, so a budget below
-    two images' worth is exceeded.
-    """
-    budget = min(_BATCH_BYTES, ua_bytes // 2)
-    return max(1, budget // (16 * size * (n2 + 16)) - 1)
-
-
-# grid points per block of the in-place DCT-IV mix of the table; numpy copies
-# the block it overwrites, so this bounds that copy (1 MB on the flagship)
-_MIX_POINTS = 32
-
-
 class TransferTables:
     """Stacked response vectors over a frequency grid, in the DCT-IV basis
     of the cosine modulation.
@@ -158,16 +136,15 @@ class TransferTables:
     The tables hold G M N/2 complex entries once; synthesis_vectors forms
     us' for given grid rows.
 
-    The build runs channel by channel into ta.  A channel's S_k alias
-    images go in batches of as many as _images_per_batch allows: the angle
-    pairs of a batch are stacked, one forward cosine recurrence fills the
-    real basis of the whole stack, and one matmul, batched over grid points,
-    contracts it with the real and imaginary parts of the pair weights into
-    the channel's ua, so no complex copy of the basis is made.  One more
-    recurrence over nu0 and pi - nu0 gives c0 and d0.  Then C^T mixes the
-    channel axis in place, _MIX_POINTS grid points at a time (M^2 N/2
-    multiply-adds per point and plane).  Memory above the tables is one
-    batch.
+    The build reads the direct pass's bases from _shift_bases, many shifts
+    per basis over a few grid points, within 1/32 of ta's bytes.  By the
+    split-weights identity, ua_k = wc_k Ac_k + j ws_k Ad_k with (wc, ws) =
+    _split_weights(ones), where Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and
+    e^{-j(N-1)nu/2} c(pi - nu) over the shifts of channel k's images: per
+    grid point and plane, one GEMM of a batch's (N/2, shifts) basis against
+    the phases on a 0/1 incidence of shifts and channels.  The unit split
+    weights join the planes, C^T mixes the channels while the block is in
+    cache, and each row of ta is written once.  Shift 0 gives basis0 and p0.
     """
 
     def __init__(self, config, omega=None):
@@ -175,52 +152,52 @@ class TransferTables:
         self.omega = frequency_grid(config) if omega is None else _check_grid(omega)
         size, M, N = self.omega.size, config.channels, config.order
         n2 = N // 2
-        self.ta = np.zeros((size, 2, M, n2))
-        batch = min(_images_per_batch(size, n2, self.ta.nbytes), max(config.subsampling))
-        # work buffers kept across batches: the recurrence rows and the product
-        rows = np.empty((n2 + 1) * size * 2 * batch)
-        prod = np.empty((size, n2, 2))
-        for k in range(M):
-            S = config.subsampling[k]
-            for first in range(0, S, batch):
-                self._add_images(k, np.arange(first, min(first + batch, S)), rows, prod)
-        nu = -allpass_phase(self.omega, config.alpha)
-        out = rows[: (n2 + 1) * size * 2].reshape(n2 + 1, size, 2)
-        basis = modulation.cosine_basis(np.stack([nu, np.pi - nu], axis=1), N, out=out)
-        self.basis0 = np.ascontiguousarray(basis)
-        # the batch buffers go before the mix makes its block copies
-        del rows, prod, out, basis
-        self.p0 = np.exp(-0.5j * (N - 1) * nu)
+        self.ta = np.empty((size, 2, M, n2))
+        self.basis0 = np.empty((size, 2, n2))
+        self.p0 = np.empty(size, complex)
         C, self.sc, self.ss = _dct4_split(n2, M)
         # the same selections as (2, channels, N/(2M)) column indices into c0
         # (plane 0) and d0 (plane 1) per canonical column, and their signs
         select = np.stack([self.sc, self.ss])
         self.columns = np.nonzero(select)[2].reshape(2, M, -1)
         self.signs = np.take_along_axis(select, self.columns, axis=2)
-        for first in range(0, size, _MIX_POINTS):
-            block = self.ta[first : first + _MIX_POINTS].reshape(-1, M, n2)
-            np.matmul(C.T, block, out=block)
-
-    def _add_images(self, channel, images, rows, prod):
-        """Add channel's analysis vectors for the given images into ta, which
-        holds per-channel vectors until the build mixes it.  rows (flat, at
-        least (N/2 + 1) * grid * 2 * images floats) and prod (grid, N/2, 2)
-        are work buffers."""
-        config = self.config
-        M, N = config.channels, config.order
-        size = self.omega.size
-        w = self.omega[:, None] + 2.0 * np.pi * images / config.subsampling[channel]
-        g = modulation._pair_angles(w, channel, M, config.alpha)  # (pair, grid, image)
-        # the pair axis goes last, so (image, pair) is one contiguous axis q
-        stack = np.ascontiguousarray(np.moveaxis(g, 0, -1))
-        rows = rows[: (N // 2 + 1) * stack.size].reshape((N // 2 + 1,) + stack.shape)
-        modulation.cosine_basis(stack, N, out=rows)
-        basis = rows[1:].reshape(N // 2, size, -1).transpose(1, 0, 2)  # (grid, n, q)
-        # (pair, grid, image) complex weights as (grid, q, re/im) reals
-        s = modulation._pair_scaling(g, channel, M, N)
-        pairs = np.ascontiguousarray(np.moveaxis(s, 0, -1)).view(float)
-        np.matmul(basis, pairs.reshape(size, -1, 2), out=prod)
-        self.ta[:, :, channel] += prod.transpose(0, 2, 1)
+        table = _shift_table(config.subsampling)
+        incidence = np.zeros((len(table), 1, 1, M))  # per shift, one image at most
+        for i, (_, ks, _) in enumerate(table):
+            incidence[i, 0, 0, ks] = 1.0
+        # (plane, n, re/im, channel): wc on the c sums, ws on the d sums
+        split = np.stack([C @ self.sc, C @ self.ss]).transpose(0, 2, 1)
+        split = np.repeat(split[:, :, None], 2, axis=2)
+        sums = None
+        for block, batch, nu, basis in _shift_bases(
+            self.omega, config, table, self.ta.nbytes // 32, per_point=True
+        ):
+            shifts, points = nu.shape
+            if sums is None:  # the first block and batch are the largest
+                sums = np.empty((points, 2, n2, 2 * M))
+                part = np.empty_like(sums) if shifts < len(table) else None
+                phases = np.empty((points, shifts, 2, 2 * M))
+            if batch.start == 0:
+                self.basis0[block] = basis[0].transpose(1, 0, 2)
+                self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
+            # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
+            # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of
+            # Ad, so that ua = wc (c sums) + ws (d sums)
+            angle = -0.5 * (N - 1) * nu.T
+            cos, sin = np.cos(angle), np.sin(angle)
+            trig = np.stack([cos, sin, -sin, cos], axis=-1).reshape(points, shifts, 2, 2, 1)
+            phase = phases[:points, :shifts]
+            np.multiply(trig, incidence[batch], out=phase.reshape(points, shifts, 2, 2, M))
+            out = part[:points] if batch.start else sums[:points]
+            for p in range(2):  # the c and d planes
+                np.matmul(basis[:, p].transpose(1, 2, 0), phase[:, :, p], out=out[:, p])
+            if batch.start:
+                sums[:points] += out
+            if batch.stop >= len(table):
+                s = sums[:points].reshape(points, 2, n2, 2, M)
+                s *= split
+                ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
+                np.matmul(C.T, ua.transpose(0, 2, 3, 1), out=self.ta[block])
 
     def synthesis_vectors(self, rows=slice(None)):
         """us' at the given grid rows, complex (points, channels, N/2): the
@@ -278,8 +255,7 @@ def _pointwise(reduce):
     return wrapper
 
 
-# bytes one block of the shift pass may hold: the cosine basis of its shifts'
-# angles over its grid points, 16 (N/2 + 1) bytes per point and shift
+# basis bytes one block of the direct pass may hold (see _shift_bases)
 _PASS_BYTES = 4 << 20
 
 
@@ -347,6 +323,45 @@ def _split_weights(coeffs, channels):
     return C @ (sc * coeffs), C @ (ss * coeffs)
 
 
+def _shift_bases(w, config, table, budget, per_point=False):
+    """Cosine bases of the alias shifts of table over the 1-D grid w.
+
+    Yields (block, batch, nu, basis) per block of grid points and batch (a
+    slice) of table's entries, each block starting with table[0]: nu
+    (shifts, points) holds -phi(w[block] + 2 pi p/q) at the batch's shifts,
+    and basis[i, 0] and basis[i, 1], each (points, N/2), the cosine bases at
+    nu[i] and pi - nu[i], all filled by one cosine_basis call.
+
+    A block's basis takes at most the caller's budget of bytes, 16 (N/2 +
+    1) per point and shift, and at least one of each.  By default points
+    fill the budget first and lie innermost in memory, for GEMMs of each
+    basis[i, plane] against per-shift weights; per_point fills shifts first
+    and lays them innermost, so per grid point g basis[:, plane, g] is a
+    matrix for GEMMs against per-point weights over the shifts.
+    """
+    n1 = config.order // 2 + 1
+    per = 16 * n1  # basis bytes per grid point and shift
+    if per_point:
+        shifts = max(1, min(len(table), budget // per))
+        points = max(1, min(w.size, budget // (per * shifts)))
+    else:
+        points = max(1, min(w.size, budget // per))
+        shifts = max(1, min(len(table), budget // (per * points)))
+    offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
+    rows = np.empty(n1 * shifts * 2 * points)  # basis work buffer
+    for first in range(0, w.size, points):
+        block = slice(first, first + points)
+        for lo in range(0, len(table), shifts):
+            batch = slice(lo, lo + shifts)
+            nu = -allpass_phase(w[block] + offsets[batch, None], config.alpha)
+            angles = np.stack([nu, np.pi - nu], axis=1)  # (shift, plane, point)
+            if per_point:
+                angles = np.ascontiguousarray(angles.transpose(1, 2, 0))
+            out = rows[: n1 * angles.size].reshape((n1,) + angles.shape)
+            basis = modulation.cosine_basis(angles, config.order, out=out)
+            yield block, batch, nu, basis.transpose(2, 0, 1, 3) if per_point else basis
+
+
 def _shift_pass(proto, w, config, aliasing=True):
     """Every channel's warped response at every alias shift, shift by shift.
 
@@ -356,35 +371,19 @@ def _shift_pass(proto, w, config, aliasing=True):
     synthesis response phase * conj(z[i]).  Each block starts with shift 0,
     which holds every channel.
 
-    A shift's angles nu = -phi(w + 2 pi p/q) and pi - nu take one cosine
-    basis, shared by the shift's channels; two real GEMMs against their
-    _split_weights give z.  The basis of several shifts is filled by one
-    cosine_basis call, and grid points and shifts go in blocks that hold at
-    most _PASS_BYTES of basis (at least one point and one shift), so
-    memory is O(grid).
+    _shift_bases gives each shift's cosine basis over nu = -phi(w + 2 pi
+    p/q) and pi - nu, grid points first within _PASS_BYTES per block, and
+    two real GEMMs against the shift's channels' _split_weights give z.
     """
     N = config.order
     wc, ws = _split_weights(proto.coeffs, config.channels)
     table = _shift_table(config.subsampling, aliasing)
-    per_point = 16 * (N // 2 + 1)  # basis bytes per grid point and shift
-    points = max(1, min(w.size, _PASS_BYTES // per_point))
-    batch = max(1, min(len(table), _PASS_BYTES // (per_point * points)))
-    rows = np.empty((N // 2 + 1) * batch * 2 * points)  # basis work buffer
-    for first in range(0, w.size, points):
-        block = slice(first, first + points)
-        wb = w[block]
-        for lo in range(0, len(table), batch):
-            entries = table[lo : lo + batch]
-            shifts = np.array([2.0 * np.pi * p / q for (p, q), _, _ in entries])
-            nu = -allpass_phase(wb + shifts[:, None], config.alpha)
-            angles = np.stack([nu, np.pi - nu], axis=1)
-            out = rows[: (N // 2 + 1) * angles.size].reshape((N // 2 + 1,) + angles.shape)
-            basis = modulation.cosine_basis(angles, N, out=out)
-            for i, (shift, ks, ls) in enumerate(entries):
-                z = np.empty((ks.size, wb.size), complex)
-                z.real = wc[ks] @ basis[i, 0].T
-                z.imag = ws[ks] @ basis[i, 1].T
-                yield block, shift, ks, ls, np.exp(-0.5j * (N - 1) * nu[i]), z
+    for block, batch, nu, basis in _shift_bases(w, config, table, _PASS_BYTES):
+        for i, (shift, ks, ls) in enumerate(table[batch]):
+            z = np.empty((ks.size, nu.shape[1]), complex)
+            z.real = wc[ks] @ basis[i, 0].T
+            z.imag = ws[ks] @ basis[i, 1].T
+            yield block, shift, ks, ls, np.exp(-0.5j * (N - 1) * nu[i]), z
 
 
 def _transfer_parts(proto, w, config, aliasing=True):

@@ -22,10 +22,11 @@ from warpbank import (
     frequency_grid,
     initial_prototype,
     overall_transfer,
+    select_all,
     to_db,
     transfer_quadratic,
 )
-from warpbank import modulation, transfer
+from warpbank import modulation, optimize, transfer
 from warpbank.modulation import _pair_angles
 
 
@@ -227,13 +228,20 @@ def test_split_weights_factor_through_dct4(channels, taps):
     assert_allclose(ws, np.sqrt(2.0) * (-1.0) ** (k + i) * np.sin(angle), rtol=0, atol=1e-14)
 
 
-@given(_banks(max_ratio=12), st.integers(2, 5))
-def test_batched_tables_match_per_image_vectors(case, batch):
-    # batch images per cosine recurrence, so most channels take several
-    # batches and a ragged last one
+@given(_banks(max_ratio=12), st.integers(1, 30))
+def test_batched_tables_match_per_image_vectors(case, shifts):
+    # a basis budget of `shifts` shifts per block: below the length of the
+    # shift table each block of one grid point takes several batches, a
+    # ragged last one among them; above it each block takes the whole
+    # table, and blocks of several points leave a ragged last block
     half, config = case
     omega = np.linspace(0.0, np.pi, 37)
-    calls = []
+    table = transfer._shift_table(config.subsampling)
+    budget = shifts * 16 * (config.order // 2 + 1)
+    bases, calls = transfer._shift_bases, []
+
+    def forced(w, config, table, _, per_point=False):
+        return bases(w, config, table, budget, per_point)
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -241,11 +249,14 @@ def test_batched_tables_match_per_image_vectors(case, batch):
 
     basis = modulation.cosine_basis
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_images_per_batch", lambda *args: batch)
+        mp.setattr(transfer, "_shift_bases", forced)
         mp.setattr(modulation, "cosine_basis", counted)
         tables = TransferTables(config, omega)
-    # one recurrence per batch, and one for the synthesis factors
-    assert len(calls) == sum(-(-S // batch) for S in config.subsampling) + 1
+    # one recurrence per block and batch, and none more for the synthesis
+    # factors, which come from shift 0
+    batch = min(shifts, len(table))
+    points = min(omega.size, shifts // batch)
+    assert len(calls) == -(-omega.size // points) * -(-len(table) // batch)
     _assert_canonical_tables(tables, config, omega)
     synthesis = tables.synthesis_vectors()
     rows = [3, 0, 36]
@@ -269,21 +280,55 @@ def _assert_canonical_tables(tables, config, omega, rows=slice(None)):
 @pytest.mark.parametrize("grid", [256, 2048])
 def test_transfer_tables_build_memory_is_one_batch(grid):
     # tracemalloc peak of the build above the tables themselves stays within
-    # the batch budget, and within half of ua for small tables; a whole ua
-    # temporary breaks either bound
+    # 12 MiB, and within half of ua for small tables; a whole ua temporary
+    # breaks either bound
     config = BankConfig(channels=16, order=64, alpha=0.5,
                         subsampling=[6, 5, 4, 3] * 4, grid_points=grid)
+    bases, blocks = transfer._shift_bases, []
+
+    def recorded(*args, **kwargs):
+        for item in bases(*args, **kwargs):
+            blocks.append(item[0])
+            yield item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_shift_bases", recorded)
+        tracemalloc.start()
+        try:
+            tables = TransferTables(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    own = _table_bytes(tables)
+    assert peak - own <= min(12 << 20, tables.ta.nbytes // 2)
+    # rows on both sides of the first grid-block edge are in the DCT-IV basis
+    edge = blocks[0].stop
+    assert 1 < edge < grid
+    _assert_canonical_tables(tables, config, tables.omega, [0, edge - 1, edge, grid - 1])
+
+
+@pytest.mark.parametrize("channels, order, alpha, grid", [
+    (22, 176, 0.5783, 384),  # the flagship geometry on a small grid
+    (8, 64, 0.4, None),  # the side bank on its design grid
+])
+def test_transfer_tables_build_is_never_the_design_peak(channels, order, alpha, grid):
+    # the build holds no more above its tables than one order-2 evaluation
+    # of the optimizer holds above them, so it never sets the peak of design()
+    config = BankConfig(channels=channels, order=order, alpha=alpha,
+                        subsampling=select_all(channels, alpha), grid_points=grid)
+    half = initial_prototype(config).coeffs
     tracemalloc.start()
     try:
         tables = TransferTables(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        build = tracemalloc.get_traced_memory()[1] - _table_bytes(tables)
+        weights = np.ones(tables.omega.size)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        optimize._evaluate(half, weights, tables, 2)
+        evaluate = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    own = _table_bytes(tables)
-    assert peak - own <= min(transfer._BATCH_BYTES, tables.ta.nbytes // 2)
-    # the mix in place left every block of rows in the DCT-IV basis
-    block = transfer._MIX_POINTS
-    _assert_canonical_tables(tables, config, tables.omega, [0, block - 1, block, grid - 1])
+    assert build <= evaluate
 
 
 def _table_bytes(tables):
