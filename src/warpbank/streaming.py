@@ -35,11 +35,10 @@ run of two sequences down the line gives all four: an impulse, and alpha^t,
 which is what a section puts out from a unit state.  Phi and Gamma depend
 only on alpha, so one copy serves both directions (_StateMaps): the
 transposed line carries its state by Phi^T and reads it out through Gamma^T
-in reversed time order.  Only the N-1 states persist between super-blocks
-of _BLOCK samples.  Within one, the chunks' start states come from the
-recursion s <- s Phi + x Gamma, run as a chunked scan (_StateMaps.carry):
-segments of K chunks run as GEMMs over all segments at once, and Phi^K
-carries the state from segment to segment.
+in reversed time order.  Within a super-block of _BLOCK samples, the
+chunks' start states come from the recursion s <- s Phi + x Gamma, run as a
+chunked scan (_StateMaps.carry): segments of K chunks run as GEMMs over all
+segments at once, and Phi^K carries the state from segment to segment.
 
 Neither direction computes a channel sample that decimation drops or that
 zero insertion makes zero (the polyphase rule).  Channel k keeps every S_k-th
@@ -54,14 +53,16 @@ for the kept channel samples, plus (N-1) + 2(N-1)^2/c for the state (the
 scan does twice the work of a plain per-chunk step, in 2K + C/K calls per
 super-block of C chunks in place of C), in either direction.
 
-BankStream fuses the two directions.  With the frame phases at 0, analysis
-and synthesis share one slot layout per period group, so a group's kept
-samples y = [x | s] W_a^T are the synthesis input as they stand and go
-straight on as y W_s, with the channel gains folded into the rows of W_s:
-no frame is stored, scattered or gathered.  A stream holds its operators
-and one super-block of working memory whatever the signal length, and it
-gives back the output of every whole chunk as soon as the chunk is in, so
-its latency is under c = 64 samples.
+One engine (_Line) runs a super-block at a time and keeps only the N-1
+states of each direction between them.  Its split half writes each chunk's
+analysis start state into the rows [input | start state]; its merge half
+carries the drive in the acc [output | drive] down the transposed line and
+adds the start states' output.  analyze runs the split half and scatters
+the kept samples into frames; synthesize gathers frame samples, at any
+phase, into the acc and runs the merge half.  BankStream runs both, fused:
+at phase 0 both directions share each period group's slot layout, so the
+kept samples y = [x | s] W_a^T go straight on as y W_s, with the channel
+gains folded into W_s, and no frame is stored.
 """
 
 import math
@@ -276,26 +277,12 @@ def _period_groups(ratios, phases):
 @dataclass
 class _Group:
     """Channels whose kept samples repeat every `period` chunks, with the
-    rows of the block maps that give them, one (Q, c+N-1) matrix per class."""
+    columns of [Theta; Psi] or the rows of [Theta' | Gamma'] that give them
+    (see _groups), one matrix per class."""
 
     period: int
-    weights: np.ndarray  # (period, Q, c+N-1)
+    weights: np.ndarray  # (period, c+N-1, Q) or (period, Q, c+N-1)
     members: list  # (channel, slot) as from _period_groups
-
-
-def _classes(rows, period, first, count, margin):
-    """The rows of the whole periods that cover chunks first.. first+count-1,
-    one matrix per class: (period, periods, width).
-
-    The chunks sit at rows[margin:margin+count], with a margin of at least
-    period-1 rows on either side.  Also returns the chunk the first period
-    starts at, a multiple of the period.
-    """
-    lead = first % period
-    periods = -(-(lead + count) // period)
-    start = margin - lead
-    view = rows[start : start + periods * period].reshape(periods, period, -1)
-    return first - lead, view.transpose(1, 0, 2)
 
 
 def _groups(runs, coeffs, ratios, phases, scale=None):
@@ -331,9 +318,10 @@ def _groups(runs, coeffs, ratios, phases, scale=None):
             weights[slot, :c] = np.where(delay >= 0, responses[k, np.maximum(delay, 0)], 0.0)
             if scale is not None:
                 weights[slot] *= scale[k]
-        groups.append(
-            _Group(period, weights.reshape(period, width, -1), [m[:2] for m in members])
-        )
+        weights = weights.reshape(period, width, -1)
+        if scale is None:
+            weights = weights.transpose(0, 2, 1)
+        groups.append(_Group(period, weights, [m[:2] for m in members]))
     return groups
 
 
@@ -344,8 +332,77 @@ def _operators(design):
     return filters, runs, _state_maps(design.alpha, runs)
 
 
+class _Line:
+    """The super-block engine and its two halves (see the module docstring).
+
+    The rows and the acc hold a super-block's chunks at [margin:], between
+    margins of the longest group period less one.  The split half keeps its
+    drive in the acc, and the merge half puts its start states over the
+    split's in the rows: a driver of both fills the acc after the split and
+    reads the rows before the merge.
+    """
+
+    def __init__(self, maps, groups, chunks=math.inf):
+        # a signal of known length needs no more rows than its chunks
+        self._step = min(_block_length() // _CHUNK, chunks)
+        self._maps = maps
+        self._margin = max(g.period for g in groups) - 1
+        self._rows = np.zeros((self._step + 2 * self._margin, _CHUNK + maps.phi.shape[0]))
+        self._acc = np.zeros_like(self._rows)
+        self.reset()
+
+    def reset(self):
+        self._split_state, self._merge_state = np.zeros((2, self._maps.phi.shape[0]))
+        self._chunk = 0
+
+    def _blocks(self, total):
+        """(chunks before it, its chunks, its (count, c) rows of input to
+        fill) per super-block of the next total chunks."""
+        done = 0
+        while done < total:
+            count = min(self._step, total - done)
+            yield done, count, self._rows[self._margin : self._margin + count, :_CHUNK]
+            self._chunk += count
+            done += count
+
+    def _split(self, count):
+        """The split half: the drive x Gamma of the inputs, and the analysis
+        carry, which writes each chunk's start state into its row."""
+        c, margin = _CHUNK, self._margin
+        body = self._rows[margin : margin + count]
+        drive = np.matmul(body[:, :c], self._maps.gamma, out=self._acc[margin : margin + count, c:])
+        self._maps.carry(drive, body[:, c:], self._split_state)
+
+    def _views(self, period, count):
+        """The chunk the first of the whole periods that cover the block
+        starts at, and their rows and acc, (period, periods, c+N-1) each."""
+        lead = self._chunk % period
+        periods = -(-(lead + count) // period)
+        start = self._margin - lead
+        rows, acc = (
+            a[start : start + periods * period].reshape(periods, period, -1).transpose(1, 0, 2)
+            for a in (self._rows, self._acc)
+        )
+        return self._chunk - lead, rows, acc
+
+    def _merge(self, count, out):
+        """The merge half: the transposed carry of the acc's drive into the
+        rows' state columns, then the acc plus Psi' = Gamma^T R of each start
+        state into out (count, c)."""
+        c, margin, maps = _CHUNK, self._margin, self._maps
+        merged, starts = self._acc[margin : margin + count], self._rows[margin : margin + count, c:]
+        maps.carry(merged[:, c:], starts, self._merge_state, transposed=True)
+        # the start states' output, reversed in time
+        np.matmul(starts, maps.gamma.T, out=out)
+        np.add(merged[:, :c], out[:, ::-1], out=merged[:, :c])
+        out[:] = merged[:, :c]
+
+
 def analyze(design, signal):
     """Split a signal into decimated subband frames.
+
+    Runs the split half of the line and scatters each group's kept samples
+    into the frames, one super-block at a time.
 
     Parameters
     ----------
@@ -364,31 +421,25 @@ def analyze(design, signal):
     filters, runs, maps = _operators(design)
     ratios = design.subsampling
     groups = _groups(runs, filters.analysis, ratios, [0] * ratios.size)
-    c, n = _CHUNK, maps.phi.shape[0]
+    c, chunks = _CHUNK, -(-x.size // _CHUNK)
+    line = _Line(maps, groups, chunks)
     out = [np.empty(-(-x.size // int(s))) for s in ratios]
-    step = _block_length()
-    margin = max(g.period for g in groups) - 1
-    # rows [chunk input | start state], zero around the super-block's chunks
-    rows = np.zeros((-(-min(step, x.size) // c) + 2 * margin, c + n))
-    state = np.zeros(n)
-    for start in range(0, x.size, step):
-        blk = x[start : start + step]
-        full, rest = divmod(blk.size, c)
-        count = full + (rest > 0)
-        body = rows[margin : margin + count]
-        body[:full, :c] = blk[: full * c].reshape(full, c)
-        if rest:
-            body[full, :c] = 0.0
-            body[full, :rest] = blk[full * c :]
-        maps.carry(body[:, :c] @ maps.gamma, body[:, c:], state)
+    for done, count, inputs in line._blocks(chunks):
+        blk = x[done * c : (done + count) * c]
+        # the last partial chunk, if any, is padded with zeros in place
+        full = blk.size // c
+        inputs[-1] = 0.0
+        inputs[:full] = blk[: full * c].reshape(full, c)
+        inputs[full:, : blk.size - full * c] = blk[full * c :]
+        line._split(count)
         for g in groups:
-            base, view = _classes(rows, g.period, start // c, count, margin)
+            base, view, _ = line._views(g.period, count)
             # (period, periods, Q) -> the kept samples of each period, in order
-            y = np.matmul(view, g.weights.transpose(0, 2, 1))
+            y = np.matmul(view, g.weights)
             y = y.transpose(1, 0, 2).reshape(y.shape[1], -1)
             for k, slot in g.members:
                 s = int(ratios[k])
-                lo, hi = -(-start // s), -(-(start + blk.size) // s)
+                lo, hi = -(-done * c // s), -(-(done * c + blk.size) // s)
                 skip = lo - base * c // s
                 out[k][lo:hi] = y[:, slot].ravel()[skip : skip + hi - lo]
     return [SubbandFrame(k, out[k], int(s)) for k, s in enumerate(ratios)]
@@ -400,17 +451,11 @@ def synthesize(design, frames):
     Frames are upsampled by zero insertion at their stated phase, scaled by
     the ratio (the decimate/upsample pair is gain 1/S otherwise), run through
     the warped synthesis filters and summed.  Output length is the largest
-    upsampled channel length.
+    upsampled channel length.  Frame samples must be real, 1-D and finite.
 
-    The zero-inserted samples are never formed.  Per super-block, the frame
-    samples of the channels that share a period of chunk classes go through
-    one batched matmul with the rows of the transposed line's maps that they
-    touch, into each chunk's output and the input to its end state (see the
-    module docstring).  The state carried between super-blocks is the N-1
-    states of the transposed line, and within a super-block of C chunks the
-    chunked scan carries it in 2K + C/K calls.  Per output sample that costs
-    about (c + N-1) * sum_k 1/S_k + (N-1) + 2(N-1)^2/c multiply-adds.  Frame
-    samples must be real, 1-D and finite.
+    The zero-inserted samples are never formed: per super-block, each
+    period group gathers its frame samples into the slots of their phases,
+    one batched matmul adds them into the acc, and the merge half runs.
     """
     M = design.channels
     if len(frames) != M:
@@ -436,41 +481,27 @@ def synthesize(design, frames):
     filters, runs, maps = _operators(design)
     ratios = [f.ratio for f in checked]
     groups = _groups(runs, filters.synthesis, ratios, [f.phase for f in checked], ratios)
-    c, n = _CHUNK, maps.phi.shape[0]
+    c = _CHUNK
     length = max(f.phase + f.samples.size * f.ratio for f in checked)
-    out = np.empty(length)
-    step = _block_length()
-    margin = max(g.period for g in groups) - 1
-    # per chunk, the sum of what the frame samples add to its outputs and
-    # its end state, [outputs | end state], and a margin around the chunks
-    chunks = -(-min(step, length) // c)
-    acc = np.empty((chunks + 2 * margin, c + n))
-    starts = np.empty((chunks, n))
-    tail = np.empty((chunks, c))
-    state = np.zeros(n)
-    for start in range(0, length, step):
-        stop = min(start + step, length)
-        count = -(-(stop - start) // c)
-        acc.fill(0.0)
+    chunks = -(-length // c)
+    line = _Line(maps, groups, chunks)
+    out = np.empty((chunks, c))
+    for done, count, _ in line._blocks(chunks):
+        line._acc.fill(0.0)
         for g in groups:
-            base, view = _classes(acc, g.period, start // c, count, margin)
+            base, _, view = line._views(g.period, count)
             periods = view.shape[1]
             # the frame samples of those periods (zero past a frame's end),
             # in the slots of the compact (periods, P*Q) input
             u = np.zeros((periods, g.weights.shape[0] * g.weights.shape[1]))
             for k, slot in g.members:
                 f = checked[k]
-                part = np.zeros(periods * slot.size)
-                kept = f.samples[base * c // f.ratio :][: part.size]
-                part[: kept.size] = kept
-                u[:, slot] = part.reshape(periods, slot.size)
+                kept = f.samples[base * c // f.ratio :][: periods * slot.size]
+                places = np.arange(periods)[:, None] * u.shape[1] + slot
+                u.ravel()[places.ravel()[: kept.size]] = kept
             view += np.matmul(u.reshape(periods, g.period, -1).transpose(1, 0, 2), g.weights)
-        body = acc[margin : margin + count]
-        maps.carry(body[:, c:], starts[:count], state, transposed=True)
-        # Psi' = Gamma^T R: the start states' output, reversed in time
-        y = np.matmul(starts[:count], maps.gamma.T, out=tail[:count])[:, ::-1]
-        out[start:stop] = (body[:, :c] + y).ravel()[: stop - start]
-    return out
+        line._merge(count, out[done : done + count])
+    return out.ravel()[:length]
 
 
 def _gain_factors(design, gains_db):
@@ -484,7 +515,7 @@ def _gain_factors(design, gains_db):
     return 10.0 ** (gains_db / 20.0)
 
 
-class BankStream:
+class BankStream(_Line):
     """Analysis and synthesis of one design, fused, over a signal that
     arrives in pieces.
 
@@ -496,41 +527,27 @@ class BankStream:
     process_signal's: per-channel gains in dB (gains_db, -inf silences a
     channel) apply between analysis and synthesis.
 
-    The operators of both directions are built once, and the stream keeps
-    them and one super-block of working memory: nothing that grows with the
-    signal.
+    Per super-block it runs the split half, each group's kept samples
+    straight into the synthesis rows, which carry the gains, and the merge
+    half.  It keeps its operators and one super-block of working memory.
     """
 
     def __init__(self, design, gains_db=None):
         gains = _gain_factors(design, gains_db)
-        filters, runs, self._maps = _operators(design)
+        filters, runs, maps = _operators(design)
         ratios = design.subsampling
         phases = [0] * ratios.size
+        # at phase 0 both sides share each group's slots, which need not be kept
         split = _groups(runs, filters.analysis, ratios, phases)
         merge = _groups(runs, filters.synthesis, ratios, phases, ratios * gains)
-        # with phase 0 both sides share each group's slot layout
-        self._groups = [
-            (a.period, a.weights.transpose(0, 2, 1), s.weights) for a, s in zip(split, merge)
-        ]
-        c, n = _CHUNK, design.order - 1
-        self._step = _block_length() // c
-        self._margin = max(g.period for g in split) - 1
-        # per chunk of a super-block, with a margin around them: [input |
-        # analysis start state], which the synthesis start states replace
-        # once the groups have read them, and [output | synthesis drive],
-        # which holds the analysis drive until the groups fill it
-        self._rows = np.zeros((self._step + 2 * self._margin, c + n))
-        self._acc = np.zeros_like(self._rows)
-        self._pending = np.empty(c)
-        self.reset()
+        self._groups = [(a.period, a.weights, s.weights) for a, s in zip(split, merge)]
+        self._pending = np.empty(_CHUNK)
+        super().__init__(maps, split)
 
     def reset(self):
         """Forget the signal so far: zero state, no samples held."""
-        n = self._maps.phi.shape[0]
-        self._split_state = np.zeros(n)
-        self._merge_state = np.zeros(n)
+        super().reset()
         self._held = 0
-        self._chunk = 0
 
     def push(self, samples):
         """Output of every whole chunk completed by samples (real, 1-D,
@@ -560,55 +577,36 @@ class BankStream:
     def _feed(self, x, out):
         """Run the held samples and x for out.size // c whole chunks into
         out, and hold what is left of x."""
-        c, margin, step = _CHUNK, self._margin, self._step
-        total = out.size // c
-        used = done = 0
-        while done < total:
-            count = min(step, total - done)
-            body = self._rows[margin : margin + count, :c]
+        c, used = _CHUNK, 0
+        out = out.reshape(-1, c)
+        for done, count, inputs in self._blocks(out.shape[0]):
             held = self._held
             if held:
-                body[0, :held] = self._pending[:held]
-                body[0, held:] = x[: c - held]
+                inputs[0, :held] = self._pending[:held]
+                inputs[0, held:] = x[: c - held]
                 used, self._held = c - held, 0
             first = 1 if held else 0
             end = used + (count - first) * c
-            body[first:] = x[used:end].reshape(count - first, c)
+            inputs[first:] = x[used:end].reshape(count - first, c)
             used = end
-            self._block(count, out[done * c : (done + count) * c].reshape(count, c))
-            done += count
+            self._split(count)
+            self._acc.fill(0.0)
+            for i, (period, split, merge) in enumerate(self._groups):
+                _, view, into = self._views(period, count)
+                # kept samples, then what they add to each chunk; the first
+                # group writes its share, the others add theirs from a product
+                # laid out as the rows are (a sum from the class order would
+                # be buffered)
+                if i == 0:
+                    np.matmul(np.matmul(view, split), merge, out=into)
+                else:
+                    part = np.empty((into.shape[1], period, into.shape[2])).transpose(1, 0, 2)
+                    into += np.matmul(np.matmul(view, split), merge, out=part)
+                    del part  # before the next group's is made
+            self._merge(count, out[done : done + count])
         rest = x.size - used
         self._pending[self._held : self._held + rest] = x[used:]
         self._held += rest
-
-    def _block(self, count, out):
-        """One super-block: count chunks at self._rows[margin:], output into
-        out (count, c)."""
-        c, margin, maps = _CHUNK, self._margin, self._maps
-        rows, acc = self._rows, self._acc
-        body, merged = rows[margin : margin + count], acc[margin : margin + count]
-        drive = np.matmul(body[:, :c], maps.gamma, out=merged[:, c:])
-        maps.carry(drive, body[:, c:], self._split_state)
-        acc.fill(0.0)
-        for i, (period, split, merge) in enumerate(self._groups):
-            _, view = _classes(rows, period, self._chunk, count, margin)
-            _, into = _classes(acc, period, self._chunk, count, margin)
-            # kept samples, then what they add to each chunk; the first group
-            # writes its share, the others add theirs from a product laid out
-            # as the rows are (a sum from the class order would be buffered)
-            if i == 0:
-                np.matmul(np.matmul(view, split), merge, out=into)
-            else:
-                part = np.empty((into.shape[1], period, into.shape[2])).transpose(1, 0, 2)
-                into += np.matmul(np.matmul(view, split), merge, out=part)
-                del part  # before the next group's is made
-        self._chunk += count
-        starts = body[:, c:]
-        maps.carry(merged[:, c:], starts, self._merge_state, transposed=True)
-        # Psi' = Gamma^T R: the start states' output, reversed in time
-        np.matmul(starts, maps.gamma.T, out=out)
-        np.add(merged[:, :c], out[:, ::-1], out=merged[:, :c])
-        out[:] = merged[:, :c]
 
 
 def process_signal(design, signal, gains_db=None):
@@ -629,11 +627,12 @@ def measure_response(design, probe_freqs):
     Each probe feeds a unit sine, discards a settle transient of
     _SETTLE*N*max(S) samples, and reads the steady-state amplitude by
     Hann-windowed quadrature correlation over _WINDOW samples.  Returns
-    magnitudes in dB.  Probes at (or numerically touching) 0 or pi are
-    rejected, since the correlation cannot separate the conjugate line
-    there, and so are non-finite ones.  One BankStream serves every probe.
+    magnitudes in dB.  The probes are a real scalar or 1-D array; those at
+    (or numerically touching) 0 or pi are rejected, since the correlation
+    cannot separate the conjugate line there, and so are non-finite ones.
+    One BankStream serves every probe.
     """
-    freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
+    freqs = _real_samples(np.atleast_1d(probe_freqs), "probe frequencies")
     bad = [float(f) for f in freqs if not 1e-9 < f < np.pi - 1e-9]
     if bad:
         raise ValueError("probe frequencies not inside (0, pi): %r" % bad)

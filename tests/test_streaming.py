@@ -145,6 +145,14 @@ def test_measure_rejects_non_finite_probes():
     for bad in (np.nan, np.inf, -np.inf):
         with assert_raises(ValueError, match="inside"):
             measure_response(design, [bad, 1.0])
+    # a complex probe is not cut to its real part, and a 2-D array of
+    # probes is named, not met by numpy's ambiguous truth value
+    for bad in (np.array([0.5 + 1j]), 0.5 + 0j, np.full((2, 2), 0.5)):
+        with assert_raises(ValueError, match="probe frequencies must be a real 1-D"):
+            measure_response(design, bad)
+    # a scalar probe is one probe, and no probes measure nothing
+    assert_array_equal(measure_response(design, 0.5), measure_response(design, [0.5]))
+    assert measure_response(design, []).shape == (0,)
 
 
 def test_analyze_validation():
@@ -472,6 +480,24 @@ def test_stream_splits_match_one_shot(case, data):
     assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+@given(_streams(), st.data())
+def test_analyze_then_synthesize_matches_process_signal(case, data):
+    # frames of analyze scaled by hand and run through synthesize: the two
+    # halves of the line composed, against the fused group product of the
+    # stream with the gains folded into its rows, -inf too
+    design, _, block, length, seed = case
+    x = np.random.default_rng(seed).standard_normal(length)
+    gain = st.one_of(st.just(-np.inf), st.floats(-20.0, 20.0))
+    gains = data.draw(st.lists(gain, min_size=design.channels, max_size=design.channels))
+    with mock.patch.object(streaming, "_BLOCK", block):
+        frames = analyze(design, x)
+        for f, g in zip(frames, gains):
+            f.samples *= 10.0 ** (g / 20.0)
+        got = synthesize(design, frames)[: x.size]
+        want = process_signal(design, x, gains)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_stream_flush_resets_and_bad_push_changes_nothing():
     design = _toy_design(4, 32, 0.55, [4, 3, 2, 1])
     x = np.random.default_rng(179).standard_normal(500)
@@ -542,3 +568,26 @@ def test_process_memory_does_not_grow_with_length():
         rest.append(peak - 8 * length)
     # one byte more per sample of the longer signal would show as 7*short
     assert rest[1] - rest[0] < 7 * short
+
+
+def test_frame_api_memory_does_not_grow_with_length():
+    # what analyze and synthesize hold beyond their output is one
+    # super-block of rows and acc, the same at L and 8L samples
+    design = _toy_design(4, 32, 0.6, [4, 3, 2, 1])
+    rng = np.random.default_rng(181)
+    short = 2 * streaming._BLOCK
+    synthesize(design, analyze(design, rng.standard_normal(100)))
+    rest = {"analyze": [], "synthesize": []}
+    for length in (short, 8 * short):
+        x = rng.standard_normal(length)
+        frames = analyze(design, x)
+        for call, arg in ((analyze, x), (synthesize, frames)):
+            tracemalloc.start()
+            got = call(design, arg)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            size = got.nbytes if call is synthesize else sum(f.samples.nbytes for f in got)
+            rest[call.__name__].append(peak - size)
+    for name, (at_short, at_long) in rest.items():
+        # one byte more per sample of the longer signal would show as 7*short
+        assert at_long - at_short < 7 * short, name
