@@ -142,7 +142,10 @@ def cmd_design(args):
 
 
 def cmd_subsample(args):
-    table = subsampling.band_table(args.channels, args.alpha)
+    try:
+        table = subsampling.band_table(args.channels, args.alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print("channel     f_lower     f_upper  band  ratio")
     for band in table:
         print(

@@ -12,19 +12,20 @@ basis over the warped angles nu and pi - nu of each shift, within a byte
 budget its caller sets.  The direct pass (_shift_pass) evaluates a given
 prototype from it, two real GEMMs per shift for all of the shift's
 channels, and every transfer curve and the bifrequency map read that pass.
-Scoring many prototypes on one grid (the optimizer) uses TransferTables,
-built from the same bases: the vectors of the quadratic form T_all =
-h^T U(omega) h, U = sum_k ua_k us_k^T.  The synthesis vectors us are image 0
-only and factor into the shift-0 basis over nu0 and pi - nu0, a phase per
-grid point and fixed per-channel weights (wc, ws) = _split_weights(ones).
-The cosine modulation is a DCT-IV: wc = C Sc and ws = C Ss, where C is
-sqrt 2 times the M-point DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per
-column (_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c]
-ua_k and us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the tables keep T (the size
-of ua, as real and imaginary planes) and the factors of us', whose
-synthesis side selects N/(2M) cosine columns per canonical column c
-instead of weighting all N/2.  The tables are the only route to these
-vectors; transfer_quadratic reads U off a one-point table.
+Scoring many prototypes on one grid (the optimizer, its final alias curve
+included) uses TransferTables, built from the same bases: the vectors of
+the quadratic form T_all = h^T U(omega) h, U = sum_k ua_k us_k^T.  The
+synthesis vectors us are image 0 only and factor into the shift-0 basis
+over nu0 and pi - nu0, a phase per grid point and fixed per-channel
+weights (wc, ws) = _split_weights(ones).  The cosine modulation is a
+DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times the M-point
+DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column (_dct4_split).
+So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and us'_c = p0
+(Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as real and
+imaginary planes) and the factors of us', whose synthesis side selects
+N/(2M) cosine columns per canonical column c instead of weighting all
+N/2.  The tables are the only route to these vectors; transfer_quadratic
+reads U off a one-point table.
 """
 
 import functools
@@ -137,14 +138,17 @@ class TransferTables:
     us' for given grid rows.
 
     The build reads the direct pass's bases from _shift_bases, many shifts
-    per basis over a few grid points, within 1/32 of ta's bytes.  By the
-    split-weights identity, ua_k = wc_k Ac_k + j ws_k Ad_k with (wc, ws) =
+    per basis over a few grid points, within 1/32 of ta's bytes or
+    _TABLE_POINTS points, whichever is more.  By the split-weights
+    identity, ua_k = wc_k Ac_k + j ws_k Ad_k with (wc, ws) =
     _split_weights(ones), where Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and
     e^{-j(N-1)nu/2} c(pi - nu) over the shifts of channel k's images: per
     grid point and plane, one GEMM of a batch's (N/2, shifts) basis against
-    the phases on a 0/1 incidence of shifts and channels.  The unit split
-    weights join the planes, C^T mixes the channels while the block is in
-    cache, and each row of ta is written once.  Shift 0 gives basis0 and p0.
+    a (shifts, channels) phase matrix that holds the phase at the places of
+    the images only (249 of the flagship's 116 x 22) and zeros elsewhere.
+    The unit split weights join the planes, C^T mixes the channels while
+    the block is in cache, and each row of ta is written once.  Shift 0
+    gives basis0 and p0.
     """
 
     def __init__(self, config, omega=None):
@@ -162,32 +166,39 @@ class TransferTables:
         self.columns = np.nonzero(select)[2].reshape(2, M, -1)
         self.signs = np.take_along_axis(select, self.columns, axis=2)
         table = _shift_table(config.subsampling)
-        incidence = np.zeros((len(table), 1, 1, M))  # per shift, one image at most
-        for i, (_, ks, _) in enumerate(table):
-            incidence[i, 0, 0, ks] = 1.0
+        # the (shift, channel) place of each image, shifts ascending
+        image_shift = np.repeat(np.arange(len(table)), [ks.size for _, ks, _ in table])
+        image_channel = np.concatenate([ks for _, ks, _ in table])
         # (plane, n, re/im, channel): wc on the c sums, ws on the d sums
         split = np.stack([C @ self.sc, C @ self.ss]).transpose(0, 2, 1)
         split = np.repeat(split[:, :, None], 2, axis=2)
+        budget = max(self.ta.nbytes // 32, _TABLE_POINTS * 16 * (n2 + 1) * len(table))
         sums = None
         for block, batch, nu, basis in _shift_bases(
-            self.omega, config, table, self.ta.nbytes // 32, per_point=True
+            self.omega, config, table, budget, per_point=True
         ):
             shifts, points = nu.shape
             if sums is None:  # the first block and batch are the largest
                 sums = np.empty((points, 2, n2, 2 * M))
                 part = np.empty_like(sums) if shifts < len(table) else None
-                phases = np.empty((points, shifts, 2, 2 * M))
+                phases = np.zeros(points * shifts * 4 * M)
             if batch.start == 0:
                 self.basis0[block] = basis[0].transpose(1, 0, 2)
                 self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
             # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
             # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of
-            # Ad, so that ua = wc (c sums) + ws (d sums)
+            # Ad, so that ua = wc (c sums) + ws (d sums); every other place
+            # of the (shift, plane, re/im, channel) phases stays 0
             angle = -0.5 * (N - 1) * nu.T
             cos, sin = np.cos(angle), np.sin(angle)
-            trig = np.stack([cos, sin, -sin, cos], axis=-1).reshape(points, shifts, 2, 2, 1)
-            phase = phases[:points, :shifts]
-            np.multiply(trig, incidence[batch], out=phase.reshape(points, shifts, 2, 2, M))
+            trig = np.stack([cos, sin, -sin, cos], axis=-1)
+            phase = phases[: points * shifts * 4 * M].reshape(points, shifts, 4, M)
+            if shifts < len(table):  # each batch puts its images elsewhere
+                phase.fill(0.0)
+            images = slice(*np.searchsorted(image_shift, [batch.start, batch.stop]))
+            at = image_shift[images] - batch.start
+            phase[:, at[:, None], np.arange(4), image_channel[images, None]] = trig[:, at]
+            phase = phase.reshape(points, shifts, 2, 2 * M)
             out = part[:points] if batch.start else sums[:points]
             for p in range(2):  # the c and d planes
                 np.matmul(basis[:, p].transpose(1, 2, 0), phase[:, :, p], out=out[:, p])
@@ -214,9 +225,31 @@ class TransferTables:
         p0 (c0 @ (sc h)^T - j d0 @ (ss h)^T), two real GEMMs."""
         half = np.asarray(half, dtype=float)
         a = (self.ta.reshape(-1, half.size) @ half).reshape(self.ta.shape[:3])
-        bc = self.basis0[:, 0] @ (self.sc * half).T
-        bd = self.basis0[:, 1] @ (self.ss * half).T
+        bc, bd = self._shift0(half)
         return a[:, 0] + 1j * a[:, 1], self.p0[:, None] * (bc - 1j * bd)
+
+    def _shift0(self, half):
+        """c0 @ (sc h)^T and d0 @ (ss h)^T, each (grid, channels)."""
+        return self.basis0[:, 0] @ (self.sc * half).T, self.basis0[:, 1] @ (self.ss * half).T
+
+    def aliasing(self, half, products=None):
+        """Coherent alias curve over the grid, the images l >= 1 of every
+        channel, from the canonical products (tables.channel_products(half),
+        computed if not given).
+
+        C C = M I unmixes them into the channels': a = A C / M sums channel
+        k's analysis responses over its S_k images, and b = B C holds its
+        synthesis responses F_k.  Shift 0's analysis responses are H0 = p0
+        (c0 @ (sc h)^T + j d0 @ (ss h)^T) C, so the alias is sum_k (a_k -
+        H0_k) b_k over the channels with S_k > 1; a channel of ratio 1 has
+        no alias image, and leaving it out keeps its rounding out too."""
+        half = np.asarray(half, dtype=float)
+        A, B = self.channel_products(half) if products is None else products
+        config = self.config
+        C = _dct4_split(config.order // 2, config.channels)[0][:, config.subsampling > 1]
+        bc, bd = self._shift0(half)
+        h0 = self.p0[:, None] * ((bc + 1j * bd) @ C)
+        return np.einsum("gk,gk->g", A @ C / C.shape[0] - h0, B @ C)
 
     def overall(self, half):
         """T_all over the grid via the quadratic form."""
@@ -257,6 +290,10 @@ def _pointwise(reduce):
 
 # basis bytes one block of the direct pass may hold (see _shift_bases)
 _PASS_BYTES = 4 << 20
+
+# grid points a block of the TransferTables build holds at least, so that
+# small grids do not pay numpy's per-call overhead one point at a time
+_TABLE_POINTS = 4
 
 
 def _shift_table(ratios, aliasing=True):

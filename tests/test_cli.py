@@ -131,6 +131,14 @@ def test_subsample_table(capsys, tmp_path):
     assert first[0] == "0" and first[4] == "40"
 
 
+@pytest.mark.parametrize("option, value", [("--channels", "0"), ("--alpha", "1.5")])
+def test_subsample_out_of_range_exits_2(option, value, capsys):
+    argv = {"--channels": "22", "--alpha": "0.5783"}
+    argv[option] = value
+    assert main(["subsample"] + [w for pair in argv.items() for w in pair]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_evaluate_headers_and_determinism(toy_design, tmp_path):
     whats = {
         "prototype": "omega_norm,value_db",

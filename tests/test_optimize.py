@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose, assert_equal
 from pytest import raises as assert_raises
 
 import oracles
-from warpbank import optimize
+from warpbank import optimize, transfer
 from warpbank import (
     BankConfig,
     TransferTables,
+    aliasing_transfer,
     design,
     envelope,
     error_function,
@@ -27,6 +28,7 @@ from warpbank import (
     objective,
     prototype_response,
     select_all,
+    to_db,
     update_weights,
 )
 
@@ -495,3 +497,41 @@ def test_design_reports_phase_seconds():
     assert set(phases) == {"tables", "inner", "metrics"}
     assert all(value >= 0.0 for value in phases.values())
     assert sum(phases.values()) <= wall
+
+
+def _direct_alias_db(bank, config):
+    return float(to_db(aliasing_transfer(bank.half, frequency_grid(config), config)).max())
+
+
+def test_design_alias_matches_direct_route(flagship):
+    # the tables' alias curve is the direct pass's: the flagship, the 8-channel
+    # side bank, and a toy whose ratio-1 channels the table route leaves out
+    config, bank = flagship[:2]
+    assert abs(bank.max_alias_db - _direct_alias_db(bank, config)) <= 1e-8
+    for config in (
+        BankConfig(channels=8, order=64, alpha=0.4, subsampling=select_all(8, 0.4)),
+        BankConfig(channels=4, order=32, alpha=-0.3, subsampling=[1, 3, 2, 1]),
+    ):
+        bank, _ = design(config)
+        assert abs(bank.max_alias_db - _direct_alias_db(bank, config)) <= 1e-8
+
+
+def test_design_alias_free_bank_reads_floor():
+    config = BankConfig(channels=4, order=32, alpha=-0.3)
+    bank, _ = design(config)
+    assert bank.max_alias_db == -300.0
+
+
+def test_design_takes_alias_from_tables(monkeypatch):
+    # the direct route runs only for initial_prototype's shift-0 scaling
+    parts, calls = transfer._transfer_parts, []
+
+    def counted(proto, w, config, aliasing=True):
+        calls.append(aliasing)
+        return parts(proto, w, config, aliasing)
+
+    monkeypatch.setattr(transfer, "_transfer_parts", counted)
+    config = BankConfig(channels=4, order=32, alpha=0.3, subsampling=[2, 3, 2, 1])
+    bank, _ = design(config)
+    assert calls and not any(calls)
+    assert bank.max_alias_db > -300.0

@@ -163,6 +163,18 @@ def test_quadratic_form_matches_direct_sum():
 
 
 @given(_banks())
+def test_table_alias_is_direct_alias(case):
+    # the tables' canonical products unmix into the channels' alias images;
+    # without images the curve is exactly zero
+    half, config = case
+    omega = np.linspace(0.0, np.pi, 33)
+    got = TransferTables(config, omega).aliasing(half)
+    assert_allclose(got, aliasing_transfer(half, omega, config), atol=1e-9)
+    flat = BankConfig(channels=config.channels, order=config.order, alpha=config.alpha)
+    assert not np.any(TransferTables(flat, omega).aliasing(half))
+
+
+@given(_banks())
 def test_overall_is_distortion_plus_aliasing(case):
     half, config = case
     omega = np.linspace(0.0, np.pi, 33)
@@ -329,6 +341,28 @@ def test_transfer_tables_build_is_never_the_design_peak(channels, order, alpha, 
     finally:
         tracemalloc.stop()
     assert build <= evaluate
+
+
+def test_transfer_tables_small_grid_blocks_hold_several_points():
+    # 1/32 of ta is below one point's basis over every shift on a small grid;
+    # a block still takes _TABLE_POINTS points, with every shift in one batch
+    config = BankConfig(channels=22, order=176, alpha=0.5783,
+                        subsampling=select_all(22, 0.5783), grid_points=256)
+    bases, items = transfer._shift_bases, []
+
+    def recorded(*args, **kwargs):
+        for item in bases(*args, **kwargs):
+            items.append(item[:2])
+            yield item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_shift_bases", recorded)
+        TransferTables(config)
+    shifts = len(transfer._shift_table(config.subsampling))
+    assert len(items) == 256 // transfer._TABLE_POINTS
+    for block, batch in items:
+        assert block.stop - block.start == transfer._TABLE_POINTS
+        assert batch == slice(0, shifts)
 
 
 def _table_bytes(tables):
