@@ -249,12 +249,11 @@ def _period_groups(ratios, phases):
     class's Q = sum q_k slots, each channel q_k of them (padded where a
     class keeps fewer).
 
-    Returns (P, Q, members) per period; member (k, slot, index) gives the
+    Returns (P, Q, members) per period; member (k, slot, place) gives the
     kept samples of channel k over P*c samples from a chunk J = 0 (mod P),
-    in time order: slot = r*Q + column in the class, and index = t*M + k,
-    the place among a chunk's c*M channel samples (sample-major).
+    in time order: slot = r*Q + column in the class, and place = t, the
+    sample's place in its chunk.
     """
-    M = len(ratios)
     periods = {}
     for k, (s, p) in enumerate(zip(ratios, phases)):
         s, p = int(s), int(p)
@@ -267,9 +266,9 @@ def _period_groups(ratios, phases):
             # rank within the class: classes come in order, so each starts
             # where searchsorted finds its first place
             column = width + np.arange(r.size) - np.searchsorted(r, r)
-            places.append((k, r, column, t * M + k))
+            places.append((k, r, column, t))
             width += -(-_CHUNK // s)
-        members = [(k, r * width + column, index) for k, r, column, index in places]
+        members = [(k, r * width + column, t) for k, r, column, t in places]
         groups.append((period, width, members))
     return groups
 
@@ -297,13 +296,12 @@ def _groups(runs, coeffs, ratios, phases, scale=None):
     """
     H, G = runs
     c, lag = _CHUNK, np.arange(_CHUNK)
-    M, N = coeffs.shape
+    N = coeffs.shape[1]
     responses = coeffs @ H
     groups = []
     for period, width, members in _period_groups(ratios, phases):
         weights = np.zeros((period * width, c + N - 1))
-        for k, slot, index in members:
-            t = index // M
+        for k, slot, t in members:
             state = hankel(coeffs[k, 1:]) @ G[:-1]
             if scale is None:
                 # output at place t from chunk sample tau <= t, and from state

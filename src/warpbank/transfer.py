@@ -7,13 +7,14 @@ The analysis-synthesis chain with per-channel decimation by S_k has
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
 transfer.  The images l/S_k of all channels fall on few distinct shifts p/q
 (116 for the 249 images of the 22-channel Bark bank).  One generator,
-_shift_bases, fills per block of grid points and batch of shifts one cosine
-basis over the warped angles nu and pi - nu of each shift, within a byte
-budget its caller sets.  The direct pass (_shift_pass) evaluates a given
-prototype from it, two real GEMMs per shift for all of the shift's
+_shift_bases, fills per block of grid points one cosine basis over the
+warped angles nu and pi - nu of the shifts: by default points fill a fixed
+byte budget first and shifts go in batches, and given a block size every
+shift sits in one basis.  The direct pass (_shift_pass) evaluates a given
+prototype from the former, two real GEMMs per shift for all of the shift's
 channels, and every transfer curve and the bifrequency map read that pass.
 Scoring many prototypes on one grid (the optimizer, its final alias curve
-included) uses TransferTables, built from the same bases: the vectors of
+included) uses TransferTables, built from the latter: the vectors of
 the quadratic form T_all = h^T U(omega) h, U = sum_k ua_k us_k^T.  The
 synthesis vectors us are image 0 only and factor into the shift-0 basis
 over nu0 and pi - nu0, a phase per grid point and fixed per-channel
@@ -105,15 +106,20 @@ def frequency_grid(config):
     return np.linspace(0.0, np.pi, config.grid_points)
 
 
+def _check_finite(omega, what="omega"):
+    """omega as a float array, which must hold finite points only."""
+    points = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("%s holds non-finite points (NaN or inf)" % what)
+    return points
+
+
 def _check_grid(omega):
     """omega as a float array, which must be a nonempty, finite, real 1-D grid."""
     grid = np.asarray(omega)
     if np.iscomplexobj(grid) or grid.ndim != 1 or grid.size == 0:
         raise ValueError("omega must be a nonempty real 1-D array, got shape %s" % (grid.shape,))
-    grid = grid.astype(float, copy=False)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("omega holds non-finite points (NaN or inf)")
-    return grid
+    return _check_finite(grid)
 
 
 class TransferTables:
@@ -137,18 +143,17 @@ class TransferTables:
     The tables hold G M N/2 complex entries once; synthesis_vectors forms
     us' for given grid rows.
 
-    The build reads the direct pass's bases from _shift_bases, many shifts
-    per basis over a few grid points, within 1/32 of ta's bytes or
-    _TABLE_POINTS points, whichever is more.  By the split-weights
-    identity, ua_k = wc_k Ac_k + j ws_k Ad_k with (wc, ws) =
-    _split_weights(ones), where Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and
-    e^{-j(N-1)nu/2} c(pi - nu) over the shifts of channel k's images: per
-    grid point and plane, one GEMM of a batch's (N/2, shifts) basis against
-    a (shifts, channels) phase matrix that holds the phase at the places of
-    the images only (249 of the flagship's 116 x 22) and zeros elsewhere.
-    The unit split weights join the planes, C^T mixes the channels while
-    the block is in cache, and each row of ta is written once.  Shift 0
-    gives basis0 and p0.
+    The build reads the direct pass's bases from _shift_bases, every shift
+    in one basis over a block of grid points, as many as 1/32 of ta's bytes
+    holds but at least _TABLE_POINTS.  By the split-weights identity, ua_k
+    = wc_k Ac_k + j ws_k Ad_k with (wc, ws) = _split_weights(ones), where
+    Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and e^{-j(N-1)nu/2} c(pi - nu)
+    over the shifts of channel k's images: per grid point and plane, one
+    GEMM of the (N/2, shifts) basis against a (shifts, channels) phase
+    matrix that holds the phase at the places of the images only (249 of
+    the flagship's 116 x 22) and zeros elsewhere.  The unit split weights
+    join the planes, C^T mixes the channels while the block is in cache,
+    and each row of ta is written once.  Shift 0 gives basis0 and p0.
     """
 
     def __init__(self, config, omega=None):
@@ -166,49 +171,38 @@ class TransferTables:
         self.columns = np.nonzero(select)[2].reshape(2, M, -1)
         self.signs = np.take_along_axis(select, self.columns, axis=2)
         table = _shift_table(config.subsampling)
-        # the (shift, channel) place of each image, shifts ascending
+        # the (shift, channel) place of each image, the channels as a column
         image_shift = np.repeat(np.arange(len(table)), [ks.size for _, ks, _ in table])
-        image_channel = np.concatenate([ks for _, ks, _ in table])
+        image_channel = np.concatenate([ks for _, ks, _ in table])[:, None]
         # (plane, n, re/im, channel): wc on the c sums, ws on the d sums
         split = np.stack([C @ self.sc, C @ self.ss]).transpose(0, 2, 1)
         split = np.repeat(split[:, :, None], 2, axis=2)
-        budget = max(self.ta.nbytes // 32, _TABLE_POINTS * 16 * (n2 + 1) * len(table))
-        sums = None
-        for block, batch, nu, basis in _shift_bases(
-            self.omega, config, table, budget, per_point=True
-        ):
-            shifts, points = nu.shape
-            if sums is None:  # the first block and batch are the largest
-                sums = np.empty((points, 2, n2, 2 * M))
-                part = np.empty_like(sums) if shifts < len(table) else None
-                phases = np.zeros(points * shifts * 4 * M)
-            if batch.start == 0:
-                self.basis0[block] = basis[0].transpose(1, 0, 2)
-                self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
-            # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
-            # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of
-            # Ad, so that ua = wc (c sums) + ws (d sums); every other place
-            # of the (shift, plane, re/im, channel) phases stays 0
+        # grid points per block: their basis over every shift takes up to
+        # 1/32 of ta's bytes, and there are at least _TABLE_POINTS
+        per = 16 * (n2 + 1) * len(table)  # basis bytes per grid point
+        points = min(size, max(_TABLE_POINTS, self.ta.nbytes // 32 // per))
+        sums = np.empty((points, 2, n2, 2 * M))
+        # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
+        # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of Ad,
+        # so that ua = wc (c sums) + ws (d sums); every block writes the
+        # images' places of the (shift, plane, re/im, channel) phases, and
+        # every other place stays 0
+        phases = np.zeros((points, len(table), 4, M))
+        for block, _, nu, basis in _shift_bases(self.omega, config, table, points):
+            g = nu.shape[1]  # the last block may be ragged
+            self.basis0[block] = basis[0].transpose(1, 0, 2)
+            self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
             angle = -0.5 * (N - 1) * nu.T
             cos, sin = np.cos(angle), np.sin(angle)
             trig = np.stack([cos, sin, -sin, cos], axis=-1)
-            phase = phases[: points * shifts * 4 * M].reshape(points, shifts, 4, M)
-            if shifts < len(table):  # each batch puts its images elsewhere
-                phase.fill(0.0)
-            images = slice(*np.searchsorted(image_shift, [batch.start, batch.stop]))
-            at = image_shift[images] - batch.start
-            phase[:, at[:, None], np.arange(4), image_channel[images, None]] = trig[:, at]
-            phase = phase.reshape(points, shifts, 2, 2 * M)
-            out = part[:points] if batch.start else sums[:points]
+            phases[:g, image_shift[:, None], np.arange(4), image_channel] = trig[:, image_shift]
+            phase = phases[:g].reshape(g, len(table), 2, 2 * M)
             for p in range(2):  # the c and d planes
-                np.matmul(basis[:, p].transpose(1, 2, 0), phase[:, :, p], out=out[:, p])
-            if batch.start:
-                sums[:points] += out
-            if batch.stop >= len(table):
-                s = sums[:points].reshape(points, 2, n2, 2, M)
-                s *= split
-                ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
-                np.matmul(C.T, ua.transpose(0, 2, 3, 1), out=self.ta[block])
+                np.matmul(basis[:, p].transpose(1, 2, 0), phase[:, :, p], out=sums[:g, p])
+            s = sums[:g].reshape(g, 2, n2, 2, M)
+            s *= split
+            ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
+            np.matmul(C.T, ua.transpose(0, 2, 3, 1), out=self.ta[block])
 
     def synthesis_vectors(self, rows=slice(None)):
         """us' at the given grid rows, complex (points, channels, N/2): the
@@ -277,13 +271,14 @@ def _as_proto(half, config):
 
 
 def _pointwise(reduce):
-    """Let reduce(proto, w, config) over a 1-D grid w take scalar or N-D omega."""
+    """Let reduce(proto, w, config) over a 1-D grid w take scalar or N-D omega,
+    which must be finite; the result has omega's shape."""
 
     @functools.wraps(reduce)
     def wrapper(half, omega, config):
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        w = _check_finite(omega)
         out = reduce(_as_proto(half, config), w.ravel(), config).reshape(w.shape)
-        return out[0].item() if np.isscalar(omega) else out
+        return out.item() if np.isscalar(omega) else out
 
     return wrapper
 
@@ -360,7 +355,7 @@ def _split_weights(coeffs, channels):
     return C @ (sc * coeffs), C @ (ss * coeffs)
 
 
-def _shift_bases(w, config, table, budget, per_point=False):
+def _shift_bases(w, config, table, points=None):
     """Cosine bases of the alias shifts of table over the 1-D grid w.
 
     Yields (block, batch, nu, basis) per block of grid points and batch (a
@@ -369,21 +364,21 @@ def _shift_bases(w, config, table, budget, per_point=False):
     and basis[i, 0] and basis[i, 1], each (points, N/2), the cosine bases at
     nu[i] and pi - nu[i], all filled by one cosine_basis call.
 
-    A block's basis takes at most the caller's budget of bytes, 16 (N/2 +
-    1) per point and shift, and at least one of each.  By default points
-    fill the budget first and lie innermost in memory, for GEMMs of each
-    basis[i, plane] against per-shift weights; per_point fills shifts first
-    and lays them innermost, so per grid point g basis[:, plane, g] is a
-    matrix for GEMMs against per-point weights over the shifts.
+    With points None, points fill _PASS_BYTES of basis, 16 (N/2 + 1) per
+    point and shift, before shifts do (at least one of each), and lie
+    innermost in memory, for GEMMs of each basis[i, plane] against
+    per-shift weights.  Given points, each block holds that many grid
+    points and every shift of table in its one batch, with shifts
+    innermost, so per grid point g basis[:, plane, g] is a matrix for GEMMs
+    against per-point weights over the shifts.
     """
     n1 = config.order // 2 + 1
-    per = 16 * n1  # basis bytes per grid point and shift
+    per_point = points is not None
     if per_point:
-        shifts = max(1, min(len(table), budget // per))
-        points = max(1, min(w.size, budget // (per * shifts)))
+        shifts = len(table)
     else:
-        points = max(1, min(w.size, budget // per))
-        shifts = max(1, min(len(table), budget // (per * points)))
+        points = max(1, min(w.size, _PASS_BYTES // (16 * n1)))
+        shifts = max(1, min(len(table), _PASS_BYTES // (16 * n1 * points)))
     offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
     rows = np.empty(n1 * shifts * 2 * points)  # basis work buffer
     for first in range(0, w.size, points):
@@ -415,7 +410,7 @@ def _shift_pass(proto, w, config, aliasing=True):
     N = config.order
     wc, ws = _split_weights(proto.coeffs, config.channels)
     table = _shift_table(config.subsampling, aliasing)
-    for block, batch, nu, basis in _shift_bases(w, config, table, _PASS_BYTES):
+    for block, batch, nu, basis in _shift_bases(w, config, table):
         for i, (shift, ks, ls) in enumerate(table[batch]):
             z = np.empty((ks.size, nu.shape[1]), complex)
             z.real = wc[ks] @ basis[i, 0].T
@@ -497,8 +492,8 @@ def bifrequency_map(half, config, in_grid, out_grid):
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
     """
     proto = _as_proto(half, config)
-    win = np.asarray(in_grid, dtype=float)
-    wout = np.asarray(out_grid, dtype=float)
+    win = _check_finite(in_grid, "in_grid")
+    wout = _check_finite(out_grid, "out_grid")
     acc = np.zeros((win.size, wout.size), dtype=complex)
     order = np.argsort(wout)
     sorted_out = wout[order]

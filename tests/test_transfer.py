@@ -241,19 +241,14 @@ def test_split_weights_factor_through_dct4(channels, taps):
 
 
 @given(_banks(max_ratio=12), st.integers(1, 30))
-def test_batched_tables_match_per_image_vectors(case, shifts):
-    # a basis budget of `shifts` shifts per block: below the length of the
-    # shift table each block of one grid point takes several batches, a
-    # ragged last one among them; above it each block takes the whole
-    # table, and blocks of several points leave a ragged last block
+def test_batched_tables_match_per_image_vectors(case, points):
+    # blocks of at least `points` grid points, each with every shift in one
+    # basis; a block that does not divide the 37-point grid leaves a ragged
+    # last block
     half, config = case
     omega = np.linspace(0.0, np.pi, 37)
     table = transfer._shift_table(config.subsampling)
-    budget = shifts * 16 * (config.order // 2 + 1)
-    bases, calls = transfer._shift_bases, []
-
-    def forced(w, config, table, _, per_point=False):
-        return bases(w, config, table, budget, per_point)
+    calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -261,14 +256,13 @@ def test_batched_tables_match_per_image_vectors(case, shifts):
 
     basis = modulation.cosine_basis
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_shift_bases", forced)
+        mp.setattr(transfer, "_TABLE_POINTS", points)
         mp.setattr(modulation, "cosine_basis", counted)
         tables = TransferTables(config, omega)
-    # one recurrence per block and batch, and none more for the synthesis
-    # factors, which come from shift 0
-    batch = min(shifts, len(table))
-    points = min(omega.size, shifts // batch)
-    assert len(calls) == -(-omega.size // points) * -(-len(table) // batch)
+    # one recurrence per block, and none more for the synthesis factors,
+    # which come from shift 0
+    block = max(points, tables.ta.nbytes // 32 // (16 * (config.order // 2 + 1) * len(table)))
+    assert len(calls) == -(-omega.size // block)
     _assert_canonical_tables(tables, config, omega)
     synthesis = tables.synthesis_vectors()
     rows = [3, 0, 36]
@@ -526,6 +520,10 @@ def test_shift_pass_matches_per_image_oracle(case):
         curves = [f(half, grid, config) for f in public]
         points = [f(half, scalar, config) for f in public]
         overall = overall_transfer(half, grid, config)
+        # a 0-d omega keeps its shape, as prototype_response's does
+        routes = public + (overall_transfer, error_function)
+        zero = [f(half, np.array(scalar), config) for f in routes]
+        scalars = [f(half, scalar, config) for f in routes]
     for g, c, w in zip(got, curves, want):
         assert np.max(np.abs(g - w)) <= 1e-12 * scale
         assert_allclose(c, g, rtol=0, atol=1e-12 * scale)
@@ -534,9 +532,31 @@ def test_shift_pass_matches_per_image_oracle(case):
     for p, w in zip(points, at):
         assert np.isscalar(p)
         assert abs(p - w[0]) <= 1e-12 * max(scale, np.abs(at[0]).max(), at[2].max())
+    for z, p in zip(zero, scalars):
+        assert isinstance(z, np.ndarray) and z.shape == ()
+        assert z.item() == p
     if max(config.subsampling) == 1:
         assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
         assert aliasing_transfer(half, scalar, config) == 0.0
+
+
+def test_direct_route_rejects_non_finite_frequencies():
+    # as TransferTables does, rather than returning NaN curves or cells
+    config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[2, 1])
+    half = np.ones(4)
+    routes = (distortion_transfer, aliasing_transfer, aliasing_bound,
+              overall_transfer, error_function)
+    for omega in (np.nan, np.array(np.inf), [0.1, -np.inf], [[0.2], [np.nan]]):
+        for f in routes:
+            with assert_raises(ValueError, match="omega holds non-finite"):
+                f(half, omega, config)
+    grid = np.linspace(0.0, np.pi, 5)
+    for bad in ([0.1, np.nan], [np.inf]):
+        with assert_raises(ValueError, match="in_grid holds non-finite"):
+            bifrequency_map(half, config, bad, grid)
+        with assert_raises(ValueError, match="out_grid holds non-finite"):
+            bifrequency_map(half, config, grid, bad)
+    assert np.all(np.isfinite(bifrequency_map(half, config, grid, grid)))
 
 
 @given(_shift_cases(), st.integers(2, 40))
