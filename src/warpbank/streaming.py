@@ -45,13 +45,16 @@ zero insertion makes zero (the polyphase rule).  Channel k keeps every S_k-th
 sample, and the places of those samples in a chunk repeat every
 P_k = S_k/gcd(S_k, c) chunks, so each chunk class (chunk index mod P_k) has
 fixed columns of [Theta; Psi] (analysis) or rows of [Theta' | Gamma']
-(synthesis).  These are gathered straight from the line runs and the
-filter coefficients (_groups); the full maps are never formed.  The
-channels that share a period run as one batched matmul over the chunk
-classes.  Per sample that is about (c + N-1) * sum_k 1/S_k multiply-adds
-for the kept channel samples, plus (N-1) + 2(N-1)^2/c for the state (the
-scan does twice the work of a plain per-chunk step, in 2K + C/K calls per
-super-block of C chunks in place of C), in either direction.
+(synthesis).  One pass builds them for every group and both directions as
+rows of one array (_groups): Theta's from windows of the channel responses,
+and Psi's for every channel of both directions at once, by Horner's rule
+from the last section back, one GEMM per block of sections (_psi_rows); the
+full maps are never formed, nor Psi whole.  The channels that share a period
+run as one batched matmul over the chunk classes.  Per sample that is about
+(c + N-1) * sum_k 1/S_k multiply-adds for the kept channel samples, plus
+(N-1) + 2(N-1)^2/c for the state (the scan does twice the work of a plain
+per-chunk step, in 2K + C/K calls per super-block of C chunks in place of
+C), in either direction.
 
 One engine (_Line) runs a super-block at a time and keeps only the N-1
 states of each direction between them.  Its split half writes each chunk's
@@ -69,7 +72,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from .allpass import _check_count
@@ -131,14 +134,19 @@ def _line_runs(alpha, taps):
 
     Returns (H, G), each (taps, c): H[n] is the impulse response at tap n.
     alpha^t is a section's output from a unit state and no input, so G[d]
-    is the response d sections below a section whose state is one.
+    is the response d sections below a section whose state is one.  One
+    lfilter call gives a section's impulse response, and with it U, the
+    section's map of a chunk from a zero state (upper-triangular Toeplitz):
+    each tap's two rows are those of the tap above times U.
     """
     b, a = _section_coeffs(alpha)
-    runs = np.zeros((taps, 2, _CHUNK))
+    runs = np.empty((taps, 2, _CHUNK))
+    runs[0, 0] = 0.0
     runs[0, 0, 0] = 1.0
     runs[0, 1] = alpha ** np.arange(_CHUNK)
+    section = _upper_toeplitz(lfilter(b, a, runs[0, 0]))
     for n in range(1, taps):
-        runs[n] = lfilter(b, a, runs[n - 1])
+        np.matmul(runs[n - 1], section, out=runs[n])
     return runs[:, 0], runs[:, 1]
 
 
@@ -276,58 +284,134 @@ def _period_groups(ratios, phases):
 @dataclass
 class _Group:
     """Channels whose kept samples repeat every `period` chunks, with the
-    columns of [Theta; Psi] or the rows of [Theta' | Gamma'] that give them
-    (see _groups), one matrix per class."""
+    columns of [Theta; Psi] (split) and the rows of [Theta' | Gamma'] (merge)
+    that give them (see _groups), one matrix per class."""
 
     period: int
-    weights: np.ndarray  # (period, c+N-1, Q) or (period, Q, c+N-1)
     members: list  # (channel, slot) as from _period_groups
+    split: np.ndarray = None  # (period, c+N-1, Q)
+    merge: np.ndarray = None  # (period, Q, c+N-1)
 
 
-def _groups(runs, coeffs, ratios, phases, scale=None):
-    """Per period group, the columns of [Theta; Psi] that give kept samples
-    (analysis, scale None) or the rows of [Theta' | Gamma'] that the frame
-    samples drive (synthesis, channel k times scale[k]).
+def _groups(runs, ratios, phases, split=None, merge=None):
+    """Per period group, the columns of [Theta; Psi] that give the kept
+    samples of the line of taps split (M, N), and the rows of [Theta' |
+    Gamma'] that the frame samples drive in the transposed line of taps
+    merge, which carry the channel scale; a side left None is not built.
 
-    The rows come straight from the line runs, one channel at a time: the
-    responses coeffs @ H fill Theta, and the Hankel matrix of
-    coeffs[k, 1:] times G gives Psi_k[n, t] = sum_d coeffs[k, n+1+d] G[d, t],
-    the output at sample t from a unit state in section n.
+    Every slot of every group, of both sides, is a row of one [Theta | Psi]
+    array, and a group's weights are views of its rows; padding slots are
+    zero rows.  Synthesis reads Theta' = R Theta^T R and Gamma' = R Psi^T:
+    the input at place t reaches samples tau >= t, and the end state as
+    Psi's output at c-1-t would.  So the slot at place t takes the window
+    c-1-t of its channel's response, reversed and zero-padded after (split)
+    or zero-padded before (merge), and the column t (split) or c-1-t (merge)
+    of Psi (see _psi_rows).
     """
-    H, G = runs
-    c, lag = _CHUNK, np.arange(_CHUNK)
-    N = coeffs.shape[1]
-    responses = coeffs @ H
-    groups = []
-    for period, width, members in _period_groups(ratios, phases):
-        weights = np.zeros((period * width, c + N - 1))
+    H, _ = runs
+    c, taps = _CHUNK, H.shape[0]
+    coeffs = np.concatenate([w for w in (split, merge) if w is not None])
+    M = (merge if split is None else split).shape[0]
+    sides = coeffs.shape[0] // M
+    plan = _period_groups(ratios, phases)
+    offsets = np.cumsum([0] + [period * width for period, width, _ in plan])
+    size = offsets[-1]
+    at, channel, place = [], [], []
+    for offset, (_, _, members) in zip(offsets, plan):
         for k, slot, t in members:
-            state = hankel(coeffs[k, 1:]) @ G[:-1]
-            if scale is None:
-                # output at place t from chunk sample tau <= t, and from state
-                delay = t[:, None] - lag
-                weights[slot, c:] = state[:, t].T
-            else:
-                # Theta' = R Theta^T R, Gamma' = R Psi^T: the input at place t
-                # reaches samples tau >= t, and the end state as Psi_k's
-                # output at c-1-t would
-                delay = lag - t[:, None]
-                weights[slot, c:] = state[:, c - 1 - t].T
-            weights[slot, :c] = np.where(delay >= 0, responses[k, np.maximum(delay, 0)], 0.0)
-            if scale is not None:
-                weights[slot] *= scale[k]
-        weights = weights.reshape(period, width, -1)
-        if scale is None:
-            weights = weights.transpose(0, 2, 1)
-        groups.append(_Group(period, weights, [m[:2] for m in members]))
+            at.append(offset + slot)
+            channel.append(np.full(slot.size, k))
+            place.append(t)
+    at = np.concatenate(at)
+    # per slot of each side, its row of coeffs (past the last for padding,
+    # which reads zeros) and its place
+    row = np.full((sides, size), coeffs.shape[0])
+    row[:, at] = M * np.arange(sides)[:, None] + np.concatenate(channel)
+    places = np.zeros_like(row)
+    places[:, at] = np.concatenate(place)
+    column = places.copy()
+    if merge is not None:
+        column[-1] = c - 1 - places[-1]
+    weights = np.empty((sides * size, c + taps - 1))
+    _psi_rows(weights[:, c:], runs, coeffs, row.ravel(), column.ravel())
+    # Theta from the windows of the padded responses, a zero row last, one
+    # group's slots of one side at a time
+    responses = coeffs @ H
+    padded = np.zeros((coeffs.shape[0] + 1, 2 * c))
+    if split is not None:
+        padded[:M, :c] = responses[:M, ::-1]
+    if merge is not None:
+        padded[-1 - M : -1, c - 1 : -1] = responses[-M:]
+    windows = np.lib.stride_tricks.sliding_window_view(padded.ravel(), c)
+    first = (row * 2 * c + c - 1 - places).ravel()
+    groups = []
+    for offset, (period, width, members) in zip(offsets, plan):
+        views = []
+        for side in range(sides):
+            lo = side * size + offset
+            rows = weights[lo : lo + period * width]
+            rows[:, :c] = windows[first[lo : lo + period * width]]
+            views.append(rows.reshape(period, width, -1))
+        groups.append(
+            _Group(
+                period,
+                [m[:2] for m in members],
+                None if split is None else views[0].transpose(0, 2, 1),
+                None if merge is None else views[-1],
+            )
+        )
     return groups
 
 
+def _psi_rows(into, runs, coeffs, row, column):
+    """Fill into[j] with Psi_r[:, t] for r = row[j], t = column[j], and with
+    zeros for r past the rows of coeffs.  Psi_r[n, t] = sum_d coeffs[r,
+    n+1+d] G[d, t] is the output at sample t from a unit state in section n.
+
+    Psi runs for every row of coeffs at once, by Horner's rule from the last
+    section back, in blocks of B sections.  With U^j the chunk map of j
+    sections, G[d] U^j = G[d+j], so for i < B
+
+        Psi[n0+i] = sum_{d < B-i} coeffs[:, n0+i+1+d] G[d] + Psi[n0+B] U^(B-i),
+
+    one GEMM per block of [coeffs[:, n0+1:n0+B+1] | Psi[n0+B]] by a fixed
+    (B+c, c*B) map.  Each block's sections are gathered into the slots
+    before the next block overwrites them, so Psi is never held whole.
+    """
+    H, G = runs
+    c, taps = _CHUNK, H.shape[0]
+    rows_of = coeffs.shape[0]
+    # blocks of 8 sections, a 295 kB map; on the flagship, blocks of 16
+    # built about 5 % faster and raised the build's peak by 0.6 MB
+    B = min(8, taps - 1)
+    blocks = -(-(taps - 1) // B)
+    lead = blocks * B - (taps - 1)
+    step = np.zeros((B + c, c, B))
+    for i in range(B):
+        step[i:B, :, i] = G[: B - i]
+        step[B:, :, i] = _upper_toeplitz(H[B - i])
+    step = step.reshape(B + c, c * B)
+    # coeffs after lead zero columns: block b reads columns b*B+1 to (b+1)*B
+    tail = np.zeros((rows_of, lead + taps))
+    tail[:, lead:] = coeffs
+    drive = np.zeros((rows_of, B + c))
+    # out[r*c + t, i] is Psi_r[n0+i, t]; the rows past rows_of*c stay zero
+    out = np.zeros(((rows_of + 1) * c, B))
+    picks = row * c + column
+    for block in range(blocks - 1, -1, -1):
+        n0 = block * B - lead
+        drive[:, :B] = tail[:, block * B + 1 : (block + 1) * B + 1]
+        np.matmul(drive, step, out=out[: rows_of * c].reshape(rows_of, c * B))
+        drive[:, B:] = out[: rows_of * c, 0].reshape(rows_of, c)
+        skip = max(0, -n0)
+        into[:, n0 + skip : n0 + B] = np.take(out, picks, axis=0)[:, skip:]
+
+
 def _operators(design):
-    """The modulated filters, line runs and state maps of a design."""
-    filters = modulate(design.prototype_half())
-    runs = _line_runs(design.alpha, design.order)
-    return filters, runs, _state_maps(design.alpha, runs)
+    """The modulated filters and the line runs of a design.  Callers make
+    the state maps from the runs after the groups, so that the groups'
+    build temporaries and the maps are not held at once."""
+    return modulate(design.prototype_half()), _line_runs(design.alpha, design.order)
 
 
 class _Line:
@@ -416,11 +500,11 @@ def analyze(design, signal):
         warped channel-k filter output, length ceil(len(signal)/S_k).
     """
     x = _signal(signal)
-    filters, runs, maps = _operators(design)
+    filters, runs = _operators(design)
     ratios = design.subsampling
-    groups = _groups(runs, filters.analysis, ratios, [0] * ratios.size)
+    groups = _groups(runs, ratios, [0] * ratios.size, split=filters.analysis)
     c, chunks = _CHUNK, -(-x.size // _CHUNK)
-    line = _Line(maps, groups, chunks)
+    line = _Line(_state_maps(design.alpha, runs), groups, chunks)
     out = [np.empty(-(-x.size // int(s))) for s in ratios]
     for done, count, inputs in line._blocks(chunks):
         blk = x[done * c : (done + count) * c]
@@ -433,7 +517,7 @@ def analyze(design, signal):
         for g in groups:
             base, view, _ = line._views(g.period, count)
             # (period, periods, Q) -> the kept samples of each period, in order
-            y = np.matmul(view, g.weights)
+            y = np.matmul(view, g.split)
             y = y.transpose(1, 0, 2).reshape(y.shape[1], -1)
             for k, slot in g.members:
                 s = int(ratios[k])
@@ -476,13 +560,14 @@ def synthesize(design, frames):
         samples = _real_samples(f.samples, what + " samples")
         _check_finite(samples, what)
         checked.append(SubbandFrame(f.channel, samples, f.ratio, f.phase))
-    filters, runs, maps = _operators(design)
+    filters, runs = _operators(design)
     ratios = [f.ratio for f in checked]
-    groups = _groups(runs, filters.synthesis, ratios, [f.phase for f in checked], ratios)
+    scaled = filters.synthesis * np.array(ratios)[:, None]
+    groups = _groups(runs, ratios, [f.phase for f in checked], merge=scaled)
     c = _CHUNK
     length = max(f.phase + f.samples.size * f.ratio for f in checked)
     chunks = -(-length // c)
-    line = _Line(maps, groups, chunks)
+    line = _Line(_state_maps(design.alpha, runs), groups, chunks)
     out = np.empty((chunks, c))
     for done, count, _ in line._blocks(chunks):
         line._acc.fill(0.0)
@@ -491,13 +576,13 @@ def synthesize(design, frames):
             periods = view.shape[1]
             # the frame samples of those periods (zero past a frame's end),
             # in the slots of the compact (periods, P*Q) input
-            u = np.zeros((periods, g.weights.shape[0] * g.weights.shape[1]))
+            u = np.zeros((periods, g.merge.shape[0] * g.merge.shape[1]))
             for k, slot in g.members:
                 f = checked[k]
                 kept = f.samples[base * c // f.ratio :][: periods * slot.size]
                 places = np.arange(periods)[:, None] * u.shape[1] + slot
                 u.ravel()[places.ravel()[: kept.size]] = kept
-            view += np.matmul(u.reshape(periods, g.period, -1).transpose(1, 0, 2), g.weights)
+            view += np.matmul(u.reshape(periods, g.period, -1).transpose(1, 0, 2), g.merge)
         line._merge(count, out[done : done + count])
     return out.ravel()[:length]
 
@@ -532,15 +617,16 @@ class BankStream(_Line):
 
     def __init__(self, design, gains_db=None):
         gains = _gain_factors(design, gains_db)
-        filters, runs, maps = _operators(design)
+        filters, runs = _operators(design)
         ratios = design.subsampling
         phases = [0] * ratios.size
         # at phase 0 both sides share each group's slots, which need not be kept
-        split = _groups(runs, filters.analysis, ratios, phases)
-        merge = _groups(runs, filters.synthesis, ratios, phases, ratios * gains)
-        self._groups = [(a.period, a.weights, s.weights) for a, s in zip(split, merge)]
+        groups = _groups(
+            runs, ratios, phases, filters.analysis, filters.synthesis * (ratios * gains)[:, None]
+        )
+        self._groups = [(g.period, g.split, g.merge) for g in groups]
         self._pending = np.empty(_CHUNK)
-        super().__init__(maps, split)
+        super().__init__(_state_maps(design.alpha, runs), groups)
 
     def reset(self):
         """Forget the signal so far: zero state, no samples held."""

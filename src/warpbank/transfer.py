@@ -114,12 +114,13 @@ def _check_finite(omega, what="omega"):
     return points
 
 
-def _check_grid(omega):
-    """omega as a float array, which must be a nonempty, finite, real 1-D grid."""
+def _check_grid(omega, what="omega"):
+    """omega as a float array, which must be a nonempty, finite, real 1-D
+    grid; what names it in the error."""
     grid = np.asarray(omega)
     if np.iscomplexobj(grid) or grid.ndim != 1 or grid.size == 0:
-        raise ValueError("omega must be a nonempty real 1-D array, got shape %s" % (grid.shape,))
-    return _check_finite(grid)
+        raise ValueError("%s must be a nonempty real 1-D array, got shape %s" % (what, grid.shape))
+    return _check_finite(grid, what)
 
 
 class TransferTables:
@@ -492,8 +493,8 @@ def bifrequency_map(half, config, in_grid, out_grid):
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
     """
     proto = _as_proto(half, config)
-    win = _check_finite(in_grid, "in_grid")
-    wout = _check_finite(out_grid, "out_grid")
+    win = _check_grid(in_grid, "in_grid")
+    wout = _check_grid(out_grid, "out_grid")
     acc = np.zeros((win.size, wout.size), dtype=complex)
     order = np.argsort(wout)
     sorted_out = wout[order]

@@ -10,13 +10,15 @@ per (channel, image), for the shift-by-shift pass in warpbank.transfer; the
 optimizer's objective, gradient and Hessian are formed from complex
 whole-table products of those vectors per channel, for the grid-blocked
 real-arithmetic ones on the planar DCT-IV-basis tables in warpbank.optimize; the block line
-computes every channel sample, kept or dropped, and carries its state one
-chunk at a time, for the polyphase line and the chunked scan in
+runs its own lfilter line runs, forms Theta and Psi whole, computes every
+channel sample, kept or dropped, and carries its state one chunk at a time,
+for the polyphase line, its one-pass operator build and the chunked scan in
 warpbank.streaming; CSV rows are formatted one at a time, for the block
 writer in warpbank.files.  No production path uses them.
 """
 
 import numpy as np
+from scipy.signal import lfilter
 
 from warpbank import SubbandFrame, channel_response_warped, modulate, streaming
 from warpbank.allpass import _check_alpha
@@ -252,12 +254,24 @@ def chunk_toeplitz(resp):
     return blocks.transpose(2, 1, 0).reshape(c, c * Q)
 
 
+def line_runs(alpha, taps):
+    """streaming._line_runs by one lfilter call per section and run: the
+    taps over one chunk of the line fed an impulse (H) and fed alpha^t (G)."""
+    c = streaming._CHUNK
+    runs = np.zeros((taps, 2, c))
+    runs[0, 0, 0] = 1.0
+    runs[0, 1] = alpha ** np.arange(c)
+    for n in range(1, taps):
+        runs[n] = lfilter([-alpha, 1.0], [1.0, -alpha], runs[n - 1])
+    return runs[:, 0], runs[:, 1]
+
+
 def block_line(coeffs, alpha):
     """The line of taps coeffs (M, N) in full block form: one input, M
     outputs, Theta and Psi formed whole from the line runs."""
     M, N = coeffs.shape
     c = streaming._CHUNK
-    runs = streaming._line_runs(alpha, N)
+    runs = line_runs(alpha, N)
     maps = streaming._state_maps(alpha, runs)
     H, G = runs
     # psi[n, t, k] = sum_d coeffs[k, n+1+d] G[d, t], from the sections below n

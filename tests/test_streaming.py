@@ -12,6 +12,7 @@ from scipy.signal import lfilter
 
 from oracles import (
     AllpassLine,
+    block_line,
     carry_loop,
     dense_process_signal,
     dense_synthesize,
@@ -536,6 +537,82 @@ def test_period_groups_place_each_kept_sample_once(pairs):
             assert_array_equal(kept, phases[k] + s * np.arange(period * c // s))
             grouped.append(k)
     assert sorted(grouped) == list(range(len(ratios)))
+
+
+def _check_group_weights(design, phases, scale):
+    # every group's weights at (channel, slot) against the dense block line:
+    # the column t*M + k of [Theta; Psi] for analysis, and the row t*M + k of
+    # the transposed line's [Theta' | Gamma'] times scale[k] for synthesis;
+    # padding slots exactly 0.  Built one side at a time, as analyze and
+    # synthesize do, and both at once, as BankStream does
+    M, c = design.channels, streaming._CHUNK
+    ratios = design.subsampling
+    filters = modulate(design.prototype_half())
+    split = block_line(filters.analysis, design.alpha)
+    merge = block_line(filters.synthesis, design.alpha).transposed()
+    dense = {
+        "split": np.vstack([split.theta, split.psi]).T,
+        "merge": np.hstack([merge.theta, merge.gamma]) * np.tile(scale, c)[:, None],
+    }
+    taps = {"split": filters.analysis, "merge": filters.synthesis * scale[:, None]}
+    runs = streaming._line_runs(design.alpha, design.order)
+    plan = streaming._period_groups(ratios, phases)
+    for sides in (["split"], ["merge"], ["split", "merge"]):
+        groups = streaming._groups(runs, ratios, phases, **{s: taps[s] for s in sides})
+        assert [g.period for g in groups] == [period for period, _, _ in plan]
+        for g, (period, width, members) in zip(groups, plan):
+            for (k, slot), (want_k, want_slot, _) in zip(g.members, members, strict=True):
+                assert k == want_k
+                assert_array_equal(slot, want_slot)
+            for side in ("split", "merge"):
+                weights = getattr(g, side)
+                if side not in sides:
+                    assert weights is None
+                    continue
+                rows = weights.transpose(0, 2, 1) if side == "split" else weights
+                rows = rows.reshape(period * width, c + design.order - 1)
+                want = np.zeros_like(rows)
+                for k, slot, t in members:
+                    want[slot] = dense[side][t * M + k]
+                scale_of = np.abs(dense[side]).max()
+                assert_allclose(rows, want, rtol=0, atol=1e-12 * scale_of, err_msg=side)
+                kept = np.concatenate([slot for _, slot, _ in members])
+                assert_array_equal(np.delete(rows, kept, axis=0), 0.0)
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(1, 3),
+    st.floats(-0.95, 0.95, allow_subnormal=False),
+    st.data(),
+)
+def test_group_weights_match_dense_block_line(channels, multiple, alpha, data):
+    ratios = data.draw(st.lists(st.sampled_from(_RATIOS), min_size=channels, max_size=channels))
+    phases = [data.draw(st.integers(0, s - 1)) for s in ratios]
+    scale = np.array(data.draw(st.lists(st.floats(0.0, 40.0), min_size=channels, max_size=channels)))
+    design = _toy_design(channels, 2 * channels * multiple, alpha, ratios)
+    _check_group_weights(design, phases, scale)
+
+
+def test_flagship_group_weights_match_dense_block_line():
+    design = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    rng = np.random.default_rng(191)
+    phases = [int(rng.integers(0, s)) for s in design.subsampling]
+    _check_group_weights(design, phases, design.subsampling * rng.uniform(0.0, 2.0, 22))
+    _check_group_weights(design, [0] * 22, design.subsampling.astype(float))
+
+
+def test_flagship_stream_build_memory():
+    # the kept operators (4.32 MB of group weights, the state maps and one
+    # super-block of rows and acc) and the build's temporaries, 5.61 MB: a
+    # build that held Psi whole, (44, 175, 64) floats or 3.9 MB, would not fit
+    design = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    BankStream(design)
+    tracemalloc.start()
+    BankStream(design)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 5.9e6
 
 
 def test_flagship_stream_matches_dense_oracle():

@@ -559,6 +559,20 @@ def test_direct_route_rejects_non_finite_frequencies():
     assert np.all(np.isfinite(bifrequency_map(half, config, grid, grid)))
 
 
+@pytest.mark.parametrize("which", ["in_grid", "out_grid"])
+@pytest.mark.parametrize("bad", [0.3, [], [[0.1, 0.2]], [0.1 + 0.2j, 0.3]])
+def test_bifrequency_map_rejects_bad_grid_shapes(which, bad):
+    # a 0-d, empty, 2-D or complex grid is named, not met by an IndexError
+    # inside the direct pass or an empty map
+    config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[2, 1])
+    grids = {"in_grid": np.linspace(0.0, np.pi, 5), "out_grid": np.linspace(0.0, np.pi, 4)}
+    grids[which] = bad
+    with assert_raises(ValueError, match=which + " must be a nonempty real 1-D array"):
+        bifrequency_map(np.ones(4), config, **grids)
+    grids[which] = [0.7]
+    assert bifrequency_map(np.ones(4), config, **grids).shape in ((1, 4), (5, 1))
+
+
 @given(_shift_cases(), st.integers(2, 40))
 def test_bifrequency_matches_per_channel_oracle(case, outputs):
     half, config, grid, _, budget = case
