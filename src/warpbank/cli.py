@@ -3,7 +3,8 @@
 Subcommands: design a bank from a YAML configuration, print the subsampling
 selection table, export transfer curves and bifrequency maps as CSV, and run
 a WAV file through the analysis-synthesis chain.  Exit codes: 0 on success,
-1 on runtime failure, 2 on usage or configuration errors.
+1 on runtime failure (a map or file too large for memory included), 2 on
+usage or configuration errors.
 """
 
 import argparse
@@ -265,8 +266,9 @@ def main(argv=None):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # a bare MemoryError says nothing, so it is named
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 1
 
 

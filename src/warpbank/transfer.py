@@ -491,6 +491,15 @@ def bifrequency_map(half, config, in_grid, out_grid):
     input omega_in_i + 2 pi l / S_k lands nearest out_grid[j] after folding
     to [0, pi]; magnitude is taken at the end, floored at -300 dB.  With all
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
+
+    The images of consecutive shifts of one _shift_pass block are held and
+    then folded, searched and scattered together by one np.add.at, in shift
+    order, so every cell sums the same products in the same order as a
+    scatter per shift, and the map is bitwise that one.  The hold is
+    scattered at the end of each block, and before it would pass
+    _PASS_BYTES // 64 image-points (65 536 by default), unless one shift
+    alone holds more; on the flagship the scatter's work then stays within
+    about 3 MB above the cells and the pass's basis.
     """
     proto = _as_proto(half, config)
     win = _check_grid(in_grid, "in_grid")
@@ -498,23 +507,41 @@ def bifrequency_map(half, config, in_grid, out_grid):
     acc = np.zeros((win.size, wout.size), dtype=complex)
     order = np.argsort(wout)
     sorted_out = wout[order]
-    for block, shift, ks, ls, phase, z in _shift_pass(proto, win, config):
-        if shift == (0, 1):
-            h = phase * z
-        # every image of the shift at once, one row each: (images, in) folded
-        # frequencies, where F_k is conj(F_k) at the shifted one past pi
+    rows = np.arange(win.size)
+    budget = _PASS_BYTES // 64
+    held = []  # (channels, images, unfolded F) per shift of the block
+
+    def scatter(block, h):
+        ks = np.concatenate([s[0] for s in held])
+        ls = np.concatenate([s[1] for s in held])
+        f = np.concatenate([s[2] for s in held])
+        held.clear()
+        # one row per image: (images, in) folded frequencies, where F_k is
+        # conj(F_k) at the shifted one past pi
         S = config.subsampling[ks][:, None]
-        shifted = np.mod(win[block] + 2.0 * np.pi * ls[:, None] / S, 2.0 * np.pi)
-        passed = shifted > np.pi
-        folded = np.where(passed, 2.0 * np.pi - shifted, shifted)
-        f = phase * np.conj(z)
+        folded = np.mod(win[block] + 2.0 * np.pi * ls[:, None] / S, 2.0 * np.pi)
+        passed = folded > np.pi
         np.conjugate(f, out=f, where=passed)
-        # nearest output bin per folded frequency
+        np.subtract(2.0 * np.pi, folded, out=folded, where=passed)
+        del passed
+        # nearest output bin per folded frequency, the left one on a tie
         pos = np.searchsorted(sorted_out, folded)
-        pos = np.clip(pos, 1, sorted_out.size - 1)
-        left = sorted_out[pos - 1]
-        right = sorted_out[pos]
-        nearest = np.where(folded - left <= right - folded, pos - 1, pos)
-        rows = np.arange(win.size)[block]
-        np.add.at(acc, (rows, order[nearest]), h[ks] * f)
+        np.clip(pos, 1, sorted_out.size - 1, out=pos)
+        pos -= folded - sorted_out[pos - 1] <= sorted_out[pos] - folded
+        del folded
+        np.add.at(acc, (rows[block], order[pos]), h[ks] * f)
+
+    count = 0
+    for block, shift, ks, ls, phase, z in _shift_pass(proto, win, config):
+        if held and (shift == (0, 1) or count + z.size > budget):
+            scatter(current, h)
+            count = 0
+        if shift == (0, 1):
+            current, h = block, phase * z
+        # F per shift, as the pass yields it: numpy may multiply a large
+        # temporary in place with the operands swapped, which rounds apart
+        held.append((ks, ls, phase * np.conj(z)))
+        count += z.size
+    if held:
+        scatter(current, h)
     return to_db(acc)

@@ -6,7 +6,8 @@ series is summed term by term with np.cos, for the recurrences in
 warpbank.modulation; the quadratic-form vectors are formed from the
 modulated taps, for TransferTables in warpbank.transfer; the transfer
 curves and the bifrequency map sum one Clenshaw-evaluated channel response
-per (channel, image), for the shift-by-shift pass in warpbank.transfer; the
+per (channel, image), for the shift-by-shift pass in warpbank.transfer, and
+the map also scatters one shift at a time, for its batched scatter; the
 optimizer's objective, gradient and Hessian are formed from complex
 whole-table products of those vectors per channel, for the grid-blocked
 real-arithmetic ones on the planar DCT-IV-basis tables in warpbank.optimize; the block line
@@ -20,7 +21,7 @@ writer in warpbank.files.  No production path uses them.
 import numpy as np
 from scipy.signal import lfilter
 
-from warpbank import SubbandFrame, channel_response_warped, modulate, streaming
+from warpbank import SubbandFrame, channel_response_warped, modulate, streaming, transfer
 from warpbank.allpass import _check_alpha
 
 
@@ -164,6 +165,35 @@ def bifrequency_cells(proto, config, in_grid, out_grid):
         np.add.at(acc, (rows, order[nearest]), hk * fk)
         np.add.at(hits, (rows, order[nearest]), 1)
     return acc, hits
+
+
+def bifrequency_per_shift(half, config, in_grid, out_grid):
+    """The complex cells of transfer.bifrequency_map (before the dB step),
+    folded, searched and scattered by one np.add.at per shift of
+    transfer._shift_pass, in the pass's order."""
+    proto = transfer._as_proto(half, config)
+    win = transfer._check_grid(in_grid, "in_grid")
+    wout = transfer._check_grid(out_grid, "out_grid")
+    acc = np.zeros((win.size, wout.size), dtype=complex)
+    order = np.argsort(wout)
+    sorted_out = wout[order]
+    for block, shift, ks, ls, phase, z in transfer._shift_pass(proto, win, config):
+        if shift == (0, 1):
+            h = phase * z
+        S = config.subsampling[ks][:, None]
+        shifted = np.mod(win[block] + 2.0 * np.pi * ls[:, None] / S, 2.0 * np.pi)
+        passed = shifted > np.pi
+        folded = np.where(passed, 2.0 * np.pi - shifted, shifted)
+        f = phase * np.conj(z)
+        np.conjugate(f, out=f, where=passed)
+        pos = np.searchsorted(sorted_out, folded)
+        pos = np.clip(pos, 1, sorted_out.size - 1)
+        left = sorted_out[pos - 1]
+        right = sorted_out[pos]
+        nearest = np.where(folded - left <= right - folded, pos - 1, pos)
+        rows = np.arange(win.size)[block]
+        np.add.at(acc, (rows, order[nearest]), h[ks] * f)
+    return acc
 
 
 def complex_tables(config, omega):

@@ -18,6 +18,7 @@ from warpbank import (
     save_design,
     write_wav,
 )
+from warpbank import cli
 from warpbank.cli import main
 
 
@@ -237,6 +238,28 @@ def test_bifreq_grid_below_2_exits_2(flat_design, tmp_path, capsys):
         assert code == 2
         assert "argument %s" % flag in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 1.42 PiB for an array with shape "
+                 "(10000000, 10000000) and data type complex128"),
+     "error: Unable to allocate 1.42 PiB"),
+    (MemoryError(), "error: MemoryError"),
+])
+def test_bifreq_out_of_memory_exits_1(flat_design, tmp_path, capsys, monkeypatch,
+                                      error, message):
+    # a map too large for memory is a runtime failure, reported in one line;
+    # the map raises as numpy's allocation would, so nothing large is made
+    def too_large(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "bifrequency_map", too_large)
+    out = tmp_path / "b.csv"
+    code = main(["bifreq", flat_design, "-o", str(out), "--grid-in", "9", "--grid-out", "9"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bifreq_diagonal_support(flat_design, tmp_path):

@@ -221,26 +221,101 @@ def test_write_csv(tmp_path):
                   [np.zeros(2), np.zeros(3)])
 
 
-@pytest.mark.parametrize("rows", [0, 1, 5, 6, 7, 13])
+def _bits(values):
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+# values whose %.9g text is easy to get wrong when formatted once and
+# reused: signed zeros, NaNs of two payloads and a negative one, both
+# infinities, subnormals, and neighbours that print alike
+_SPECIAL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072009e-308],
+    _bits([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000]),
+    [1.0, np.nextafter(1.0, 2.0), 0.1, 1e16, -1e300],
+])
+
+
+def _csv_matches_rows(path, header, cols):
+    write_csv(str(path), header, cols)
+    want = path.with_suffix(".want")
+    write_csv_rows(str(want), header, cols)
+    return path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 5, 6, 7, 12, 13, 30])
 def test_write_csv_blocks_match_row_writer(tmp_path, monkeypatch, rows):
-    # blocks of 6 rows: none, a part block, one block less or more a row, ragged
+    # blocks of 6 rows: none, a part block, one block less or more a row,
+    # ragged; each column kind, formatted once per distinct value or once
+    # per row, alone and beside each other kind
     monkeypatch.setattr(files, "_CSV_ROWS", 6)
     rng = np.random.default_rng(rows)
-    ints = np.arange(rows) * (2**58 + 1) - 3  # past 2**53, so %g rounds them
-    floats = [
-        rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows),
-        np.array([-0.0, 1e300, -2.5e-320, 123456789012, 0.1, -1, 7, 3e-7,
-                  2**62, -1e-5, 1.5, 1e16, 2.0])[:rows],
-    ]
-    flags = np.arange(rows) % 2 == 0
-    # int and bool columns alone, and stacked with float ones
-    for cols in ([ints, flags], [ints, *floats, flags]):
-        header = ["c%d" % i for i in range(len(cols))]
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_csv(str(got), header, cols)
-        write_csv_rows(str(want), header, cols)
-        assert got.read_bytes() == want.read_bytes()
-        assert len(got.read_text().splitlines()) == rows + 1
+    half = -(-rows // 2)
+    cols = {
+        "ints": np.arange(rows) * (2**58 + 1) - 3,  # past 2**53, so %g rounds them
+        "floats": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+        "mixed": np.resize([-0.0, 1e300, -2.5e-320, 123456789012, 0.1, -1, 7, 3e-7,
+                            2**62, -1e-5, 1.5, 1e16, 2.0], rows),
+        "flags": np.arange(rows) % 2 == 0,
+        "repeats": _SPECIAL[rng.integers(0, 4, rows)],  # +-0.0 and +-inf
+        "half": np.resize(_SPECIAL, half)[np.arange(rows) % max(half, 1)],
+        "specials": np.resize(_SPECIAL, rows),
+        "repeated_ints": np.arange(rows) % 3 * (2**58 + 1) - 2**62,
+    }
+    # the route each column takes: at most half its rows distinct (exactly
+    # half included) formats once per value, any other column once per row
+    for name, col in cols.items():
+        distinct = np.unique(col.astype(float).view(np.uint64)).size
+        assert (files._repeated(col) is not None) == (2 * distinct <= rows), name
+    if rows >= 12:
+        assert (files._repeated(cols["half"]) is not None) == (rows % 2 == 0)
+        assert files._repeated(cols["repeats"]) is not None
+        assert files._repeated(cols["floats"]) is None
+    names = list(cols)
+    for i, name in enumerate(names):
+        for other in names[i:]:
+            header = [name, other]
+            assert _csv_matches_rows(tmp_path / "t.csv", header, [cols[name], cols[other]]), header
+    assert _csv_matches_rows(tmp_path / "t.csv", names, list(cols.values()))
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == rows + 1
+
+
+_column_values = (
+    st.sampled_from(list(_SPECIAL))
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+)
+
+
+@st.composite
+def _csv_columns(draw):
+    """1-4 columns of 0-40 rows: floats from a pool of 1-8 values (often
+    repeated) or drawn per row, ints past 2**53, or bools."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["pool", "floats", "ints", "bools"]))
+        if kind == "pool":
+            pool = draw(st.lists(_column_values, min_size=1, max_size=8))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+            columns.append(np.array(pool)[picks])
+        elif kind == "floats":
+            columns.append(np.array(draw(st.lists(_column_values, min_size=rows,
+                                                  max_size=rows)), dtype=float))
+        elif kind == "ints":
+            pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+            columns.append(np.array(pool, dtype=np.int64)[np.arange(rows) % len(pool)])
+        else:
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows,
+                                                  max_size=rows)), dtype=bool))
+    return columns, draw(st.integers(1, 8))
+
+
+@given(_csv_columns())
+def test_write_csv_matches_row_writer_property(case):
+    columns, block = case
+    header = ["c%d" % i for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_CSV_ROWS", block)
+        assert _csv_matches_rows(Path(root) / "t.csv", header, columns)
 
 
 def test_write_csv_deterministic(tmp_path):

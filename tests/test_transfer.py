@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 
-from oracles import bifrequency_cells, complex_tables, dct4, response_vector, transfer_parts
+from oracles import (
+    bifrequency_cells,
+    bifrequency_per_shift,
+    complex_tables,
+    dct4,
+    response_vector,
+    transfer_parts,
+)
 from warpbank import (
     BankConfig,
     PrototypeHalf,
@@ -26,7 +34,7 @@ from warpbank import (
     to_db,
     transfer_quadratic,
 )
-from warpbank import modulation, optimize, transfer
+from warpbank import files, modulation, optimize, transfer
 from warpbank.modulation import _pair_angles
 
 
@@ -591,3 +599,82 @@ def test_bifrequency_matches_per_channel_oracle(case, outputs):
     decided = (hits == 0) | (np.abs(want) > 1e-12 * scale)
     assert_array_equal((got != 0)[decided], (want != 0)[decided])
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _flagship_bank():
+    """(half, config) of the bench design, the 22-channel Bark bank."""
+    bank = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    config = BankConfig(channels=bank.channels, order=bank.order, alpha=bank.alpha,
+                        subsampling=bank.subsampling)
+    return bank.half, config
+
+
+def _map_cells(half, config, in_grid, out_grid):
+    """bifrequency_map's complex cells, before the dB step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "to_db", lambda cells: cells)
+        return bifrequency_map(half, config, in_grid, out_grid)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_bifrequency_scatter_matches_per_shift_on_flagship():
+    # one block and one scatter of all 249 images against 116 scatters
+    half, config = _flagship_bank()
+    grid = np.linspace(0.0, np.pi, 32)
+    want = bifrequency_per_shift(half, config, grid, grid)
+    _assert_bitwise(_map_cells(half, config, grid, grid), want)
+    _assert_bitwise(bifrequency_map(half, config, grid, grid), to_db(want))
+
+
+def test_bifrequency_scatter_matches_per_shift_across_blocks_and_flushes(monkeypatch):
+    # blocks of 20 grid points and a hold of 445 image-points: shift 0
+    # alone (22 images, 440) fills a scatter, every block scatters several
+    # times, and the last block is short
+    half, config = _flagship_bank()
+    n1 = config.order // 2 + 1
+    monkeypatch.setattr(transfer, "_PASS_BYTES", 16 * n1 * 20)
+    budget = transfer._PASS_BYTES // 64
+    in_grid = np.linspace(0.0, np.pi, 90)
+    out_grid = np.linspace(0.0, np.pi, 50)
+    assert 22 * 20 <= budget < 23 * 20 and in_grid.size % 20
+    assert config.subsampling.sum() * 20 > 4 * budget
+    want = bifrequency_per_shift(half, config, in_grid, out_grid)
+    _assert_bitwise(_map_cells(half, config, in_grid, out_grid), want)
+
+
+@pytest.mark.parametrize("budget", [1, 600, 20000, transfer._PASS_BYTES])
+def test_bifrequency_scatter_matches_per_shift_on_unsorted_grids(monkeypatch, budget):
+    # unequal in and out grids in random order, in-grid points past 0 and
+    # pi, repeated out points, and budgets from below one image-point up
+    rng = np.random.default_rng(budget)
+    config = BankConfig(channels=6, order=48, alpha=-0.6, subsampling=[7, 3, 3, 5, 1, 2])
+    half = rng.standard_normal(24)
+    in_grid = rng.uniform(-1.0, np.pi + 1.0, 57)
+    out_grid = np.concatenate([rng.uniform(0.0, np.pi, 30), [0.5, 0.5, np.pi]])
+    rng.shuffle(out_grid)
+    monkeypatch.setattr(transfer, "_PASS_BYTES", budget)
+    want = bifrequency_per_shift(half, config, in_grid, out_grid)
+    _assert_bitwise(_map_cells(half, config, in_grid, out_grid), want)
+
+
+def test_bifrequency_scatter_memory():
+    # one 2048-point block of the flagship, 249 images: a hold of the whole
+    # block would be 510 k image-points.  Above its (2048, 256) cells the
+    # map holds the direct pass's basis (2.9 MB of the 4 MiB _PASS_BYTES)
+    # and the scatter's work over at most 64 Ki image-points: 7.07 MB, where
+    # one scatter per block would hold 25.8 MB
+    half, config = _flagship_bank()
+    in_grid = np.linspace(0.0, np.pi, 2048)
+    out_grid = np.linspace(0.0, np.pi, 256)
+    _map_cells(half, config, in_grid[:8], out_grid)  # warm the imports
+    tracemalloc.start()
+    try:
+        cells = _map_cells(half, config, in_grid, out_grid)
+        held_mb = (tracemalloc.get_traced_memory()[1] - cells.nbytes) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert held_mb < 7.5, held_mb
