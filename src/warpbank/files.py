@@ -168,19 +168,18 @@ def load_design(path):
 _CSV_ROWS = 4096
 
 
-def _repeated(column):
-    """(texts, codes) of a real column with at most half its rows distinct:
-    texts an object array of each distinct float64 bit pattern formatted
-    once with %.9g, codes each row's index into it in the narrowest
-    unsigned type.  None for any other column."""
-    if column.dtype.kind not in "biuf":
+def _block_texts(values):
+    """Each row's %.9g text of a real block with at most half its rows
+    distinct, formatting each distinct float64 bit pattern once; None for
+    any other block."""
+    if values.dtype.kind not in "biuf":
         return None
-    bits, codes = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64),
+    bits, codes = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
                             return_inverse=True)
-    if 2 * bits.size > column.size:
+    if 2 * bits.size > values.size:
         return None
     texts = ("%.9g," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
-    return np.array(texts[:-1], dtype=object), codes.astype(np.min_scalar_type(bits.size))
+    return np.array(texts[:-1], dtype=object)[codes]
 
 
 def write_csv(path, header, columns):
@@ -191,14 +190,16 @@ def write_csv(path, header, columns):
     an int as the float it converts to, so int columns stacked with float
     ones print as they do alone.
 
-    A real column with at most half its rows distinct, counted by float64
-    bit pattern (so -0.0 and 0.0, or NaNs of two payloads, stay apart), is
-    formatted once per distinct value and written through %s; the texts are
-    held for the whole file, at most one per two rows.  A bifrequency map's
-    grid columns and its magnitudes are such columns (25 129 texts for the
-    196 608 values of a 256x256 flagship map).  Every other column keeps
-    %.9g, and a file with no such column is formatted as a whole block of
-    %.9g.  Either way the bytes are the same.
+    Within a block, a real column with at most half its rows distinct,
+    counted by float64 bit pattern (so -0.0 and 0.0, or NaNs of two
+    payloads, stay apart), is formatted once per distinct value and written
+    through %s; any other column keeps %.9g.  The bytes are the same either
+    way.  Half is where the distinct route stops paying: on a 4096-row
+    block of dB values it took 0.68 of the time of %.9g at a quarter
+    distinct, 0.98 at half and 1.16 at 0.7.  Only one block's texts are
+    held at a time.  A bifrequency map's grid columns (16 and 256 values a
+    block at 256x256) and its magnitudes (about 38 % distinct, the -300 dB
+    floor repeating) take the distinct route.
     """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(columns) != len(header):
@@ -206,18 +207,15 @@ def write_csv(path, header, columns):
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must share a length")
-    coded = [_repeated(c) for c in columns]
-    row = ",".join("%.9g" if c is None else "%s" for c in coded) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for first in range(0, n, _CSV_ROWS):
-            part = slice(first, first + _CSV_ROWS)
-            if all(c is None for c in coded):
-                block = np.column_stack([c[part] for c in columns])
-            else:
-                block = np.empty((columns[0][part].size, len(columns)), dtype=object)
-                for j, (c, code) in enumerate(zip(columns, coded)):
-                    block[:, j] = c[part] if code is None else code[0][code[1][part]]
+            parts = [c[first : first + _CSV_ROWS] for c in columns]
+            texts = [_block_texts(part) for part in parts]
+            row = ",".join("%.9g" if t is None else "%s" for t in texts) + "\n"
+            block = np.empty((parts[0].size, len(parts)), dtype=object)
+            for j, (part, t) in enumerate(zip(parts, texts)):
+                block[:, j] = part if t is None else t
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

@@ -249,27 +249,35 @@ def test_write_csv_blocks_match_row_writer(tmp_path, monkeypatch, rows):
     # per row, alone and beside each other kind
     monkeypatch.setattr(files, "_CSV_ROWS", 6)
     rng = np.random.default_rng(rows)
-    half = -(-rows // 2)
     cols = {
         "ints": np.arange(rows) * (2**58 + 1) - 3,  # past 2**53, so %g rounds them
         "floats": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
         "mixed": np.resize([-0.0, 1e300, -2.5e-320, 123456789012, 0.1, -1, 7, 3e-7,
                             2**62, -1e-5, 1.5, 1e16, 2.0], rows),
         "flags": np.arange(rows) % 2 == 0,
-        "repeats": _SPECIAL[rng.integers(0, 4, rows)],  # +-0.0 and +-inf
-        "half": np.resize(_SPECIAL, half)[np.arange(rows) % max(half, 1)],
+        # +-0.0 in one block, +-inf in the next, NaNs of three payloads in
+        # the third: two or three distinct values a block
+        "repeats": np.resize(np.concatenate([
+            [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, np.inf, -np.inf, np.inf, -np.inf, -np.inf, np.inf],
+            _bits([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000] * 2),
+        ]), rows),
+        "half": _SPECIAL[np.arange(rows) // 2 % _SPECIAL.size],  # 3 distinct a full block
         "specials": np.resize(_SPECIAL, rows),
         "repeated_ints": np.arange(rows) % 3 * (2**58 + 1) - 2**62,
     }
-    # the route each column takes: at most half its rows distinct (exactly
-    # half included) formats once per value, any other column once per row
+    # the route each block of each column takes: at most half its rows
+    # distinct (exactly half included) formats once per value, any other
+    # block once per row
     for name, col in cols.items():
-        distinct = np.unique(col.astype(float).view(np.uint64)).size
-        assert (files._repeated(col) is not None) == (2 * distinct <= rows), name
-    if rows >= 12:
-        assert (files._repeated(cols["half"]) is not None) == (rows % 2 == 0)
-        assert files._repeated(cols["repeats"]) is not None
-        assert files._repeated(cols["floats"]) is None
+        for first in range(0, rows, 6):
+            part = col[first : first + 6]
+            distinct = np.unique(part.astype(float).view(np.uint64)).size
+            assert (files._block_texts(part) is not None) == (2 * distinct <= part.size), name
+    for first in range(0, rows - 5, 6):
+        for name in ("repeats", "half", "flags", "repeated_ints"):
+            assert files._block_texts(cols[name][first : first + 6]) is not None, name
+        for name in ("ints", "floats", "specials"):
+            assert files._block_texts(cols[name][first : first + 6]) is None, name
     names = list(cols)
     for i, name in enumerate(names):
         for other in names[i:]:

@@ -621,10 +621,15 @@ def _assert_bitwise(got, want):
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_bifrequency_scatter_matches_per_shift_on_flagship():
-    # one block and one scatter of all 249 images against 116 scatters
+@pytest.mark.parametrize("points", [32, 256])
+def test_bifrequency_scatter_matches_per_shift_on_flagship(points):
+    # one block and one scatter of all 249 images against 116 scatters; at
+    # 256 points the scatter's products hold 1 MB of complex values, past
+    # the 256 KiB where numpy may compute a temporary's product in place
     half, config = _flagship_bank()
-    grid = np.linspace(0.0, np.pi, 32)
+    if points == 256:
+        assert config.subsampling.sum() * points * 16 > 256 * 1024
+    grid = np.linspace(0.0, np.pi, points)
     want = bifrequency_per_shift(half, config, grid, grid)
     _assert_bitwise(_map_cells(half, config, grid, grid), want)
     _assert_bitwise(bifrequency_map(half, config, grid, grid), to_db(want))
