@@ -210,11 +210,15 @@ def cmd_bifreq(args):
     win = np.linspace(0.0, np.pi, args.grid_in)
     wout = np.linspace(0.0, np.pi, args.grid_out)
     image = bifrequency_map(design.half, config, win, wout)
-    ii, oo = np.meshgrid(win, wout, indexing="ij")
+    # row i * grid_out + j holds (win[i], wout[j]), scaled before the copies
     files.write_csv(
         args.out,
         ["omega_in", "omega_out", "mag_db"],
-        [ii.ravel() / (2.0 * np.pi), oo.ravel() / (2.0 * np.pi), image.ravel()],
+        [
+            np.repeat(win / (2.0 * np.pi), wout.size),
+            np.tile(wout / (2.0 * np.pi), win.size),
+            image.ravel(),
+        ],
     )
     print("wrote %s (%d rows)" % (args.out, image.size))
     return 0

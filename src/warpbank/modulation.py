@@ -9,7 +9,7 @@ and the synthesis filter flips the sign of the pi/4 offset, which makes
 f_k[n] = h_k[N-1-n].  Every channel response reduces to the prototype's,
 exp(-j(N-1)x/2) sum_i h_i 2cos((2i+1)x/2): summed by Clenshaw's recurrence
 for one channel, or as the recurrence-filled cosine basis where many
-responses share it (the transfer curves and tables).
+responses share it (the transfer tables).
 """
 
 from dataclasses import dataclass

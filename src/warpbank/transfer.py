@@ -6,16 +6,16 @@ The analysis-synthesis chain with per-channel decimation by S_k has
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
 transfer.  The images l/S_k of all channels fall on few distinct shifts p/q
-(116 for the 249 images of the 22-channel Bark bank).  One generator,
-_shift_bases, fills per block of grid points one cosine basis over the
-warped angles nu and pi - nu of the shifts: by default points fill a fixed
-byte budget first and shifts go in batches, and given a block size every
-shift sits in one basis.  The direct pass (_shift_pass) evaluates a given
-prototype from the former, two real GEMMs per shift for all of the shift's
-channels, and every transfer curve and the bifrequency map read that pass.
-Scoring many prototypes on one grid (the optimizer, its final alias curve
-included) uses TransferTables, built from the latter: the vectors of
-the quadratic form T_all = h^T U(omega) h, U = sum_k ua_k us_k^T.  The
+(116 for the 249 images of the 22-channel Bark bank).  The direct pass
+(_shift_pass) evaluates a given prototype at the warped angles nu of the
+shifts, and every transfer curve and the bifrequency map read that pass:
+its cosine bases at nu and pi - nu are planes of one complex harmonic,
+filled for half its indices and turned by one factor for the rest, and
+one real GEMM per shift serves all of the shift's channels.  Scoring many
+prototypes on one grid (the optimizer, its final alias curve included)
+uses TransferTables, built from _shift_bases' cosine bases of every shift
+per block of grid points: the vectors of the quadratic form T_all = h^T
+U(omega) h, U = sum_k ua_k us_k^T.  The
 synthesis vectors us are image 0 only and factor into the shift-0 basis
 over nu0 and pi - nu0, a phase per grid point and fixed per-channel
 weights (wc, ws) = _split_weights(ones).  The cosine modulation is a
@@ -144,8 +144,8 @@ class TransferTables:
     The tables hold G M N/2 complex entries once; synthesis_vectors forms
     us' for given grid rows.
 
-    The build reads the direct pass's bases from _shift_bases, every shift
-    in one basis over a block of grid points, as many as 1/32 of ta's bytes
+    The build reads the cosine bases from _shift_bases, every shift in one
+    basis over a block of grid points, as many as 1/32 of ta's bytes
     holds but at least _TABLE_POINTS.  By the split-weights identity, ua_k
     = wc_k Ac_k + j ws_k Ad_k with (wc, ws) = _split_weights(ones), where
     Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and e^{-j(N-1)nu/2} c(pi - nu)
@@ -189,7 +189,7 @@ class TransferTables:
         # images' places of the (shift, plane, re/im, channel) phases, and
         # every other place stays 0
         phases = np.zeros((points, len(table), 4, M))
-        for block, _, nu, basis in _shift_bases(self.omega, config, table, points):
+        for block, nu, basis in _shift_bases(self.omega, config, table, points):
             g = nu.shape[1]  # the last block may be ragged
             self.basis0[block] = basis[0].transpose(1, 0, 2)
             self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
@@ -284,7 +284,7 @@ def _pointwise(reduce):
     return wrapper
 
 
-# basis bytes one block of the direct pass may hold (see _shift_bases)
+# bytes one block of the direct pass and its consumer may hold (see _shift_pass)
 _PASS_BYTES = 4 << 20
 
 # grid points a block of the TransferTables build holds at least, so that
@@ -356,43 +356,38 @@ def _split_weights(coeffs, channels):
     return C @ (sc * coeffs), C @ (ss * coeffs)
 
 
-def _shift_bases(w, config, table, points=None):
-    """Cosine bases of the alias shifts of table over the 1-D grid w.
+def _shift_bases(w, config, table, points):
+    """Cosine bases of every alias shift of table over the 1-D grid w.
 
-    Yields (block, batch, nu, basis) per block of grid points and batch (a
-    slice) of table's entries, each block starting with table[0]: nu
-    (shifts, points) holds -phi(w[block] + 2 pi p/q) at the batch's shifts,
-    and basis[i, 0] and basis[i, 1], each (points, N/2), the cosine bases at
-    nu[i] and pi - nu[i], all filled by one cosine_basis call.
-
-    With points None, points fill _PASS_BYTES of basis, 16 (N/2 + 1) per
-    point and shift, before shifts do (at least one of each), and lie
-    innermost in memory, for GEMMs of each basis[i, plane] against
-    per-shift weights.  Given points, each block holds that many grid
-    points and every shift of table in its one batch, with shifts
-    innermost, so per grid point g basis[:, plane, g] is a matrix for GEMMs
-    against per-point weights over the shifts.
+    Yields (block, nu, basis) per block of points grid points: nu (shifts,
+    points) holds -phi(w[block] + 2 pi p/q), and basis[i, 0] and basis[i, 1],
+    each (points, N/2), the bases at nu[i] and pi - nu[i], filled by one
+    cosine_basis call with the shifts innermost, so per grid point g
+    basis[:, plane, g] is a matrix for GEMMs against per-point weights.
     """
     n1 = config.order // 2 + 1
-    per_point = points is not None
-    if per_point:
-        shifts = len(table)
-    else:
-        points = max(1, min(w.size, _PASS_BYTES // (16 * n1)))
-        shifts = max(1, min(len(table), _PASS_BYTES // (16 * n1 * points)))
     offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
-    rows = np.empty(n1 * shifts * 2 * points)  # basis work buffer
+    rows = np.empty(n1 * len(table) * 2 * points)  # basis work buffer
     for first in range(0, w.size, points):
         block = slice(first, first + points)
-        for lo in range(0, len(table), shifts):
-            batch = slice(lo, lo + shifts)
-            nu = -allpass_phase(w[block] + offsets[batch, None], config.alpha)
-            angles = np.stack([nu, np.pi - nu], axis=1)  # (shift, plane, point)
-            if per_point:
-                angles = np.ascontiguousarray(angles.transpose(1, 2, 0))
-            out = rows[: n1 * angles.size].reshape((n1,) + angles.shape)
-            basis = modulation.cosine_basis(angles, config.order, out=out)
-            yield block, batch, nu, basis.transpose(2, 0, 1, 3) if per_point else basis
+        nu = -allpass_phase(w[block] + offsets[:, None], config.alpha)
+        angles = np.ascontiguousarray(np.stack([nu, np.pi - nu]).transpose(0, 2, 1))
+        out = rows[: n1 * angles.size].reshape((n1,) + angles.shape)
+        basis = modulation.cosine_basis(angles, config.order, out=out)
+        yield block, nu, basis.transpose(2, 0, 1, 3)
+
+
+def _harmonics(nu, out):
+    """Fill out[s, b] = e^{j(2b+1)nu[s]/2}, b < P = out.shape[1]; return e^{jP nu}.
+    Rows n .. 2n-1 are rows 0 .. n-1 times e^{jn nu} = out[:, 0] out[:, n-1],
+    so each entry's error grows linearly in b, also at nu near 0 and pi."""
+    out[:, 0] = np.exp(0.5j * nu)
+    n, P = 1, out.shape[1]
+    while n < P:
+        turn = out[:, 0] * out[:, n - 1]  # e^{jn nu}
+        np.multiply(out[:, : min(n, P - n)], turn[:, None], out=out[:, n : 2 * n])
+        n *= 2
+    return out[:, 0] * out[:, P - 1]
 
 
 def _shift_pass(proto, w, config, aliasing=True):
@@ -404,19 +399,44 @@ def _shift_pass(proto, w, config, aliasing=True):
     synthesis response phase * conj(z[i]).  Each block starts with shift 0,
     which holds every channel.
 
-    _shift_bases gives each shift's cosine basis over nu = -phi(w + 2 pi
-    p/q) and pi - nu, grid points first within _PASS_BYTES per block, and
-    two real GEMMs against the shift's channels' _split_weights give z.
+    At nu = -phi(w + 2 pi p/q) the cosine bases are 2 Re E and 2 (-1)^i Im E
+    with E_i = e^{j(2i+1)nu/2}, so z = Re(2 wc @ E) + j Im(2 ws' @ E) with
+    (wc, ws) = _split_weights and ws' = (-1)^i ws.  E_{Pa+b} = e^{jaP nu} V_b
+    for P = ceil(N/4): _harmonics fills V for a batch of shifts, points
+    first in a quarter of _PASS_BYTES (16 P bytes per point and shift), and
+    per group of channels, whose sums take no more bytes than V, one real
+    GEMM of the weights (split at P) against V's interleaved (re, im) planes
+    gives the sums R_a, and z = Re(R_0 + e^{jP nu} R_1) for wc, Im for ws'.
     """
-    N = config.order
+    n2, P = config.order // 2, -(-config.order // 4)
     wc, ws = _split_weights(proto.coeffs, config.channels)
+    weights = np.zeros((2, config.channels, 2 * P))  # (plane, channel, i)
+    weights[:, :, :n2] = 2.0 * np.stack([wc, ws * (-1.0) ** np.arange(n2)])
+    weights = weights.reshape(2, -1, 2, P).transpose(2, 0, 1, 3)  # (a, plane, channel, b)
     table = _shift_table(config.subsampling, aliasing)
-    for block, batch, nu, basis in _shift_bases(w, config, table):
-        for i, (shift, ks, ls) in enumerate(table[batch]):
-            z = np.empty((ks.size, nu.shape[1]), complex)
-            z.real = wc[ks] @ basis[i, 0].T
-            z.imag = ws[ks] @ basis[i, 1].T
-            yield block, shift, ks, ls, np.exp(-0.5j * (N - 1) * nu[i]), z
+    offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
+    points = max(1, min(w.size, _PASS_BYTES // 4 // (16 * P)))
+    shifts = max(1, min(len(table), _PASS_BYTES // 4 // (16 * P * points)))
+    harmonics = np.empty(shifts * P * points, complex)
+    a, b = divmod(n2 - 1, P)  # E_{N/2-1} = e^{jaP nu} V_b
+    group = max(1, P // 4)
+    for first in range(0, w.size, points):
+        block = slice(first, first + points)
+        for lo in range(0, len(table), shifts):
+            nu = -allpass_phase(w[block] + offsets[lo : lo + shifts, None], config.alpha)
+            v = harmonics[: nu.size * P].reshape(nu.shape[0], P, nu.shape[1])
+            turn = _harmonics(nu, v)
+            phases = np.conj(v[:, b] * turn if a else v[:, b])  # e^{-j(N-1)nu/2}
+            for i, (shift, ks, ls) in enumerate(table[lo : lo + shifts]):
+                z = np.empty((ks.size, nu.shape[1]), complex)
+                for c in range(0, ks.size, group):
+                    r = weights[:, :, ks[c : c + group]].reshape(-1, P) @ v[i].view(float)
+                    r = r.view(complex).reshape(2, 2, -1, nu.shape[1])
+                    r[1] *= turn[i]
+                    r[0] += r[1]
+                    z[c : c + group].real, z[c : c + group].imag = r[0, 0].real, r[0, 1].imag
+                    del r  # never held twice, nor by the consumer
+                yield block, shift, ks, ls, phases[i], z
 
 
 def _transfer_parts(proto, w, config, aliasing=True):
@@ -499,7 +519,7 @@ def bifrequency_map(half, config, in_grid, out_grid):
     scattered at the end of each block, and before it would pass
     _PASS_BYTES // 64 image-points (65 536 by default), unless one shift
     alone holds more; on the flagship the scatter's work then stays within
-    about 3 MB above the cells and the pass's basis.
+    about 3 MB above the cells and the pass's harmonics.
     """
     proto = _as_proto(half, config)
     win = _check_grid(in_grid, "in_grid")

@@ -7,9 +7,11 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
+from oracles import write_csv_rows
 from warpbank import (
     BankConfig,
     BankDesign,
+    bifrequency_map,
     files,
     initial_prototype,
     load_design,
@@ -275,6 +277,25 @@ def test_bifreq_diagonal_support(flat_design, tmp_path):
     # with no subsampling the map collapses to its diagonal
     assert np.all(data[~diag, 2] == -300.0)
     assert np.all(data[diag, 2] > -3.0)
+
+
+def test_bifreq_csv_is_the_map_printed_row_by_row(toy_design, tmp_path):
+    # an unequal map of a subsampled bank: the grid columns are the meshgrid
+    # of the grids, scaled, and the CSV holds the same bytes as a writer of
+    # one value at a time
+    out = tmp_path / "b.csv"
+    assert main(["bifreq", toy_design, "-o", str(out),
+                 "--grid-in", "7", "--grid-out", "5"]) == 0
+    design = load_design(toy_design)
+    config = BankConfig(channels=design.channels, order=design.order,
+                        alpha=design.alpha, subsampling=design.subsampling)
+    win, wout = np.linspace(0.0, np.pi, 7), np.linspace(0.0, np.pi, 5)
+    image = bifrequency_map(design.half, config, win, wout)
+    ii, oo = np.meshgrid(win, wout, indexing="ij")
+    want = tmp_path / "want.csv"
+    write_csv_rows(want, ["omega_in", "omega_out", "mag_db"],
+                   [ii.ravel() / (2.0 * np.pi), oo.ravel() / (2.0 * np.pi), image.ravel()])
+    assert out.read_bytes() == want.read_bytes()
 
 
 def _write_sine(path, freq_hz=440.0, rate=16000, seconds=1.0, amp=0.5):

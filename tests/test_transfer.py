@@ -13,6 +13,7 @@ from oracles import (
     bifrequency_cells,
     bifrequency_per_shift,
     complex_tables,
+    cosine_basis,
     dct4,
     response_vector,
     transfer_parts,
@@ -35,6 +36,7 @@ from warpbank import (
     transfer_quadratic,
 )
 from warpbank import files, modulation, optimize, transfer
+from warpbank.allpass import allpass_phase
 from warpbank.modulation import _pair_angles
 
 
@@ -362,9 +364,9 @@ def test_transfer_tables_small_grid_blocks_hold_several_points():
         TransferTables(config)
     shifts = len(transfer._shift_table(config.subsampling))
     assert len(items) == 256 // transfer._TABLE_POINTS
-    for block, batch in items:
+    for block, nu in items:
         assert block.stop - block.start == transfer._TABLE_POINTS
-        assert batch == slice(0, shifts)
+        assert nu.shape == (shifts, transfer._TABLE_POINTS)
 
 
 def _table_bytes(tables):
@@ -548,6 +550,58 @@ def test_shift_pass_matches_per_image_oracle(case):
         assert aliasing_transfer(half, scalar, config) == 0.0
 
 
+@pytest.mark.parametrize("channels, order", [(22, 176), (4, 32), (5, 30), (3, 6), (1, 2)])
+def test_harmonic_factors_match_per_entry_cosines(channels, order):
+    # E_{Pa+b} = e^{jaP nu} V_b: 2 Re E and 2 (-1)^i Im E are the cosine
+    # bases at nu and pi - nu, each entry one np.cos in the oracle, also
+    # within 1e-6 of 0 and pi, where the real recurrence is worst; and the
+    # pass's z and phase at every shift, from weights zero-padded to 2P
+    # columns where N/2 is odd, match the oracle's bases at such angles
+    n2, P = order // 2, -(-order // 4)
+    nu = np.array([[0.0, 1e-7, 1e-6, 0.4, 1.0],
+                   [np.pi, np.pi - 1e-7, np.pi - 1e-6, 2.5, np.pi + 1e-7]])
+    v = np.empty((2, P, 5), complex)
+    turn = transfer._harmonics(nu, v)
+    E = np.concatenate([v, v * turn[:, None]], axis=1)[:, :n2].transpose(0, 2, 1)
+    tol = 2e-15 * n2
+    assert_allclose(turn, np.exp(1j * P * nu), rtol=0, atol=tol)
+    assert_allclose(2.0 * E.real, cosine_basis(nu, order), rtol=0, atol=tol)
+    assert_allclose(2.0 * (-1.0) ** np.arange(n2) * E.imag, cosine_basis(np.pi - nu, order),
+                    rtol=0, atol=tol)
+    config = BankConfig(channels=channels, order=order, alpha=0.5,
+                        subsampling=([2, 1, 3, 5] * 6)[:channels])
+    half = np.random.default_rng(order).standard_normal(n2)
+    wc, ws = transfer._split_weights(half, channels)
+    w = np.array([0.0, 1e-7, 1e-6, 0.9, np.pi - 1e-6, np.pi - 1e-7, np.pi])
+    shifts = set()
+    for block, shift, ks, _, phase, z in transfer._shift_pass(
+            PrototypeHalf(half, channels), w, config):
+        nu = -allpass_phase(w[block] + 2.0 * np.pi * shift[0] / shift[1], config.alpha)
+        c, d = cosine_basis(nu, order), cosine_basis(np.pi - nu, order)
+        want = wc[ks] @ c.T + 1j * (ws[ks] @ d.T)
+        assert_allclose(z, want, rtol=0, atol=tol * np.abs(wc).sum())
+        assert_allclose(phase, np.exp(-0.5j * (order - 1) * nu), rtol=0, atol=2 * tol)
+        shifts.add(shift)
+    assert len(shifts) == len(transfer._shift_table(config.subsampling))
+
+
+def test_transfer_parts_memory_is_one_block():
+    # the flagship on 22 529 points, 16 blocks of the direct pass: above its
+    # three output curves, _transfer_parts holds no more than the block
+    # budget, however many blocks the grid takes
+    half, config = _flagship_bank()
+    proto = PrototypeHalf(half, config.channels)
+    grid = np.linspace(0.0, np.pi, 22529)
+    transfer._transfer_parts(proto, grid[:8], config)  # warm the imports
+    tracemalloc.start()
+    try:
+        curves = transfer._transfer_parts(proto, grid, config)
+        held = tracemalloc.get_traced_memory()[1] - sum(c.nbytes for c in curves)
+    finally:
+        tracemalloc.stop()
+    assert held <= transfer._PASS_BYTES, held
+
+
 def test_direct_route_rejects_non_finite_frequencies():
     # as TransferTables does, rather than returning NaN curves or cells
     config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[2, 1])
@@ -636,19 +690,26 @@ def test_bifrequency_scatter_matches_per_shift_on_flagship(points):
 
 
 def test_bifrequency_scatter_matches_per_shift_across_blocks_and_flushes(monkeypatch):
-    # blocks of 20 grid points and a hold of 445 image-points: shift 0
-    # alone (22 images, 440) fills a scatter, every block scatters several
-    # times, and the last block is short
+    # blocks of 20 grid points, the last one short, and a hold of 890
+    # image-points: shift 0 (22 images, 440) shares a scatter with the
+    # next shifts, and every block scatters several times
     half, config = _flagship_bank()
-    n1 = config.order // 2 + 1
-    monkeypatch.setattr(transfer, "_PASS_BYTES", 16 * n1 * 20)
+    monkeypatch.setattr(transfer, "_PASS_BYTES", 64 * 890)
     budget = transfer._PASS_BYTES // 64
     in_grid = np.linspace(0.0, np.pi, 90)
     out_grid = np.linspace(0.0, np.pi, 50)
-    assert 22 * 20 <= budget < 23 * 20 and in_grid.size % 20
-    assert config.subsampling.sum() * 20 > 4 * budget
+    assert 22 * 20 < budget and config.subsampling.sum() * 20 > 4 * budget
     want = bifrequency_per_shift(half, config, in_grid, out_grid)
+    passes, blocks = transfer._shift_pass, set()
+
+    def recorded(*args, **kwargs):
+        for item in passes(*args, **kwargs):
+            blocks.add((item[0].start, min(item[0].stop, in_grid.size)))
+            yield item
+
+    monkeypatch.setattr(transfer, "_shift_pass", recorded)
     _assert_bitwise(_map_cells(half, config, in_grid, out_grid), want)
+    assert sorted(blocks) == [(0, 20), (20, 40), (40, 60), (60, 80), (80, 90)]
 
 
 @pytest.mark.parametrize("budget", [1, 600, 20000, transfer._PASS_BYTES])
@@ -667,11 +728,11 @@ def test_bifrequency_scatter_matches_per_shift_on_unsorted_grids(monkeypatch, bu
 
 
 def test_bifrequency_scatter_memory():
-    # one 2048-point block of the flagship, 249 images: a hold of the whole
-    # block would be 510 k image-points.  Above its (2048, 256) cells the
-    # map holds the direct pass's basis (2.9 MB of the 4 MiB _PASS_BYTES)
-    # and the scatter's work over at most 64 Ki image-points: 7.07 MB, where
-    # one scatter per block would hold 25.8 MB
+    # 2048 grid points of the flagship, 249 images, in blocks of 1489
+    # points: a hold of a whole block would be 371 k image-points.  Above
+    # its (2048, 256) cells the map holds the direct pass's harmonics and
+    # one GEMM's sums (1.05 MB each, within the 4 MiB _PASS_BYTES) and the
+    # scatter's work over at most 64 Ki image-points: 5.2 MB
     half, config = _flagship_bank()
     in_grid = np.linspace(0.0, np.pi, 2048)
     out_grid = np.linspace(0.0, np.pi, 256)
