@@ -68,6 +68,7 @@ kept samples y = [x | s] W_a^T go straight on as y W_s, with the channel
 gains folded into W_s, and no frame is stored.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -84,9 +85,8 @@ from .modulation import modulate
 # at 8192 as at 16384, and about 30 % slower at 4096
 _BLOCK = 1 << 13
 _CHUNK = 64
-# measure_response: settle transient in units of order * max(S) samples, and
-# the Hann window length of the steady-state read
-_SETTLE = 4
+# measure_response: the Hann window length of the steady-state read (the
+# settle before it comes from the line's state map, see _memory_chunks)
 _WINDOW = 8192
 
 
@@ -157,6 +157,31 @@ def _upper_toeplitz(row):
     return toeplitz(column, row)
 
 
+def _power_rows(first):
+    """The first rows of U, U^2, U^3, ... for the upper-triangular Toeplitz
+    U whose first row is first.  Every power of U is upper-triangular
+    Toeplitz, so its first row holds all its entries: the k-fold
+    self-convolution of first, cut to its length."""
+    edge = first
+    while True:
+        yield edge
+        edge = np.convolve(edge, first)[: first.size]
+
+
+def _memory_chunks(phi):
+    """The least k with max|Phi^k| <= 2^-52 (double epsilon): the chunks
+    after which the line has forgotten its start state.  The transposed
+    line carries by Phi^T, so both directions have this memory.
+
+    It grows as 1/(1-|alpha|): for order 176, k = 3 at alpha = 0, 14 at
+    0.5783, 67 at 0.9 and 697 at 0.99; for order 64 at alpha = 0.99, k =
+    309.  Decimation and zero insertion add none.
+    """
+    for k, edge in enumerate(_power_rows(phi[0]), 1):
+        if np.abs(edge).max() <= np.finfo(float).eps:
+            return k
+
+
 @dataclass
 class _StateMaps:
     """The state side of the line in block form, shared by both directions.
@@ -217,17 +242,12 @@ class _StateMaps:
         state[:] = s
 
     def phi_power(self, k):
-        """Phi^k.  Phi is upper-triangular Toeplitz, and so is Phi^k: its
-        first row is the k-fold self-convolution of Phi's, cut to N-1 terms.
-        Only the last power built is kept: a run of whole super-blocks asks
-        for one k."""
+        """Phi^k, from its first row (_power_rows).  Only the last power
+        built is kept: a run of whole super-blocks asks for one k."""
         if k == 1:
             return self.phi
         if self.power[0] != k:
-            first = self.phi[0]
-            edge = first
-            for _ in range(k - 1):
-                edge = np.convolve(edge, first)[: first.size]
+            edge = next(itertools.islice(_power_rows(self.phi[0]), k - 1, None))
             self.power = (k, _upper_toeplitz(edge))
         return self.power[1]
 
@@ -708,23 +728,29 @@ def process_signal(design, signal, gains_db=None):
 def measure_response(design, probe_freqs):
     """Measure |T_all| at probe frequencies by running sines through the bank.
 
-    Each probe feeds a unit sine, discards a settle transient of
-    _SETTLE*N*max(S) samples, and reads the steady-state amplitude by
-    Hann-windowed quadrature correlation over _WINDOW samples.  Returns
-    magnitudes in dB.  The probes are a real scalar or 1-D array; those at
-    (or numerically touching) 0 or pi are rejected, since the correlation
-    cannot separate the conjugate line there, and so are non-finite ones.
-    One BankStream serves every probe.
+    Each probe feeds a unit sine, discards a settle transient, and reads
+    the steady-state amplitude by Hann-windowed quadrature correlation over
+    _WINDOW samples.  The settle is 2*(K+1)*c samples, K the chunks of c =
+    _CHUNK samples after which the line's state map has vanished
+    (_memory_chunks): the analysis line's memory, then the synthesis
+    line's, each with a chunk to spare.  On the flagship K = 14, a settle
+    of 1920 samples.  Decimation and zero insertion add no memory, so the
+    settle does not depend on the ratios.
+
+    Returns magnitudes in dB.  The probes are a real scalar or 1-D array;
+    those at (or numerically touching) 0 or pi are rejected, since the
+    correlation cannot separate the conjugate line there, and so are
+    non-finite ones.  One BankStream serves every probe.
     """
     freqs = _real_samples(np.atleast_1d(probe_freqs), "probe frequencies")
     bad = [float(f) for f in freqs if not 1e-9 < f < np.pi - 1e-9]
     if bad:
         raise ValueError("probe frequencies not inside (0, pi): %r" % bad)
-    settle = _SETTLE * design.order * int(design.subsampling.max())
+    stream = BankStream(design)
+    settle = 2 * (_memory_chunks(stream._maps.phi) + 1) * _CHUNK
     win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)
-    stream = BankStream(design)
     out = np.empty(freqs.size)
     for i, w in enumerate(freqs):
         y = stream._run(np.sin(w * n))

@@ -4,6 +4,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -132,6 +133,47 @@ def test_measured_response_matches_analytic_transfer():
     measured = measure_response(design, probes)
     analytic = to_db(overall_transfer(design.half, probes, config))
     assert np.max(np.abs(measured - analytic)) < 0.05
+
+
+def test_measured_response_of_strongly_warped_unsubsampled_banks():
+    # the line's memory grows with |alpha| and not with the ratios: here
+    # it is 30 chunks, and a settle of 256 samples reads 3.8e-2 dB off
+    probes = np.linspace(0.05, np.pi - 0.05, 12)
+    for alpha in (0.9, -0.9):
+        design = _toy_design(8, 64, alpha, [1] * 8)
+        config = BankConfig(channels=8, order=64, alpha=alpha, subsampling=[1] * 8)
+        measured = measure_response(design, probes)
+        analytic = to_db(overall_transfer(design.half, probes, config))
+        assert np.max(np.abs(measured - analytic)) <= 1e-4
+
+
+@pytest.mark.parametrize("taps", [2, 32, 64, 66, 176])
+def test_memory_chunks_is_where_the_state_map_vanishes(taps):
+    eps = np.finfo(float).eps
+    chunks = {}
+    for alpha in (0.0, 0.5783, -0.5783, 0.9, -0.9):
+        phi = streaming._state_maps(alpha, streaming._line_runs(alpha, taps)).phi
+        k = streaming._memory_chunks(phi)
+        assert np.abs(np.linalg.matrix_power(phi, k)).max() <= eps
+        assert np.abs(np.linalg.matrix_power(phi, k - 1)).max() > eps
+        chunks[alpha] = k
+    for alpha in (0.5783, 0.9):
+        assert chunks[alpha] == chunks[-alpha]
+    # unwarped, a chunk moves the state c sections down an FIR delay line
+    assert chunks[0.0] == -(-(taps - 1) // streaming._CHUNK)
+
+
+def test_flagship_probes_hold_with_twice_the_settle(monkeypatch):
+    design = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
+    probes = np.linspace(0.05, np.pi - 0.05, 8)
+    settled = measure_response(design, probes)
+    memory = streaming._memory_chunks
+    # 2*((2K+1)+1)*c samples, twice 2*(K+1)*c
+    twice = mock.Mock(side_effect=lambda phi: 2 * memory(phi) + 1)
+    monkeypatch.setattr(streaming, "_memory_chunks", twice)
+    longer = measure_response(design, probes)
+    assert twice.call_count == 1
+    assert np.max(np.abs(longer - settled)) <= 1e-3
 
 
 def test_measure_rejects_edge_probes():
