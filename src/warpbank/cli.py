@@ -8,6 +8,7 @@ usage or configuration errors.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,7 +18,6 @@ from . import files, optimize, streaming, subsampling
 from .files import ConfigError
 from .modulation import channel_response_warped, prototype_response
 from .transfer import (
-    BankConfig,
     _transfer_parts,
     bifrequency_map,
     distortion_transfer,
@@ -106,20 +106,6 @@ def _grid_size(text):
     return value
 
 
-def _bank_config(design, grid_points=None):
-    try:
-        return BankConfig(
-            channels=design.channels,
-            order=design.order,
-            alpha=design.alpha,
-            subsampling=design.subsampling,
-            grid_points=grid_points,
-            sample_rate_hz=design.sample_rate_hz,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_design(args):
     config = files.load_config(args.config)
     bank, report = optimize.design(config)
@@ -171,7 +157,12 @@ def cmd_subsample(args):
 
 def cmd_evaluate(args):
     design = files.load_design(args.design)
-    config = _bank_config(design, args.grid)
+    config = design.config
+    if args.grid is not None:
+        try:
+            config = dataclasses.replace(config, grid_points=args.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     omega = frequency_grid(config)
     norm = omega / (2.0 * np.pi)
     half = design.half
@@ -206,10 +197,9 @@ def cmd_evaluate(args):
 
 def cmd_bifreq(args):
     design = files.load_design(args.design)
-    config = _bank_config(design)
     win = np.linspace(0.0, np.pi, args.grid_in)
     wout = np.linspace(0.0, np.pi, args.grid_out)
-    image = bifrequency_map(design.half, config, win, wout)
+    image = bifrequency_map(design.half, design.config, win, wout)
     # row i * grid_out + j holds (win[i], wout[j]), scaled before the copies
     files.write_csv(
         args.out,

@@ -9,7 +9,6 @@ import numpy as np
 import yaml
 from scipy.io import wavfile
 
-from .allpass import _check_count
 from .optimize import BankDesign
 from .subsampling import select_all
 from .transfer import BankConfig
@@ -22,6 +21,8 @@ class ConfigError(Exception):
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(BankConfig))
 _REQUIRED_KEYS = [f.name for f in dataclasses.fields(BankConfig)
                   if f.default is dataclasses.MISSING]
+# what a design file holds beside its config's keys
+_DESIGN_KEYS = ("prototype_half", "prototype", "metrics")
 
 
 def _plain(value):
@@ -59,25 +60,26 @@ def _load_yaml(path):
     return data
 
 
-def load_config(path):
-    """Read a bank configuration from a YAML file.
+def _parse_config(path, data, design=False):
+    """The BankConfig of a YAML mapping's _CONFIG_KEYS.
 
-    Unlisted optional keys take their defaults; subsampling accepts an
-    explicit ratio list or the string "auto", which selects the largest
-    alias-free ratio per channel from the warped band edges.
+    A config file may give subsampling as "auto" or leave it out; a design
+    file must list its ratios, and must also hold _DESIGN_KEYS.
     """
-    data = _load_yaml(path)
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    extra = _DESIGN_KEYS if design else ()
+    unknown = sorted(set(data) - set(_CONFIG_KEYS) - set(extra))
     if unknown:
         raise ConfigError("%s: unknown keys %s" % (path, ", ".join(unknown)))
-    missing = [k for k in _REQUIRED_KEYS if k not in data]
+    required = _REQUIRED_KEYS + (["subsampling", *extra] if design else [])
+    missing = [k for k in required if k not in data]
     if missing:
         raise ConfigError("%s: missing keys %s" % (path, ", ".join(missing)))
-    kwargs = dict(data)
-    # subsampling defaults to automatic selection when the file omits it
+    kwargs = {k: data[k] for k in _CONFIG_KEYS if k in data}
+    # subsampling defaults to automatic selection when a config omits it
     sub = kwargs.pop("subsampling", "auto")
-    if isinstance(sub, str) and sub != "auto":
-        raise ConfigError("%s: subsampling must be a list or \"auto\"" % path)
+    if isinstance(sub, str) and (design or sub != "auto"):
+        raise ConfigError("%s: subsampling must be a list%s"
+                          % (path, "" if design else " or \"auto\""))
     try:
         config = BankConfig(**kwargs, subsampling=None if sub == "auto" else sub)
         if sub == "auto":
@@ -87,42 +89,57 @@ def load_config(path):
         raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
-def save_config(config, path):
-    """Write a configuration as YAML; load_config(save_config(c)) == c."""
-    data = {k: v for k, v in dataclasses.asdict(config).items() if v is not None}
+def _config_data(config):
+    """The YAML mapping of a config: every setting, sample_rate_hz if set."""
+    return {k: v for k, v in dataclasses.asdict(config).items() if v is not None}
+
+
+def _dump(data, path):
     with open(path, "w") as fh:
         yaml.safe_dump(_plain(data), fh, sort_keys=True)
 
 
+def load_config(path):
+    """Read a bank configuration from a YAML file.
+
+    Unlisted optional keys take their defaults; subsampling accepts an
+    explicit ratio list or the string "auto", which selects the largest
+    alias-free ratio per channel from the warped band edges.
+    """
+    return _parse_config(path, _load_yaml(path))
+
+
+def save_config(config, path):
+    """Write a configuration as YAML; load_config(save_config(c)) == c."""
+    _dump(_config_data(config), path)
+
+
 def save_design(design, path):
-    """Write a finished design (coefficients plus metrics) as YAML."""
-    data = {
-        "channels": design.channels,
-        "order": design.order,
-        "alpha": design.alpha,
-        "subsampling": design.subsampling,
-        "prototype_half": design.half,
-        "prototype": design.prototype(),
-        "metrics": {
+    """Write a finished design as YAML: its config's keys, as save_config
+    writes them, plus prototype_half, prototype and metrics."""
+    data = _config_data(design.config)
+    data.update(
+        prototype_half=design.half,
+        prototype=design.prototype(),
+        metrics={
             "ripple_db": design.ripple_db,
             "max_alias_db": design.max_alias_db,
             "outer_iterations": design.outer_iterations,
             "converged": design.converged,
         },
-    }
-    if design.sample_rate_hz is not None:
-        data["sample_rate_hz"] = design.sample_rate_hz
-    with open(path, "w") as fh:
-        yaml.safe_dump(_plain(data), fh, sort_keys=True)
+    )
+    _dump(data, path)
 
 
 def load_design(path):
-    """Read a design file back into a BankDesign."""
+    """Read a design file back into a BankDesign.
+
+    The config keys go through load_config's parser, except that the ratios
+    must be listed; settings the file does not hold take their defaults, so
+    a file that records only the geometry loads with the default grid.
+    """
     data = _load_yaml(path)
-    for key in ("channels", "order", "alpha", "subsampling", "prototype_half",
-                "prototype", "metrics"):
-        if key not in data:
-            raise ConfigError("%s: missing key %s" % (path, key))
+    config = _parse_config(path, data, design=True)
     metrics = data["metrics"]
     if not isinstance(metrics, dict):
         raise ConfigError("%s: metrics must be a mapping" % path)
@@ -134,11 +151,7 @@ def load_design(path):
         full = np.asarray(data["prototype"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError("%s: bad coefficient data: %s" % (path, exc)) from exc
-    if half.ndim != 1 or full.shape != (2 * half.size,):
-        raise ConfigError("%s: prototype must be twice the half length" % path)
     try:
-        if _check_count("order", data["order"], 2) != 2 * half.size:
-            raise ValueError("coefficient count does not match order")
         for key in ("ripple_db", "max_alias_db"):
             value = metrics[key]
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -146,20 +159,19 @@ def load_design(path):
                 raise ValueError("%s must be a finite number, got %r" % (key, value))
         design = BankDesign(
             half=half,
-            channels=data["channels"],
-            alpha=data["alpha"],
-            subsampling=data["subsampling"],
+            config=config,
             ripple_db=float(metrics["ripple_db"]),
             max_alias_db=float(metrics["max_alias_db"]),
             outer_iterations=metrics["outer_iterations"],
             converged=metrics["converged"],
-            sample_rate_hz=data.get("sample_rate_hz"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError("%s: %s" % (path, exc)) from exc
     # the half is finite here, so a NaN or inf in the full prototype fails
     scale = max(np.abs(half).max(), 1.0)
-    if not np.allclose(full, design.prototype(), rtol=0.0, atol=1e-9 * scale):
+    if full.shape != (design.order,) or not np.allclose(
+        full, design.prototype(), rtol=0.0, atol=1e-9 * scale
+    ):
         raise ConfigError("%s: prototype is not the mirrored half" % path)
     return design
 

@@ -18,10 +18,9 @@ from scipy.signal import firwin
 
 from .modulation import PrototypeHalf
 from .transfer import (
+    BankConfig,
     TransferTables,
     _check_count,
-    _check_geometry,
-    _check_sample_rate,
     distortion_transfer,
     frequency_grid,
     to_db,
@@ -56,33 +55,35 @@ class OptimizerReport:
 
 @dataclass
 class BankDesign:
-    """A finished design: prototype, bank geometry and quality metrics."""
+    """A finished design: the prototype half, the BankConfig it was designed
+    from and the quality metrics design() measured on that config's grid.
+
+    channels, order, alpha, subsampling and sample_rate_hz read the config.
+    """
 
     half: np.ndarray
-    channels: int
-    alpha: float
-    subsampling: np.ndarray
+    config: BankConfig
     ripple_db: float
     max_alias_db: float
     outer_iterations: int
     converged: bool
-    sample_rate_hz: float = None
 
     def __post_init__(self):
         self.half = np.asarray(self.half, dtype=float)
-        if not np.all(np.isfinite(self.half)):
-            raise ValueError("prototype coefficients must be finite")
-        self.channels, _, self.alpha, self.subsampling = _check_geometry(
-            self.channels, 2 * self.half.size, self.alpha, self.subsampling
-        )
+        if self.half.ndim != 1 or not np.all(np.isfinite(self.half)):
+            raise ValueError("prototype half must be a 1-D array of finite coefficients")
+        if self.config.order != 2 * self.half.size:
+            raise ValueError("order %d does not match %d prototype coefficients"
+                             % (self.config.order, 2 * self.half.size))
         self.outer_iterations = _check_count("outer_iterations", self.outer_iterations, 0)
         if not isinstance(self.converged, (bool, np.bool_)):
             raise ValueError("converged must be true or false, got %r" % (self.converged,))
-        self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
 
-    @property
-    def order(self):
-        return 2 * self.half.size
+    channels = property(lambda self: self.config.channels)
+    order = property(lambda self: self.config.order)
+    alpha = property(lambda self: self.config.alpha)
+    subsampling = property(lambda self: self.config.subsampling)
+    sample_rate_hz = property(lambda self: self.config.sample_rate_hz)
 
     def prototype_half(self):
         return PrototypeHalf(self.half, self.channels)
@@ -431,14 +432,11 @@ def design(config):
     phases["metrics"] = clock() - start
     bank = BankDesign(
         half=h,
-        channels=config.channels,
-        alpha=config.alpha,
-        subsampling=config.subsampling,
+        config=config,
         ripple_db=ripple,
         max_alias_db=alias_db,
         outer_iterations=outer,
         converged=converged,
-        sample_rate_hz=config.sample_rate_hz,
     )
     report = OptimizerReport(
         objective_trace=np.asarray(trace),

@@ -41,36 +41,13 @@ from .allpass import _check_alpha, _check_count, allpass_phase
 from .modulation import PrototypeHalf
 
 
-def _check_sample_rate(rate):
-    """Return rate if it is None or a positive finite number, else raise."""
-    real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
-    if rate is not None and not (real and 0.0 < rate < np.inf):
-        raise ValueError("sample_rate_hz must be a positive number, got %r" % (rate,))
-    return rate
-
-
-def _check_geometry(channels, order, alpha, subsampling):
-    """Checked (channels, order = 2mM, |alpha| < 1, one ratio >= 1 per channel).
-
-    subsampling None means every ratio is 1.
-    """
-    channels = _check_count("channels", channels, 1)
-    order = _check_count("order", order, 2)
-    if order % (2 * channels):
-        raise ValueError("order must be an even multiple of 2*channels, got %d" % order)
-    ratios = np.ones(channels, int) if subsampling is None else np.asarray(subsampling)
-    if ratios.shape != (channels,):
-        raise ValueError("subsampling must hold one ratio per channel")
-    ratios = np.array([_check_count("subsampling", s, 1) for s in ratios.tolist()])
-    return channels, order, _check_alpha(alpha), ratios
-
-
 @dataclass
 class BankConfig:
     """Static description of a bank design problem.
 
-    subsampling holds the per-channel decimation ratios; grid_points defaults
-    to max(8N, 1024).  sample_rate_hz is carried as metadata only.
+    subsampling holds the per-channel decimation ratios (None means every
+    ratio is 1); grid_points defaults to max(8N, 1024).  sample_rate_hz is
+    carried as metadata only.
     """
 
     channels: int
@@ -87,14 +64,24 @@ class BankConfig:
     step_tol: float = 1e-10
 
     def __post_init__(self):
-        self.channels, self.order, self.alpha, self.subsampling = _check_geometry(
-            self.channels, self.order, self.alpha, self.subsampling
-        )
+        self.channels = _check_count("channels", self.channels, 1)
+        self.order = _check_count("order", self.order, 2)
+        if self.order % (2 * self.channels):
+            raise ValueError("order must be an even multiple of 2*channels, got %d" % self.order)
+        self.alpha = _check_alpha(self.alpha)
+        ratios = self.subsampling
+        ratios = np.ones(self.channels, int) if ratios is None else np.asarray(ratios)
+        if ratios.shape != (self.channels,):
+            raise ValueError("subsampling must hold one ratio per channel")
+        self.subsampling = np.array([_check_count("subsampling", s, 1) for s in ratios.tolist()])
         if self.grid_points is None:
             self.grid_points = max(8 * self.order, 1024)
         for name, least in (("grid_points", 2), ("max_inner", 1), ("max_outer", 1)):
             setattr(self, name, _check_count(name, getattr(self, name), least))
-        self.sample_rate_hz = _check_sample_rate(self.sample_rate_hz)
+        rate = self.sample_rate_hz
+        real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+        if rate is not None and not (real and 0.0 < rate < np.inf):
+            raise ValueError("sample_rate_hz must be a positive number, got %r" % (rate,))
         for name in ("theta", "psi", "kaiser_beta", "step_tol"):
             setattr(self, name, float(getattr(self, name)))
             if not 0.0 <= getattr(self, name) < np.inf:

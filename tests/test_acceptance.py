@@ -195,9 +195,9 @@ def test_criterion_6_unwarped_degeneration():
         resp_err = max(resp_err, float(np.max(np.abs(got - ebase @ filters.analysis[k]))))
 
     # the streaming engine collapses to a plain FIR multirate chain
-    config = BankConfig(channels=4, order=32, alpha=0.0)
+    config = BankConfig(channels=4, order=32, alpha=0.0, subsampling=[4, 3, 2, 1])
     proto = initial_prototype(config).coeffs
-    design = BankDesign(proto, 4, 0.0, [4, 3, 2, 1], 0.0, -300.0, 0, True)
+    design = BankDesign(proto, config, 0.0, -300.0, 0, True)
     filters = modulate(design.prototype_half())
     x = rng.standard_normal(500)
     frames = analyze(design, x)

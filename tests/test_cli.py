@@ -204,6 +204,19 @@ def test_evaluate_grid_below_2_exits_2(flat_design, tmp_path, capsys):
     assert "grid_points must be >= 2" in capsys.readouterr().err
 
 
+def test_evaluate_reads_the_design_grid(tmp_path):
+    # a design made on 128 points is evaluated on them unless --grid is given
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("channels: 2\norder: 8\nalpha: 0.0\ngrid_points: 128\n")
+    design = tmp_path / "d.yaml"
+    assert main(["design", str(cfg), "-o", str(design)]) == 0
+    assert load_design(design).config.grid_points == 128
+    out = tmp_path / "tall.csv"
+    for grid, rows in (([], 128), (["--grid", "300"], 300)):
+        assert main(["evaluate", str(design), "--what", "tall", "-o", str(out)] + grid) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows
+
+
 def test_evaluate_memory_stays_bounded(tmp_path):
     # one-shot curves go channel by channel; transfer tables over this grid
     # would hold 2 x 16384 x 4 x 16 complex values (about 34 MB)
@@ -212,9 +225,7 @@ def test_evaluate_memory_stays_bounded(tmp_path):
     save_design(
         BankDesign(
             half=initial_prototype(config).coeffs,
-            channels=4,
-            alpha=0.3,
-            subsampling=config.subsampling,
+            config=config,
             ripple_db=0.0,
             max_alias_db=0.0,
             outer_iterations=1,
@@ -287,10 +298,8 @@ def test_bifreq_csv_is_the_map_printed_row_by_row(toy_design, tmp_path):
     assert main(["bifreq", toy_design, "-o", str(out),
                  "--grid-in", "7", "--grid-out", "5"]) == 0
     design = load_design(toy_design)
-    config = BankConfig(channels=design.channels, order=design.order,
-                        alpha=design.alpha, subsampling=design.subsampling)
     win, wout = np.linspace(0.0, np.pi, 7), np.linspace(0.0, np.pi, 5)
-    image = bifrequency_map(design.half, config, win, wout)
+    image = bifrequency_map(design.half, design.config, win, wout)
     ii, oo = np.meshgrid(win, wout, indexing="ij")
     want = tmp_path / "want.csv"
     write_csv_rows(want, ["omega_in", "omega_out", "mag_db"],

@@ -105,24 +105,48 @@ def test_design_file_loads_alike_under_both_yaml_loaders(monkeypatch, yaml_loade
         loaded.append(load_design(path))
     python, libyaml = loaded
     assert_array_equal(libyaml.half, python.half)
-    assert_array_equal(libyaml.subsampling, python.subsampling)
-    for name in ("channels", "alpha", "ripple_db", "max_alias_db",
-                 "outer_iterations", "converged", "sample_rate_hz"):
+    _assert_fields_equal(libyaml.config, python.config)
+    for name in ("ripple_db", "max_alias_db", "outer_iterations", "converged"):
         assert getattr(libyaml, name) == getattr(python, name), name
-
-
-@st.composite
-def _valid_banks(draw):
-    """Bank geometry (channels, order, alpha, ratios) plus an optional rate."""
-    channels = draw(st.integers(1, 6))
-    order = 2 * channels * draw(st.integers(1, 3))
-    alpha = draw(st.floats(-0.99, 0.99, allow_subnormal=False))
-    ratios = draw(st.lists(st.integers(1, 40), min_size=channels, max_size=channels))
-    rate = draw(st.none() | st.integers(1, 192000) | st.floats(1.0, 1e6))
-    return channels, order, alpha, ratios, rate
+    # the file records only the geometry and the rate, so every other
+    # setting is its default, the grid max(8*176, 1024) included
+    config = python.config
+    assert config.grid_points == 1408
+    _assert_fields_equal(config, BankConfig(channels=22, order=176, alpha=0.5783,
+                                            subsampling=config.subsampling,
+                                            sample_rate_hz=16000))
 
 
 _finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def _configs(draw):
+    """A BankConfig with every setting drawn: geometry, an optional rate, an
+    optional grid (None takes the default) and the optimizer's settings."""
+    channels = draw(st.integers(1, 6))
+    order = 2 * channels * draw(st.integers(1, 3))
+    theta, psi, kaiser_beta, step_tol = np.abs(draw(st.tuples(*[_finite] * 4)))
+    return BankConfig(
+        channels=channels, order=order,
+        alpha=draw(st.floats(-0.99, 0.99, allow_subnormal=False)),
+        subsampling=draw(st.lists(st.integers(1, 40), min_size=channels, max_size=channels)),
+        grid_points=draw(st.none() | st.integers(2, 5000)),
+        sample_rate_hz=draw(st.none() | st.integers(1, 192000) | st.floats(1.0, 1e6)),
+        theta=theta, psi=psi, kaiser_beta=kaiser_beta,
+        max_inner=draw(st.integers(1, 100)), max_outer=draw(st.integers(1, 100)),
+        step_tol=step_tol,
+    )
+
+
+def _assert_fields_equal(got, want):
+    """Equal field by field, into nested dataclasses such as a design's config."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(b):
+            _assert_fields_equal(a, b)
+        else:
+            assert_equal(a, b)
 
 
 def _roundtrip_is_fixpoint(obj, save, load):
@@ -134,32 +158,20 @@ def _roundtrip_is_fixpoint(obj, save, load):
         save(loaded, p2)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
-    for field in dataclasses.fields(obj):
-        assert_equal(getattr(loaded, field.name), getattr(obj, field.name))
+    _assert_fields_equal(loaded, obj)
 
 
-@given(_valid_banks(), st.none() | st.integers(2, 5000),
-       st.tuples(_finite, _finite, _finite, _finite).map(np.abs),
-       st.integers(1, 100), st.integers(1, 100))
-def test_config_save_load_fixpoint(bank, grid, reals, max_inner, max_outer):
-    channels, order, alpha, ratios, rate = bank
-    theta, psi, kaiser_beta, step_tol = reals
-    config = BankConfig(
-        channels=channels, order=order, alpha=alpha, subsampling=ratios,
-        grid_points=grid, sample_rate_hz=rate, theta=theta, psi=psi,
-        kaiser_beta=kaiser_beta, max_inner=max_inner, max_outer=max_outer,
-        step_tol=step_tol,
-    )
+@given(_configs())
+def test_config_save_load_fixpoint(config):
     _roundtrip_is_fixpoint(config, save_config, load_config)
 
 
-@given(_valid_banks(), st.data(), _finite, _finite, st.integers(0, 100),
+@given(_configs(), st.data(), _finite, _finite, st.integers(0, 100),
        st.booleans())
-def test_design_save_load_fixpoint(bank, data, ripple, alias, outer, converged):
-    channels, order, alpha, ratios, rate = bank
-    half = data.draw(st.lists(_finite, min_size=order // 2, max_size=order // 2))
-    design = BankDesign(half, channels, alpha, ratios, ripple, alias, outer,
-                        converged, rate)
+def test_design_save_load_fixpoint(config, data, ripple, alias, outer, converged):
+    size = config.order // 2
+    half = data.draw(st.lists(_finite, min_size=size, max_size=size))
+    design = BankDesign(half, config, ripple, alias, outer, converged)
     _roundtrip_is_fixpoint(design, save_design, load_design)
 
 
@@ -181,7 +193,11 @@ def test_design_roundtrip(tmp_path):
 
 
 def test_design_file_validation(tmp_path):
-    bank = BankDesign(np.arange(1, 5.0), 2, 0.3, [1, 1], -1.0, -100.0, 1, True)
+    config = BankConfig(channels=2, order=8, alpha=0.3, subsampling=[1, 1])
+    bank = BankDesign(np.arange(1, 5.0), config, -1.0, -100.0, 1, True)
+    # a half of the right size that is not 1-D
+    with assert_raises(ValueError, match="1-D"):
+        BankDesign(np.ones((2, 2)), config, 0.0, -300.0, 0, True)
     path = tmp_path / "d.yaml"
     save_design(bank, str(path))
     text = path.read_text()

@@ -38,9 +38,8 @@ from warpbank import (
 
 
 def _toy_design(channels, order, alpha, sub):
-    config = BankConfig(channels=channels, order=order, alpha=alpha)
-    half = initial_prototype(config).coeffs
-    return BankDesign(half, channels, alpha, sub, 0.0, -300.0, 0, True)
+    config = BankConfig(channels=channels, order=order, alpha=alpha, subsampling=sub)
+    return BankDesign(initial_prototype(config).coeffs, config, 0.0, -300.0, 0, True)
 
 
 def _fir_reference(design, x):

@@ -658,9 +658,7 @@ def test_bifrequency_matches_per_channel_oracle(case, outputs):
 def _flagship_bank():
     """(half, config) of the bench design, the 22-channel Bark bank."""
     bank = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
-    config = BankConfig(channels=bank.channels, order=bank.order, alpha=bank.alpha,
-                        subsampling=bank.subsampling)
-    return bank.half, config
+    return bank.half, bank.config
 
 
 def _map_cells(half, config, in_grid, out_grid):
