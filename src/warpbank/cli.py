@@ -18,7 +18,8 @@ from . import files, optimize, streaming, subsampling
 from .files import ConfigError
 from .modulation import channel_response_warped, prototype_response
 from .transfer import (
-    _transfer_parts,
+    aliasing_bound,
+    aliasing_transfer,
     bifrequency_map,
     distortion_transfer,
     error_function,
@@ -183,9 +184,9 @@ def cmd_evaluate(args):
         mag = to_db(distortion_transfer(half, omega, config))
         header, columns = ["omega_norm", "value_db"], [norm, mag]
     elif args.what == "talias":
-        _, coherent, bound = _transfer_parts(design.prototype_half(), omega, config)
-        header = ["omega_norm", "coherent_db", "bound_db"]
-        columns = [norm, to_db(coherent), to_db(bound)]
+        coherent = to_db(aliasing_transfer(half, omega, config))
+        bound = to_db(aliasing_bound(half, omega, config))
+        header, columns = ["omega_norm", "coherent_db", "bound_db"], [norm, coherent, bound]
     else:
         err = error_function(half, omega, config)
         err_db = 10.0 * np.log10(np.maximum(np.abs(err), 1e-30))

@@ -5,27 +5,38 @@ The analysis-synthesis chain with per-channel decimation by S_k has
     T_all(omega) = sum_k sum_{l=0..S_k-1} H_k^w(omega + 2 pi l/S_k) F_k^w(omega)
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
-transfer.  The images l/S_k of all channels fall on few distinct shifts p/q
-(116 for the 249 images of the 22-channel Bark bank).  The direct pass
-(_shift_pass) evaluates a given prototype at the warped angles nu of the
-shifts, and every transfer curve and the bifrequency map read that pass:
-its cosine bases at nu and pi - nu are planes of one complex harmonic,
-filled for half its indices and turned by one factor for the rest, and
-one real GEMM per shift serves all of the shift's channels.  Scoring many
-prototypes on one grid (the optimizer, its final alias curve included)
-uses TransferTables, built from _shift_bases' cosine bases of every shift
-per block of grid points: the vectors of the quadratic form T_all = h^T
-U(omega) h, U = sum_k ua_k us_k^T.  The
-synthesis vectors us are image 0 only and factor into the shift-0 basis
-over nu0 and pi - nu0, a phase per grid point and fixed per-channel
-weights (wc, ws) = _split_weights(ones).  The cosine modulation is a
-DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times the M-point
-DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column (_dct4_split).
-So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and us'_c = p0
-(Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as real and
-imaginary planes) and the factors of us', whose synthesis side selects
-N/(2M) cosine columns per canonical column c instead of weighting all
-N/2.  The tables are the only route to these vectors; transfer_quadratic
+transfer.  Three routes compute it, each with one job.
+
+The uniform route (_uniform_parts) gives the coherent curves, distortion
+and alias, on the grid np.linspace(0, pi, G) that frequency_grid and the
+CLI build: it takes every channel's warped impulse responses over the
+line's memory, and reads H_k and F_k off their real FFTs and each
+channel's whole image sum off the FFT of its decimated analysis response,
+since sum_{l<S} H(omega + 2 pi l/S) = S sum_m h[mS] e^{-jmS omega}.
+
+The direct pass (_shift_pass) evaluates a given prototype image by image
+at any frequencies: the images l/S_k of all channels fall on few distinct
+shifts p/q (116 for the 249 images of the 22-channel Bark bank), its
+cosine bases at the warped angle nu of a shift and at pi - nu are planes
+of one complex harmonic, filled for half its indices and turned by one
+factor for the rest, and one real GEMM per shift serves all of the
+shift's channels.  aliasing_bound and bifrequency_map need the images
+apart and read it, and so do the coherent curves at every other set of
+points (a scalar omega among them).
+
+Scoring many prototypes on one grid (the optimizer) uses TransferTables,
+built from _shift_bases' cosine bases of every shift per block of grid
+points: the vectors of the quadratic form T_all = h^T U(omega) h, U =
+sum_k ua_k us_k^T.  The synthesis vectors us are image 0 only and factor
+into the shift-0 basis over nu0 and pi - nu0, a phase per grid point and
+fixed per-channel weights (wc, ws) = _split_weights(ones).  The cosine
+modulation is a DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times
+the M-point DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column
+(_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and
+us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as
+real and imaginary planes) and the factors of us', whose synthesis side
+selects N/(2M) cosine columns per canonical column c instead of weighting
+all N/2.  The tables are the only route to these vectors; transfer_quadratic
 reads U off a one-point table.
 """
 
@@ -35,8 +46,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
-from . import modulation
+from . import modulation, streaming
 from .allpass import _check_alpha, _check_count, allpass_phase
 from .modulation import PrototypeHalf
 
@@ -207,31 +219,9 @@ class TransferTables:
         p0 (c0 @ (sc h)^T - j d0 @ (ss h)^T), two real GEMMs."""
         half = np.asarray(half, dtype=float)
         a = (self.ta.reshape(-1, half.size) @ half).reshape(self.ta.shape[:3])
-        bc, bd = self._shift0(half)
+        bc = self.basis0[:, 0] @ (self.sc * half).T
+        bd = self.basis0[:, 1] @ (self.ss * half).T
         return a[:, 0] + 1j * a[:, 1], self.p0[:, None] * (bc - 1j * bd)
-
-    def _shift0(self, half):
-        """c0 @ (sc h)^T and d0 @ (ss h)^T, each (grid, channels)."""
-        return self.basis0[:, 0] @ (self.sc * half).T, self.basis0[:, 1] @ (self.ss * half).T
-
-    def aliasing(self, half, products=None):
-        """Coherent alias curve over the grid, the images l >= 1 of every
-        channel, from the canonical products (tables.channel_products(half),
-        computed if not given).
-
-        C C = M I unmixes them into the channels': a = A C / M sums channel
-        k's analysis responses over its S_k images, and b = B C holds its
-        synthesis responses F_k.  Shift 0's analysis responses are H0 = p0
-        (c0 @ (sc h)^T + j d0 @ (ss h)^T) C, so the alias is sum_k (a_k -
-        H0_k) b_k over the channels with S_k > 1; a channel of ratio 1 has
-        no alias image, and leaving it out keeps its rounding out too."""
-        half = np.asarray(half, dtype=float)
-        A, B = self.channel_products(half) if products is None else products
-        config = self.config
-        C = _dct4_split(config.order // 2, config.channels)[0][:, config.subsampling > 1]
-        bc, bd = self._shift0(half)
-        h0 = self.p0[:, None] * ((bc + 1j * bd) @ C)
-        return np.einsum("gk,gk->g", A @ C / C.shape[0] - h0, B @ C)
 
     def overall(self, half):
         """T_all over the grid via the quadratic form."""
@@ -364,11 +354,12 @@ def _shift_bases(w, config, table, points):
         yield block, nu, basis.transpose(2, 0, 1, 3)
 
 
-def _harmonics(nu, out):
-    """Fill out[s, b] = e^{j(2b+1)nu[s]/2}, b < P = out.shape[1]; return e^{jP nu}.
-    Rows n .. 2n-1 are rows 0 .. n-1 times e^{jn nu} = out[:, 0] out[:, n-1],
-    so each entry's error grows linearly in b, also at nu near 0 and pi."""
-    out[:, 0] = np.exp(0.5j * nu)
+def _harmonics(half_turn, out):
+    """Fill out[s, b] = e^{j(2b+1)nu[s]/2}, b < P = out.shape[1], from half_turn
+    = e^{j nu/2}; return e^{jP nu}.  Rows n .. 2n-1 are rows 0 .. n-1 times
+    e^{jn nu} = out[:, 0] out[:, n-1], so each entry's error grows linearly
+    in b, also at nu near 0 and pi."""
+    out[:, 0] = half_turn
     n, P = 1, out.shape[1]
     while n < P:
         turn = out[:, 0] * out[:, n - 1]  # e^{jn nu}
@@ -394,6 +385,13 @@ def _shift_pass(proto, w, config, aliasing=True):
     per group of channels, whose sums take no more bytes than V, one real
     GEMM of the weights (split at P) against V's interleaved (re, im) planes
     gives the sums R_a, and z = Re(R_0 + e^{jP nu} R_1) for wc, Im for ws'.
+
+    The angles take no transcendental per shift and point.  With W = w + 2
+    pi p/q and u = 1 - alpha e^{-jW}, e^{j nu} = e^{jW} u / conj(u), and
+    since Re u > 0, arg u is the arctangent term of nu/2 = W/2 + arg u, so
+    e^{j nu/2} = e^{jW/2} u/|u| = x/|x| with x = e^{jW/2} - alpha e^{-jW/2},
+    whose planes are (1 - alpha) cos(W/2) and (1 + alpha) sin(W/2); e^{jW/2}
+    = e^{jw/2} e^{j pi p/q} takes one exp per point and one per shift.
     """
     n2, P = config.order // 2, -(-config.order // 4)
     wc, ws = _split_weights(proto.coeffs, config.channels)
@@ -401,7 +399,8 @@ def _shift_pass(proto, w, config, aliasing=True):
     weights[:, :, :n2] = 2.0 * np.stack([wc, ws * (-1.0) ** np.arange(n2)])
     weights = weights.reshape(2, -1, 2, P).transpose(2, 0, 1, 3)  # (a, plane, channel, b)
     table = _shift_table(config.subsampling, aliasing)
-    offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
+    # e^{j pi p/q} per shift, as a column
+    halves = np.exp(1j * np.pi * np.array([[p / q] for (p, q), _, _ in table]))
     points = max(1, min(w.size, _PASS_BYTES // 4 // (16 * P)))
     shifts = max(1, min(len(table), _PASS_BYTES // 4 // (16 * P * points)))
     harmonics = np.empty(shifts * P * points, complex)
@@ -409,16 +408,20 @@ def _shift_pass(proto, w, config, aliasing=True):
     group = max(1, P // 4)
     for first in range(0, w.size, points):
         block = slice(first, first + points)
+        half = np.exp(0.5j * w[block])
         for lo in range(0, len(table), shifts):
-            nu = -allpass_phase(w[block] + offsets[lo : lo + shifts, None], config.alpha)
-            v = harmonics[: nu.size * P].reshape(nu.shape[0], P, nu.shape[1])
-            turn = _harmonics(nu, v)
+            u = halves[lo : lo + shifts] * half  # e^{jW/2}, then e^{j nu/2}
+            u.real *= 1.0 - config.alpha
+            u.imag *= 1.0 + config.alpha
+            u /= np.abs(u)
+            v = harmonics[: u.size * P].reshape(u.shape[0], P, u.shape[1])
+            turn = _harmonics(u, v)
             phases = np.conj(v[:, b] * turn if a else v[:, b])  # e^{-j(N-1)nu/2}
             for i, (shift, ks, ls) in enumerate(table[lo : lo + shifts]):
-                z = np.empty((ks.size, nu.shape[1]), complex)
+                z = np.empty((ks.size, u.shape[1]), complex)
                 for c in range(0, ks.size, group):
                     r = weights[:, :, ks[c : c + group]].reshape(-1, P) @ v[i].view(float)
-                    r = r.view(complex).reshape(2, 2, -1, nu.shape[1])
+                    r = r.view(complex).reshape(2, 2, -1, u.shape[1])
                     r[1] *= turn[i]
                     r[0] += r[1]
                     z[c : c + group].real, z[c : c + group].imag = r[0, 0].real, r[0, 1].imag
@@ -427,38 +430,132 @@ def _shift_pass(proto, w, config, aliasing=True):
 
 
 def _transfer_parts(proto, w, config, aliasing=True):
-    """(distortion, coherent alias, alias bound) curves over the 1-D grid w.
+    """(distortion, coherent alias) curves over the 1-D grid w by the shift
+    pass.
 
     Per grid block, shift 0 gives F_k^w(w) of every channel and the
     distortion sum_k H_k^w F_k^w; each other shift adds the products
-    H_k^w(w + 2 pi p/q) F_k^w(w) of its channels into the coherent alias
-    sum and their magnitudes into the bound.  Without aliasing only the
-    distortion is computed, and the alias curves stay 0.
+    H_k^w(w + 2 pi p/q) F_k^w(w) of its channels into the alias.  Without
+    aliasing only the distortion is computed, and the alias stays 0.
     """
     dist = np.zeros(w.shape, complex)
     alias = np.zeros(w.shape, complex)
-    bound = np.zeros(w.shape)
     for block, shift, ks, _, phase, z in _shift_pass(proto, w, config, aliasing):
         if shift == (0, 1):
             f = phase * np.conj(z)
             dist[block] = phase * (z * f).sum(axis=0)
         else:
-            prod = z * f[ks]
-            alias[block] += phase * prod.sum(axis=0)
-            bound[block] += np.abs(prod).sum(axis=0)
-    return dist, alias, bound
+            alias[block] += phase * (z * f[ks]).sum(axis=0)
+    return dist, alias
+
+
+def _response_length(config):
+    """(K+1) c samples, the line's memory K = streaming._memory_chunks in
+    chunks of c = streaming._CHUNK and the impulse's own chunk: past them
+    every warped impulse response of the bank is below 2^-52."""
+    runs = streaming._line_runs(config.alpha, config.order)
+    chunks = streaming._memory_chunks(streaming._state_maps(config.alpha, runs).phi)
+    return (chunks + 1) * streaming._CHUNK
+
+
+def _impulse_responses(proto, config):
+    """Every channel's warped analysis and synthesis impulse responses,
+    (2, channels, L), L the least power of two that holds the line's memory
+    (_response_length): past it every response is below 2^-52.
+
+    The rfft of one section's impulse response (one lfilter run) is the
+    allpass A at the L-point DFT bins, exactly spaced.  The powers A^n, n <
+    N, filled by doubling, give every channel's response there as the
+    modulated taps (modulation.modulate) against them, one real GEMM on
+    their interleaved planes per block of powers within half of _PASS_BYTES
+    (all 176 of the flagship, 1.4 MB), and irfft takes the responses back.
+    """
+    N, L = config.order, 1 << (_response_length(config) - 1).bit_length()
+    impulse = np.zeros(L)
+    impulse[0] = 1.0
+    section = np.fft.rfft(lfilter(*streaming._section_coeffs(config.alpha), impulse))
+    filters = modulation.modulate(proto)
+    taps = np.concatenate([filters.analysis, filters.synthesis])  # (2M, N)
+    rows = max(1, min(N, _PASS_BYTES // 2 // (16 * section.size)))
+    powers = np.empty((rows, section.size), complex)  # A^n, n < rows
+    powers[0] = 1.0
+    n = 1
+    while n < rows:
+        np.multiply(powers[: min(n, rows - n)], powers[n - 1] * section, out=powers[n : 2 * n])
+        n *= 2
+    step = powers[-1] * section  # A^rows
+    spectra = np.zeros((taps.shape[0], section.size), complex)
+    for first in range(0, N, rows):
+        if first:
+            powers *= step
+        block = powers[: min(rows, N - first)]
+        spectra.view(float)[:] += taps[:, first : first + block.shape[0]] @ block.view(float)
+    return np.fft.irfft(spectra, L).reshape(2, config.channels, L)
+
+
+def _wrap(x, size):
+    """x summed modulo size along its last axis: its size-point DFT is x's
+    DTFT at the multiples of 2 pi/size."""
+    if x.shape[-1] <= size:
+        return x
+    x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -x.shape[-1] % size)])
+    return x.reshape(x.shape[:-1] + (-1, size)).sum(axis=-2)
+
+
+def _uniform_parts(proto, size, config, aliasing=True):
+    """(distortion, coherent alias) curves over np.linspace(0, pi, size),
+    size >= 2, from the channels' warped impulse responses h_k and f_k
+    (_impulse_responses).
+
+    The grid is bins 0 .. size-1 of a K-point DFT, K = 2(size - 1), so H_k
+    and F_k are the rfft of h_k and f_k wrapped to K samples.  Channel k's
+    images sum by decimation in time: sum_{l<S} H_k(w + 2 pi l/S) = S
+    sum_m h_k[mS] e^{-jmSw}, the DTFT of h_k kept at the multiples of S =
+    S_k and scaled by S.  Less H_k, the images l >= 1 are the DTFT of e_k[n]
+    = (S - 1) h_k[n] where S divides n and -h_k[n] elsewhere, so the
+    channel's alias is the rfft of e_k wrapped to K times F_k: three real
+    FFTs per channel, taken for as many channels at a time as keep their
+    spectra within a quarter of _PASS_BYTES.  A channel of ratio 1 has no
+    alias image, and leaving it out keeps its rounding out too.  Without
+    aliasing the alias stays 0.
+    """
+    K = 2 * (size - 1)
+    h = _impulse_responses(proto, config)
+    ratios = config.subsampling
+    dist = np.zeros(size, complex)
+    alias = np.zeros(size, complex)
+    step = max(1, _PASS_BYTES // 4 // (48 * size))
+    for first in range(0, config.channels, step):
+        ks = np.arange(first, min(first + step, config.channels))
+        H, F = np.fft.rfft(_wrap(h[:, ks], K), K)
+        dist += np.einsum("kg,kg->g", H, F)
+        aliased = np.flatnonzero(ratios[ks] > 1) if aliasing else []
+        if len(aliased):
+            S = ratios[ks[aliased], None]
+            e = h[0, ks[aliased]] * np.where(np.arange(h.shape[2]) % S, -1.0, S - 1.0)
+            alias += np.einsum("kg,kg->g", np.fft.rfft(_wrap(e, K), K), F[aliased])
+    return dist, alias
+
+
+def _coherent_parts(proto, w, config, aliasing=True):
+    """(distortion, coherent alias) over the 1-D grid w: by _uniform_parts
+    where w is exactly np.linspace(0, pi, w.size) with at least 2 points,
+    as frequency_grid makes it, and by the shift pass elsewhere."""
+    if w.size >= 2 and np.array_equal(w, np.linspace(0.0, np.pi, w.size)):
+        return _uniform_parts(proto, w.size, config, aliasing)
+    return _transfer_parts(proto, w, config, aliasing)
 
 
 @_pointwise
 def distortion_transfer(proto, w, config):
     """Alias-free part of the overall transfer, sum_k H_k^w(omega) F_k^w(omega)."""
-    return _transfer_parts(proto, w, config, aliasing=False)[0]
+    return _coherent_parts(proto, w, config, aliasing=False)[0]
 
 
 @_pointwise
 def aliasing_transfer(proto, w, config):
     """Coherent sum of all alias terms (images l >= 1 of every channel)."""
-    return _transfer_parts(proto, w, config)[1]
+    return _coherent_parts(proto, w, config)[1]
 
 
 @_pointwise
@@ -466,14 +563,21 @@ def aliasing_bound(proto, w, config):
     """Incoherent worst-case alias magnitude sum_k sum_{l>=1} |H_k^w F_k^w|.
 
     A conservative bound; the coherent aliasing_transfer is what enters T_all.
+    It needs every image's product apart, so it always takes the shift pass.
     """
-    return _transfer_parts(proto, w, config)[2]
+    bound = np.zeros(w.shape)
+    for block, shift, ks, _, phase, z in _shift_pass(proto, w, config):
+        if shift == (0, 1):
+            f = phase * np.conj(z)
+        else:
+            bound[block] += np.abs(z * f[ks]).sum(axis=0)
+    return bound
 
 
 @_pointwise
 def overall_transfer(proto, w, config):
     """T_all in one pass; the parts sum apart so it equals distortion + aliasing."""
-    dist, alias, _ = _transfer_parts(proto, w, config)
+    dist, alias = _coherent_parts(proto, w, config)
     return dist + alias
 
 

@@ -4,12 +4,15 @@ The allpass structures run as plain Python loops, one sample at a time, for
 the block-filtering runtime in warpbank.streaming; the prototype's cosine
 series is summed term by term with np.cos, for the recurrences in
 warpbank.modulation; the quadratic-form vectors are formed from the
-modulated taps, for TransferTables in warpbank.transfer; the transfer
-curves and the bifrequency map sum one Clenshaw-evaluated channel response
-per (channel, image), for the shift-by-shift pass in warpbank.transfer, and
-the map also scatters one shift at a time, for its batched scatter; the
-optimizer's objective, gradient and Hessian are formed from complex
-whole-table products of those vectors per channel, for the grid-blocked
+modulated taps, for TransferTables in warpbank.transfer, and the channels'
+warped impulse responses from a line of lfilter sections, for their route
+through the allpass powers there; the transfer curves and the bifrequency
+map sum one Clenshaw-evaluated channel response per (channel, image), for
+the shift-by-shift pass in warpbank.transfer and, on uniform grids, for its
+route through the channels' impulse responses, whose images sum by
+decimation in time; the map also scatters one shift at a time, for its
+batched scatter; the optimizer's objective, gradient and Hessian are formed
+from complex whole-table products of those vectors per channel, for the grid-blocked
 real-arithmetic ones on the planar DCT-IV-basis tables in warpbank.optimize; the block line
 runs its own lfilter line runs, forms Theta and Psi whole, computes every
 channel sample, kept or dropped, and carries its state one chunk at a time,
@@ -138,6 +141,19 @@ def transfer_parts(proto, w, config):
         if l:
             parts[2] += np.abs(p)
     return tuple(parts)
+
+
+def impulse_responses(proto, config, length):
+    """transfer._impulse_responses in time: tap n responds to an impulse
+    with A^n's, one lfilter section run on tap n-1's, and the channels'
+    responses are the modulated taps against the tap responses;
+    (analysis or synthesis, channel, sample) over length samples."""
+    taps = np.zeros((config.order, length))
+    taps[0, 0] = 1.0
+    for n in range(1, config.order):
+        taps[n] = lfilter([-config.alpha, 1.0], [1.0, -config.alpha], taps[n - 1])
+    filters = modulate(proto)
+    return np.stack([filters.analysis @ taps, filters.synthesis @ taps])
 
 
 def bifrequency_cells(proto, config, in_grid, out_grid):

@@ -26,6 +26,7 @@ from warpbank import (
     initial_prototype,
     inner_loop,
     objective,
+    overall_transfer,
     prototype_response,
     select_all,
     to_db,
@@ -504,16 +505,19 @@ def _direct_alias_db(bank, config):
 
 
 def test_design_alias_matches_direct_route(flagship):
-    # the tables' alias curve is the direct pass's: the flagship, the 8-channel
-    # side bank, and a toy whose ratio-1 channels the table route leaves out
+    # the design's alias is the peak of the aliasing_transfer curve on its
+    # grid, the one warpbank evaluate prints: the flagship, the 8-channel
+    # side bank, and a toy with channels of ratio 1, which have no image
     config, bank = flagship[:2]
-    assert abs(bank.max_alias_db - _direct_alias_db(bank, config)) <= 1e-8
+    assert bank.max_alias_db == _direct_alias_db(bank, config)
     for config in (
         BankConfig(channels=8, order=64, alpha=0.4, subsampling=select_all(8, 0.4)),
         BankConfig(channels=4, order=32, alpha=-0.3, subsampling=[1, 3, 2, 1]),
     ):
         bank, _ = design(config)
-        assert abs(bank.max_alias_db - _direct_alias_db(bank, config)) <= 1e-8
+        assert bank.max_alias_db == _direct_alias_db(bank, config)
+        t_db = to_db(overall_transfer(bank.half, frequency_grid(config), config))
+        assert bank.ripple_db == float(t_db.max() - t_db.min())
 
 
 def test_design_alias_free_bank_reads_floor():
@@ -522,16 +526,23 @@ def test_design_alias_free_bank_reads_floor():
     assert bank.max_alias_db == -300.0
 
 
-def test_design_takes_alias_from_tables(monkeypatch):
-    # the direct route runs only for initial_prototype's shift-0 scaling
-    parts, calls = transfer._transfer_parts, []
+def test_design_takes_metrics_from_uniform_route(monkeypatch):
+    # the shift pass runs only for initial_prototype's shift-0 scaling at
+    # omega = 0, and the final ripple and alias take one uniform-route call
+    # on the design grid
+    passes, uniform, calls = transfer._transfer_parts, transfer._uniform_parts, []
 
-    def counted(proto, w, config, aliasing=True):
-        calls.append(aliasing)
-        return parts(proto, w, config, aliasing)
+    def counted_pass(proto, w, config, aliasing=True):
+        calls.append(("pass", w.size, aliasing))
+        return passes(proto, w, config, aliasing)
 
-    monkeypatch.setattr(transfer, "_transfer_parts", counted)
+    def counted_uniform(proto, size, config, aliasing=True):
+        calls.append(("uniform", size, aliasing))
+        return uniform(proto, size, config, aliasing)
+
+    monkeypatch.setattr(transfer, "_transfer_parts", counted_pass)
+    monkeypatch.setattr(transfer, "_uniform_parts", counted_uniform)
     config = BankConfig(channels=4, order=32, alpha=0.3, subsampling=[2, 3, 2, 1])
     bank, _ = design(config)
-    assert calls and not any(calls)
+    assert calls == [("pass", 1, False), ("uniform", config.grid_points, True)]
     assert bank.max_alias_db > -300.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
 
+import oracles
 from oracles import (
     bifrequency_cells,
     bifrequency_per_shift,
@@ -172,16 +173,64 @@ def test_quadratic_form_matches_direct_sum():
         assert abs(t_quad - t_direct) <= 1e-9 * max(1.0, abs(t_direct))
 
 
-@given(_banks())
-def test_table_alias_is_direct_alias(case):
-    # the tables' canonical products unmix into the channels' alias images;
-    # without images the curve is exactly zero
-    half, config = case
-    omega = np.linspace(0.0, np.pi, 33)
-    got = TransferTables(config, omega).aliasing(half)
-    assert_allclose(got, aliasing_transfer(half, omega, config), atol=1e-9)
-    flat = BankConfig(channels=config.channels, order=config.order, alpha=config.alpha)
-    assert not np.any(TransferTables(flat, omega).aliasing(half))
+@st.composite
+def _uniform_cases(draw):
+    """(half, config, size): 1-6 channels, order 2mM, alpha in (-0.95,
+    0.95), ratios 1-9 that hold a 1 and one of 3 or more, whose bins S g mod
+    K wrap past K/2 (or are all 1), and a uniform grid of 2-300 points."""
+    channels = draw(st.integers(1, 6))
+    taps = draw(st.integers(1, 3))
+    coeffs = st.floats(-3.0, 3.0, allow_subnormal=False)
+    half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
+                                  max_size=channels * taps)))
+    assume(np.any(half != 0.0))
+    if draw(st.booleans()):
+        sub = [1] * channels
+    else:
+        rest = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
+        sub = draw(st.permutations(([draw(st.integers(3, 9)), 1] + rest)[:channels]))
+    alpha = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True,
+                           allow_subnormal=False))
+    config = BankConfig(channels=channels, order=2 * half.size, alpha=alpha,
+                        subsampling=sub)
+    return half, config, draw(st.integers(2, 300))
+
+
+@given(_uniform_cases())
+def test_uniform_route_matches_per_image_oracle(case):
+    # on np.linspace(0, pi, G) the coherent curves come from the channels'
+    # impulse responses, within the shift-pass test's 1e-12 of scale of the
+    # per-image oracle, the scale taken over 257 points of the band as well,
+    # so that a grid of 2 points where every product vanishes has one; the
+    # public curves take that route, and a bank of ratios 1 has an alias of
+    # exactly 0
+    half, config, size = case
+    proto = PrototypeHalf(half, config.channels)
+    grid = np.linspace(0.0, np.pi, size)
+    want = transfer_parts(proto, grid, config)
+    band = transfer_parts(proto, np.linspace(0.0, np.pi, 257), config)
+    scale = max(max(np.abs(p[0] + p[1]).max(), np.abs(p[0]).max(), p[2].max())
+                for p in (want, band))
+    got = transfer._uniform_parts(proto, size, config)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+    uniform, sizes = transfer._uniform_parts, []
+
+    def counted(proto, size, config, aliasing=True):
+        sizes.append(size)
+        return uniform(proto, size, config, aliasing)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_uniform_parts", counted)
+        routes = (distortion_transfer, aliasing_transfer, overall_transfer, error_function)
+        dist, alias, overall, error = [f(half, grid, config) for f in routes]
+    assert sizes == [size] * len(routes)
+    assert_array_equal(dist, got[0])
+    assert_array_equal(alias, got[1])
+    assert_array_equal(overall, got[0] + got[1])
+    assert_array_equal(error, overall.real**2 + overall.imag**2 - 1.0)
+    if max(config.subsampling) == 1:
+        assert np.all(got[1] == 0.0)
 
 
 @given(_banks())
@@ -534,9 +583,10 @@ def test_shift_pass_matches_per_image_oracle(case):
         routes = public + (overall_transfer, error_function)
         zero = [f(half, np.array(scalar), config) for f in routes]
         scalars = [f(half, scalar, config) for f in routes]
-    for g, c, w in zip(got, curves, want):
+    for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12 * scale
-        assert_allclose(c, g, rtol=0, atol=1e-12 * scale)
+    for c, w in zip(curves, want):
+        assert np.max(np.abs(c - w)) <= 1e-12 * scale
     assert_allclose(overall, want[0] + want[1], rtol=0, atol=1e-12 * scale)
     at = transfer_parts(proto, np.array([scalar]), config)
     for p, w in zip(points, at):
@@ -546,7 +596,7 @@ def test_shift_pass_matches_per_image_oracle(case):
         assert isinstance(z, np.ndarray) and z.shape == ()
         assert z.item() == p
     if max(config.subsampling) == 1:
-        assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
+        assert np.all(got[1] == 0.0) and np.all(curves[2] == 0.0)
         assert aliasing_transfer(half, scalar, config) == 0.0
 
 
@@ -561,7 +611,7 @@ def test_harmonic_factors_match_per_entry_cosines(channels, order):
     nu = np.array([[0.0, 1e-7, 1e-6, 0.4, 1.0],
                    [np.pi, np.pi - 1e-7, np.pi - 1e-6, 2.5, np.pi + 1e-7]])
     v = np.empty((2, P, 5), complex)
-    turn = transfer._harmonics(nu, v)
+    turn = transfer._harmonics(np.exp(0.5j * nu), v)
     E = np.concatenate([v, v * turn[:, None]], axis=1)[:, :n2].transpose(0, 2, 1)
     tol = 2e-15 * n2
     assert_allclose(turn, np.exp(1j * P * nu), rtol=0, atol=tol)
@@ -587,8 +637,10 @@ def test_harmonic_factors_match_per_entry_cosines(channels, order):
 
 def test_transfer_parts_memory_is_one_block():
     # the flagship on 22 529 points, 16 blocks of the direct pass: above its
-    # three output curves, _transfer_parts holds no more than the block
-    # budget, however many blocks the grid takes
+    # two output curves, _transfer_parts holds no more than the block
+    # budget, however many blocks the grid takes; and above its output each
+    # public curve holds no more either, the coherent ones on the uniform
+    # route (its impulse responses and a block of channels' spectra)
     half, config = _flagship_bank()
     proto = PrototypeHalf(half, config.channels)
     grid = np.linspace(0.0, np.pi, 22529)
@@ -600,6 +652,71 @@ def test_transfer_parts_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert held <= transfer._PASS_BYTES, held
+    del curves
+    routes = (distortion_transfer, aliasing_transfer, aliasing_bound,
+              overall_transfer, error_function)
+    for f in routes:
+        f(half, grid[::2816], config)  # 9 uniform points: warm the route
+        tracemalloc.start()
+        try:
+            curve = f(half, grid, config)
+            held = tracemalloc.get_traced_memory()[1] - curve.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= transfer._PASS_BYTES, (f.__name__, held)
+
+
+def test_uniform_route_length_is_the_line_memory():
+    # the flagship's impulse responses, from the allpass powers at the bins
+    # of the least power of two that holds the line's memory, match one
+    # lfilter section per tap in time within N eps of their peak, and past
+    # the memory those in time are below 2^-52 of it; doubling the length
+    # moves no curve by more than the route's 1e-12 of max|T| against the
+    # per-image oracle (at twice the bins the powers round apart, so by
+    # more than the 1e-15 a longer tail alone would)
+    half, config = _flagship_bank()
+    proto = PrototypeHalf(half, config.channels)
+    length = transfer._response_length(config)
+    assert length == 15 * 64  # K = 14 chunks of memory and the impulse's own
+    want = oracles.impulse_responses(proto, config, 2 * length)
+    got = transfer._impulse_responses(proto, config)
+    peak = np.abs(want).max()
+    assert got.shape == (2, config.channels, 1024)
+    assert np.abs(want[..., length:]).max() <= 2.0**-52 * peak
+    assert np.abs(got[..., :length] - want[..., :length]).max() <= config.order * 2.0**-52 * peak
+    sizes = (config.grid_points, 33)
+    base = [transfer._uniform_parts(proto, size, config) for size in sizes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_response_length", lambda config: 2 * length)
+        assert transfer._impulse_responses(proto, config).shape[2] == 2048
+        longer = [transfer._uniform_parts(proto, size, config) for size in sizes]
+    for short, long in zip(base, longer):
+        scale = np.abs(short[0] + short[1]).max()
+        for a, b in zip(short, long):
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+def test_reversed_flagship_grid_takes_the_shift_pass():
+    # the flagship grid reversed is not np.linspace(0, pi, G), so its curves
+    # come from the shift pass, within 1e-12 of max|T| of the route's
+    half, config = _flagship_bank()
+    grid = frequency_grid(config)
+    routes = (distortion_transfer, aliasing_transfer, overall_transfer)
+    uniform, sizes = transfer._uniform_parts, []
+
+    def counted(proto, size, config, aliasing=True):
+        sizes.append(size)
+        return uniform(proto, size, config, aliasing)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_uniform_parts", counted)
+        backward = [f(half, grid[::-1], config) for f in routes]
+        assert sizes == []
+        forward = [f(half, grid, config) for f in routes]
+        assert sizes == [grid.size] * len(routes)
+    scale = np.abs(forward[2]).max()
+    for f, b in zip(forward, backward):
+        assert np.max(np.abs(f - b[::-1])) <= 1e-12 * scale
 
 
 def test_direct_route_rejects_non_finite_frequencies():
