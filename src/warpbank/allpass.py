@@ -29,6 +29,14 @@ def _check_alpha(alpha):
     return float(alpha)
 
 
+def _check_finite(omega, what="omega"):
+    """omega as a float array, which must hold finite points only."""
+    points = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("%s holds non-finite points (NaN or inf)" % what)
+    return points
+
+
 def _maybe_scalar(x, scalar_in):
     return float(x) if scalar_in else x
 

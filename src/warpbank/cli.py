@@ -16,8 +16,9 @@ import numpy as np
 
 from . import files, optimize, streaming, subsampling
 from .files import ConfigError
-from .modulation import channel_response_warped, prototype_response
+from .modulation import prototype_response
 from .transfer import (
+    _channel_responses,
     aliasing_bound,
     aliasing_transfer,
     bifrequency_map,
@@ -171,12 +172,10 @@ def cmd_evaluate(args):
         mag = to_db(prototype_response(design.prototype_half(), omega))
         header, columns = ["omega_norm", "value_db"], [norm, mag]
     elif args.what == "channels":
-        proto = design.prototype_half()
-        header, columns = ["omega_norm"], [norm]
-        for k in range(design.channels):
-            resp = channel_response_warped(proto, k, omega, design.alpha)
-            header.append("ch%02d_db" % k)
-            columns.append(to_db(resp))
+        # every channel at once, as channel_response_warped reads each
+        H, _ = _channel_responses(design.prototype_half(), omega, config)
+        header = ["omega_norm"] + ["ch%02d_db" % k for k in range(design.channels)]
+        columns = [norm] + list(to_db(H))
     elif args.what == "tall":
         mag = to_db(overall_transfer(half, omega, config))
         header, columns = ["omega_norm", "value_db"], [norm, mag]

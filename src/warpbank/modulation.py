@@ -8,15 +8,16 @@ length N = 2*m*M.  Analysis filter k is
 and the synthesis filter flips the sign of the pi/4 offset, which makes
 f_k[n] = h_k[N-1-n].  Every channel response reduces to the prototype's,
 exp(-j(N-1)x/2) sum_i h_i 2cos((2i+1)x/2): summed by Clenshaw's recurrence
-for one channel, or as the recurrence-filled cosine basis where many
-responses share it (the transfer tables).
+for the prototype, and as 2 Re of the harmonics e^{j(2i+1)x/2} (_harmonics)
+for cosine_basis and warpbank.transfer's warped routes, which give every
+channel's warped response (channel_response_warped reads one).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allpass import _check_count, allpass_phase
+from .allpass import _check_count, _check_finite
 
 
 @dataclass
@@ -106,30 +107,35 @@ def modulate(prototype):
     )
 
 
-def cosine_basis(omega, order, out=None):
+def _harmonics(half_turn, out):
+    """Fill out[s, b] = e^{j(2b+1)nu[s]/2}, b < P = out.shape[1], from half_turn
+    = e^{j nu/2}; return e^{jP nu}.  Rows n .. 2n-1 are rows 0 .. n-1 times
+    e^{jn nu} = out[:, 0] out[:, n-1], so each entry's error grows linearly
+    in b, also at nu near 0 and pi."""
+    out[:, 0] = half_turn
+    n, P = 1, out.shape[1]
+    while n < P:
+        turn = out[:, 0] * out[:, n - 1]  # e^{jn nu}
+        np.multiply(out[:, : min(n, P - n)], turn[:, None], out=out[:, n : 2 * n])
+        n *= 2
+    return out[:, 0] * out[:, P - 1]
+
+
+def cosine_basis(omega, order):
     """Half-filter cosine stack [2 cos((2i+1) omega/2)], i = 0 .. N/2-1.
 
     With the linear-phase factor split off, the prototype response is
     exp(-j(N-1)omega/2) * cosine_basis(omega, N) @ half.  Accepts scalar or
-    array omega; the basis index runs along the last axis.  The stack is
-    filled by the forward recurrence y_{i+1} = 2cos(omega) y_i - y_{i-1},
-    so each angle costs two cosines instead of N/2.  out, a C-contiguous
-    float array of shape (N/2 + 1,) + omega.shape, takes the recurrence in
-    place of a new array (the result is then a view of out[1:]).
+    array omega, which must be finite; the basis index runs along the last
+    axis.  The stack is 2 Re of the harmonics e^{j(2i+1)omega/2}
+    (_harmonics).
     """
     if _check_count("order", order, 2) % 2:
         raise ValueError("order must be even and positive")
-    w = np.asarray(omega, dtype=float)
-    a = 2.0 * np.cos(w)
-    shape = (order // 2 + 1,) + w.shape
-    y = np.empty(shape) if out is None else out  # y[i] holds y_{i-1}
-    if y.shape != shape or y.dtype != float or not y.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float array of shape %s" % (shape,))
-    y[0] = y[1] = 2.0 * np.cos(w / 2.0)  # y_{-1} = y_0
-    for i in range(2, y.shape[0]):
-        np.multiply(a, y[i - 1], out=y[i, ...])
-        y[i] -= y[i - 2]
-    return np.moveaxis(y[1:], 0, -1)
+    w = _check_finite(omega)
+    E = np.empty((1, order // 2, w.size), complex)
+    _harmonics(np.exp(0.5j * w.ravel()), E)
+    return 2.0 * E[0].real.T.reshape(w.shape + (order // 2,))
 
 
 def _half_response(coeffs, x):
@@ -152,32 +158,10 @@ def _half_response(coeffs, x):
 
 
 def prototype_response(prototype, omega):
-    """Complex frequency response of the (unwarped) prototype at omega."""
-    scalar_in = np.isscalar(omega)
-    w = np.asarray(omega, dtype=float)
+    """Complex frequency response of the (unwarped) prototype at finite omega."""
+    w = _check_finite(omega)
     r = np.exp(-0.5j * (prototype.order - 1) * w) * _half_response(prototype.coeffs, w)
-    return complex(r) if scalar_in else r
-
-
-def _pair_angles(omega, channel, channels, alpha):
-    """Stacked lookup angles nu -/+ c_k, nu = -phi(omega), c_k = pi(k+0.5)/M."""
-    nu = -allpass_phase(omega, alpha)
-    c = np.pi * (channel + 0.5) / channels
-    return np.stack([nu - c, nu + c])
-
-
-def _pair_scaling(g, channel, channels, order, synthesis=False):
-    """Complex weights (c1 e^{-j(N-1)g1/2}, conj(c1) e^{-j(N-1)g2/2}) of a pair.
-
-    g stacks the pair on its first axis, as _pair_angles returns it; c1 is
-    a_k b_k, or conj(a_k) b_k for synthesis.
-    """
-    a, b, _ = modulation_constants(channels, order)
-    c1 = (np.conj(a[channel]) if synthesis else a[channel]) * b[channel]
-    s = np.exp(-0.5j * (order - 1) * g)
-    s[0] *= c1
-    s[1] *= np.conj(c1)
-    return s
+    return complex(r) if np.isscalar(omega) else r
 
 
 def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
@@ -189,22 +173,25 @@ def channel_response_warped(prototype, channel, omega, alpha, synthesis=False):
 
         a_k b_k H(e^{j(nu - c_k)}) + conj(a_k b_k) H(e^{j(nu + c_k)})
 
-    with c_k = pi(k+0.5)/M; the synthesis filter conjugates a_k only.
+    with c_k = pi(k+0.5)/M; the synthesis filter conjugates a_k only.  Read
+    off every channel's responses, by the route the transfer curves take.
 
     Parameters
     ----------
     prototype : PrototypeHalf
     channel : int
     omega : float or array_like
-        Physical angular frequency, any real value (alias images included).
+        Physical angular frequency, any finite value (alias images too).
     alpha : float
     synthesis : bool
         Evaluate f_k instead of h_k.
     """
+    from . import transfer  # transfer builds on this module, so not at import
+
     M = prototype.channels
-    if not 0 <= channel < M:
+    if _check_count("channel", channel, 0) >= M:
         raise ValueError("channel %d out of range for %d channels" % (channel, M))
-    g = _pair_angles(omega, channel, M, alpha)
-    s = _pair_scaling(g, channel, M, prototype.order, synthesis)
-    r = np.einsum("p...,p...->...", s, _half_response(prototype.coeffs, g))
-    return complex(r) if np.isscalar(omega) else r
+    w = _check_finite(omega)
+    config = transfer.BankConfig(M, prototype.order, alpha)
+    r = transfer._channel_responses(prototype, w.ravel(), config)[1 if synthesis else 0][channel]
+    return complex(r[0]) if np.isscalar(omega) else r.reshape(w.shape)

@@ -5,7 +5,8 @@ The analysis-synthesis chain with per-channel decimation by S_k has
     T_all(omega) = sum_k sum_{l=0..S_k-1} H_k^w(omega + 2 pi l/S_k) F_k^w(omega)
 
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
-transfer.  Three routes compute it, each with one job.
+transfer.  Three routes compute it, each with one job, on two kernels for
+the warped channel responses: impulse responses and a factored harmonic.
 
 The uniform route (_uniform_parts) gives the coherent curves, distortion
 and alias, on the grid np.linspace(0, pi, G) that frequency_grid and the
@@ -22,17 +23,18 @@ of one complex harmonic, filled for half its indices and turned by one
 factor for the rest, and one real GEMM per shift serves all of the
 shift's channels.  aliasing_bound and bifrequency_map need the images
 apart and read it, and so do the coherent curves at every other set of
-points (a scalar omega among them).
+points (a scalar omega among them).  Each channel's own responses come
+from the same two by the grid (_channel_responses).
 
 Scoring many prototypes on one grid (the optimizer) uses TransferTables,
-built from _shift_bases' cosine bases of every shift per block of grid
-points: the vectors of the quadratic form T_all = h^T U(omega) h, U =
-sum_k ua_k us_k^T.  The synthesis vectors us are image 0 only and factor
-into the shift-0 basis over nu0 and pi - nu0, a phase per grid point and
-fixed per-channel weights (wc, ws) = _split_weights(ones).  The cosine
-modulation is a DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times
-the M-point DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column
-(_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and
+built from the same half turns e^{j nu/2} (_half_turns) and harmonics as
+the direct pass, every shift per block of grid points: the vectors of the
+quadratic form T_all = h^T U(omega) h, U = sum_k ua_k us_k^T.  The
+synthesis vectors us are image 0 only and factor into the shift-0 basis
+over nu0 and pi - nu0, a phase per grid point and fixed per-channel
+weights (wc, ws) = _split_weights(ones).  The cosine modulation is a
+DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times the M-point
+DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column (_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and
 us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as
 real and imaginary planes) and the factors of us', whose synthesis side
 selects N/(2M) cosine columns per canonical column c instead of weighting
@@ -49,7 +51,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import modulation, streaming
-from .allpass import _check_alpha, _check_count, allpass_phase
+from .allpass import _check_alpha, _check_count, _check_finite
 from .modulation import PrototypeHalf
 
 
@@ -105,14 +107,6 @@ def frequency_grid(config):
     return np.linspace(0.0, np.pi, config.grid_points)
 
 
-def _check_finite(omega, what="omega"):
-    """omega as a float array, which must hold finite points only."""
-    points = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("%s holds non-finite points (NaN or inf)" % what)
-    return points
-
-
 def _check_grid(omega, what="omega"):
     """omega as a float array, which must be a nonempty, finite, real 1-D
     grid; what names it in the error."""
@@ -143,17 +137,19 @@ class TransferTables:
     The tables hold G M N/2 complex entries once; synthesis_vectors forms
     us' for given grid rows.
 
-    The build reads the cosine bases from _shift_bases, every shift in one
-    basis over a block of grid points, as many as 1/32 of ta's bytes
-    holds but at least _TABLE_POINTS.  By the split-weights identity, ua_k
-    = wc_k Ac_k + j ws_k Ad_k with (wc, ws) = _split_weights(ones), where
-    Ac_k and Ad_k sum e^{-j(N-1)nu/2} c(nu) and e^{-j(N-1)nu/2} c(pi - nu)
+    The build fills, per block of grid points, the harmonics E_i = e^{j(2i
+    +1)nu/2} of every shift from the half turns e^{j nu/2} (_half_turns):
+    the cosine bases are c = c(nu) = 2 Re E and d = c(pi - nu) = 2 (-1)^i
+    Im E, and the phase e^{-j(N-1)nu/2} is conj(E_{N/2-1}).  By the
+    split-weights identity, ua_k = wc_k Ac_k + j ws_k Ad_k with (wc, ws) =
+    _split_weights(ones), where Ac_k and Ad_k sum the phase times c and d
     over the shifts of channel k's images: per grid point and plane, one
-    GEMM of the (N/2, shifts) basis against a (shifts, channels) phase
-    matrix that holds the phase at the places of the images only (249 of
-    the flagship's 116 x 22) and zeros elsewhere.  The unit split weights
-    join the planes, C^T mixes the channels while the block is in cache,
-    and each row of ta is written once.  Shift 0 gives basis0 and p0.
+    GEMM of the (N/2, shifts) plane, Re E or Im E, against a (shifts,
+    channels) phase matrix that holds the phase at the places of the images
+    only (249 of the flagship's 116 x 22) and zeros elsewhere.  The split
+    weights, with the 2 and (-1)^i folded in, join the planes, C^T mixes
+    the channels while the block is in cache, and each row of ta is written
+    once.  Shift 0 gives basis0 and p0.
     """
 
     def __init__(self, config, omega=None):
@@ -171,34 +167,49 @@ class TransferTables:
         self.columns = np.nonzero(select)[2].reshape(2, M, -1)
         self.signs = np.take_along_axis(select, self.columns, axis=2)
         table = _shift_table(config.subsampling)
+        shifts = len(table)
+        halves = np.exp(1j * np.pi * np.array([[p / q] for (p, q), _, _ in table]))
         # the (shift, channel) place of each image, the channels as a column
-        image_shift = np.repeat(np.arange(len(table)), [ks.size for _, ks, _ in table])
+        image_shift = np.repeat(np.arange(shifts), [ks.size for _, ks, _ in table])
         image_channel = np.concatenate([ks for _, ks, _ in table])[:, None]
+        # c = 2 Re E and d = 2 (-1)^i Im E: the planes' fold per (plane, n)
+        fold = 2.0 * np.stack([np.ones(n2), (-1.0) ** np.arange(n2)])
         # (plane, n, re/im, channel): wc on the c sums, ws on the d sums
-        split = np.stack([C @ self.sc, C @ self.ss]).transpose(0, 2, 1)
+        split = np.stack([C @ self.sc, C @ self.ss]).transpose(0, 2, 1) * fold[:, :, None]
         split = np.repeat(split[:, :, None], 2, axis=2)
-        # grid points per block: their basis over every shift takes up to
-        # 1/32 of ta's bytes, and there are at least _TABLE_POINTS
-        per = 16 * (n2 + 1) * len(table)  # basis bytes per grid point
-        points = min(size, max(_TABLE_POINTS, self.ta.nbytes // 32 // per))
+        # grid points per block: their harmonics, complex and as real planes,
+        # take up to 1/32 of ta's bytes, and there are at least _TABLE_POINTS
+        points = min(size, max(_TABLE_POINTS, self.ta.nbytes // 32 // (32 * n2 * shifts)))
+        harmonics = np.empty(n2 * points * shifts, complex)
+        planes = np.empty((points, 2, n2, shifts))
         sums = np.empty((points, 2, n2, 2 * M))
         # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
         # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of Ad,
         # so that ua = wc (c sums) + ws (d sums); every block writes the
         # images' places of the (shift, plane, re/im, channel) phases, and
         # every other place stays 0
-        phases = np.zeros((points, len(table), 4, M))
-        for block, nu, basis in _shift_bases(self.omega, config, table, points):
-            g = nu.shape[1]  # the last block may be ragged
-            self.basis0[block] = basis[0].transpose(1, 0, 2)
-            self.p0[block] = np.exp(-0.5j * (N - 1) * nu[0])
-            angle = -0.5 * (N - 1) * nu.T
-            cos, sin = np.cos(angle), np.sin(angle)
-            trig = np.stack([cos, sin, -sin, cos], axis=-1)
+        phases = np.zeros((points, shifts, 4, M))
+        for first in range(0, size, points):
+            block = slice(first, first + points)
+            u = _half_turns(halves, np.exp(0.5j * self.omega[block]), config.alpha)
+            g = u.shape[1]  # the last block may be ragged
+            E = harmonics[: n2 * u.size].reshape(n2, g, shifts)
+            modulation._harmonics(u.T, E[None])
+            # (n, point, shift) complex into (point, plane, n, shift) real,
+            # one unit-stride matrix per point and plane for the GEMMs
+            planar = E.view(float).reshape(n2, g, shifts, 2).transpose(1, 3, 0, 2)
+            np.copyto(planes[:g], planar)
+            np.multiply(planes[:g, :, :, 0], fold, out=self.basis0[block])
+            # e^{-j(N-1)nu/2}, (point, shift); |E| drifts from 1 linearly in
+            # the index, and the phase scales every image of its shift
+            phase = np.conj(E[n2 - 1])
+            phase /= np.abs(phase)
+            self.p0[block] = phase[:, 0]
+            trig = np.stack([phase.real, phase.imag, -phase.imag, phase.real], axis=-1)
             phases[:g, image_shift[:, None], np.arange(4), image_channel] = trig[:, image_shift]
-            phase = phases[:g].reshape(g, len(table), 2, 2 * M)
+            phase = phases[:g].reshape(g, shifts, 2, 2 * M)
             for p in range(2):  # the c and d planes
-                np.matmul(basis[:, p].transpose(1, 2, 0), phase[:, :, p], out=sums[:g, p])
+                np.matmul(planes[:g, p], phase[:, :, p], out=sums[:g, p])
             s = sums[:g].reshape(g, 2, n2, 2, M)
             s *= split
             ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
@@ -316,7 +327,7 @@ def _split_weights(coeffs, channels):
     warped frequency nu is e^{-j(N-1)nu/2} (wc[k] @ C(nu) + j ws[k] @ C(pi - nu))
     with C = cosine_basis, and its synthesis response the same with -j.
 
-    With R(x) = C(x) @ coeffs, the pair sum of _pair_scaling is
+    With R(x) = C(x) @ coeffs, the pair sum of channel_response_warped is
     d R(nu - c) + conj(d) R(nu + c) with d = a_k b_k e^{j(N-1)c/2} = a_k,
     since b_k = e^{-j(N-1)c/2}; synthesis conjugates a_k.  R(nu -/+ c) =
     P +/- Q, where P = C(nu) @ (coeffs cos((2i+1)c/2)) and Q =
@@ -333,39 +344,19 @@ def _split_weights(coeffs, channels):
     return C @ (sc * coeffs), C @ (ss * coeffs)
 
 
-def _shift_bases(w, config, table, points):
-    """Cosine bases of every alias shift of table over the 1-D grid w.
-
-    Yields (block, nu, basis) per block of points grid points: nu (shifts,
-    points) holds -phi(w[block] + 2 pi p/q), and basis[i, 0] and basis[i, 1],
-    each (points, N/2), the bases at nu[i] and pi - nu[i], filled by one
-    cosine_basis call with the shifts innermost, so per grid point g
-    basis[:, plane, g] is a matrix for GEMMs against per-point weights.
-    """
-    n1 = config.order // 2 + 1
-    offsets = np.array([2.0 * np.pi * p / q for (p, q), _, _ in table])
-    rows = np.empty(n1 * len(table) * 2 * points)  # basis work buffer
-    for first in range(0, w.size, points):
-        block = slice(first, first + points)
-        nu = -allpass_phase(w[block] + offsets[:, None], config.alpha)
-        angles = np.ascontiguousarray(np.stack([nu, np.pi - nu]).transpose(0, 2, 1))
-        out = rows[: n1 * angles.size].reshape((n1,) + angles.shape)
-        basis = modulation.cosine_basis(angles, config.order, out=out)
-        yield block, nu, basis.transpose(2, 0, 1, 3)
-
-
-def _harmonics(half_turn, out):
-    """Fill out[s, b] = e^{j(2b+1)nu[s]/2}, b < P = out.shape[1], from half_turn
-    = e^{j nu/2}; return e^{jP nu}.  Rows n .. 2n-1 are rows 0 .. n-1 times
-    e^{jn nu} = out[:, 0] out[:, n-1], so each entry's error grows linearly
-    in b, also at nu near 0 and pi."""
-    out[:, 0] = half_turn
-    n, P = 1, out.shape[1]
-    while n < P:
-        turn = out[:, 0] * out[:, n - 1]  # e^{jn nu}
-        np.multiply(out[:, : min(n, P - n)], turn[:, None], out=out[:, n : 2 * n])
-        n *= 2
-    return out[:, 0] * out[:, P - 1]
+def _half_turns(halves, half, alpha):
+    """e^{j nu/2}, nu = -phi(w + 2 pi p/q), per (shift, point) from halves =
+    e^{j pi p/q} per shift as a column and half = e^{jw/2} per point, with
+    no transcendental per pair.  With W = w + 2 pi p/q and u = 1 - alpha
+    e^{-jW}, e^{j nu} = e^{jW} u / conj(u), and since Re u > 0, arg u is the
+    arctangent term of nu/2 = W/2 + arg u, so e^{j nu/2} = e^{jW/2} u/|u| =
+    x/|x| with x = e^{jW/2} - alpha e^{-jW/2}, whose planes are (1 - alpha)
+    cos(W/2) and (1 + alpha) sin(W/2)."""
+    u = halves * half  # e^{jW/2}, then e^{j nu/2}
+    u.real *= 1.0 - alpha
+    u.imag *= 1.0 + alpha
+    u /= np.abs(u)
+    return u
 
 
 def _shift_pass(proto, w, config, aliasing=True):
@@ -380,18 +371,13 @@ def _shift_pass(proto, w, config, aliasing=True):
     At nu = -phi(w + 2 pi p/q) the cosine bases are 2 Re E and 2 (-1)^i Im E
     with E_i = e^{j(2i+1)nu/2}, so z = Re(2 wc @ E) + j Im(2 ws' @ E) with
     (wc, ws) = _split_weights and ws' = (-1)^i ws.  E_{Pa+b} = e^{jaP nu} V_b
-    for P = ceil(N/4): _harmonics fills V for a batch of shifts, points
-    first in a quarter of _PASS_BYTES (16 P bytes per point and shift), and
-    per group of channels, whose sums take no more bytes than V, one real
-    GEMM of the weights (split at P) against V's interleaved (re, im) planes
-    gives the sums R_a, and z = Re(R_0 + e^{jP nu} R_1) for wc, Im for ws'.
-
-    The angles take no transcendental per shift and point.  With W = w + 2
-    pi p/q and u = 1 - alpha e^{-jW}, e^{j nu} = e^{jW} u / conj(u), and
-    since Re u > 0, arg u is the arctangent term of nu/2 = W/2 + arg u, so
-    e^{j nu/2} = e^{jW/2} u/|u| = x/|x| with x = e^{jW/2} - alpha e^{-jW/2},
-    whose planes are (1 - alpha) cos(W/2) and (1 + alpha) sin(W/2); e^{jW/2}
-    = e^{jw/2} e^{j pi p/q} takes one exp per point and one per shift.
+    for P = ceil(N/4): modulation._harmonics fills V from the half turns
+    e^{j nu/2} (_half_turns, one exp per point and one per shift) for a
+    batch of shifts, points first in a quarter of _PASS_BYTES (16 P bytes
+    per point and shift), and per group of channels, whose sums take no
+    more bytes than V, one real GEMM of the weights (split at P) against V's
+    interleaved (re, im) planes gives the sums R_a, and z = Re(R_0 + e^{jP
+    nu} R_1) for wc, Im for ws'.
     """
     n2, P = config.order // 2, -(-config.order // 4)
     wc, ws = _split_weights(proto.coeffs, config.channels)
@@ -399,7 +385,6 @@ def _shift_pass(proto, w, config, aliasing=True):
     weights[:, :, :n2] = 2.0 * np.stack([wc, ws * (-1.0) ** np.arange(n2)])
     weights = weights.reshape(2, -1, 2, P).transpose(2, 0, 1, 3)  # (a, plane, channel, b)
     table = _shift_table(config.subsampling, aliasing)
-    # e^{j pi p/q} per shift, as a column
     halves = np.exp(1j * np.pi * np.array([[p / q] for (p, q), _, _ in table]))
     points = max(1, min(w.size, _PASS_BYTES // 4 // (16 * P)))
     shifts = max(1, min(len(table), _PASS_BYTES // 4 // (16 * P * points)))
@@ -410,12 +395,9 @@ def _shift_pass(proto, w, config, aliasing=True):
         block = slice(first, first + points)
         half = np.exp(0.5j * w[block])
         for lo in range(0, len(table), shifts):
-            u = halves[lo : lo + shifts] * half  # e^{jW/2}, then e^{j nu/2}
-            u.real *= 1.0 - config.alpha
-            u.imag *= 1.0 + config.alpha
-            u /= np.abs(u)
+            u = _half_turns(halves[lo : lo + shifts], half, config.alpha)
             v = harmonics[: u.size * P].reshape(u.shape[0], P, u.shape[1])
-            turn = _harmonics(u, v)
+            turn = modulation._harmonics(u, v)
             phases = np.conj(v[:, b] * turn if a else v[:, b])  # e^{-j(N-1)nu/2}
             for i, (shift, ks, ls) in enumerate(table[lo : lo + shifts]):
                 z = np.empty((ks.size, u.shape[1]), complex)
@@ -537,13 +519,34 @@ def _uniform_parts(proto, size, config, aliasing=True):
     return dist, alias
 
 
+def _uniform(w):
+    """Whether w is the uniform route's grid, np.linspace(0, pi, G), G >= 2."""
+    return w.size >= 2 and np.array_equal(w, np.linspace(0.0, np.pi, w.size))
+
+
 def _coherent_parts(proto, w, config, aliasing=True):
     """(distortion, coherent alias) over the 1-D grid w: by _uniform_parts
-    where w is exactly np.linspace(0, pi, w.size) with at least 2 points,
-    as frequency_grid makes it, and by the shift pass elsewhere."""
-    if w.size >= 2 and np.array_equal(w, np.linspace(0.0, np.pi, w.size)):
+    on the uniform route's grid (_uniform), and by the shift pass elsewhere."""
+    if _uniform(w):
         return _uniform_parts(proto, w.size, config, aliasing)
     return _transfer_parts(proto, w, config, aliasing)
+
+
+def _channel_responses(proto, w, config):
+    """(H, F), each (channels, w.size): every channel's warped analysis and
+    synthesis response over the 1-D grid w, by the route _coherent_parts
+    takes: the rfft of the impulse responses wrapped to 2(w.size - 1)
+    samples on the uniform grid, and shift 0 of the pass elsewhere."""
+    if _uniform(w):
+        K = 2 * (w.size - 1)
+        H, F = np.fft.rfft(_wrap(_impulse_responses(proto, config), K), K)
+        return H, F
+    H = np.empty((config.channels, w.size), complex)
+    F = np.empty_like(H)
+    for block, _, _, _, phase, z in _shift_pass(proto, w, config, aliasing=False):
+        np.multiply(phase, z, out=H[:, block])
+        np.multiply(phase, np.conj(z), out=F[:, block])
+    return H, F
 
 
 @_pointwise

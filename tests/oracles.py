@@ -2,13 +2,16 @@
 
 The allpass structures run as plain Python loops, one sample at a time, for
 the block-filtering runtime in warpbank.streaming; the prototype's cosine
-series is summed term by term with np.cos, for the recurrences in
-warpbank.modulation; the quadratic-form vectors are formed from the
-modulated taps, for TransferTables in warpbank.transfer, and the channels'
-warped impulse responses from a line of lfilter sections, for their route
-through the allpass powers there; the transfer curves and the bifrequency
-map sum one Clenshaw-evaluated channel response per (channel, image), for
-the shift-by-shift pass in warpbank.transfer and, on uniform grids, for its
+series is summed term by term with np.cos, for the harmonics and the
+Clenshaw recurrence in warpbank.modulation; the quadratic-form vectors are
+formed from the modulated taps, for TransferTables in warpbank.transfer,
+and the channels' warped impulse responses from a line of lfilter
+sections, for their route through the allpass powers there; a channel's
+warped response is the prototype's, looked up by Clenshaw's recurrence at
+the pair of angles nu -/+ c_k, for both kernels of warpbank.transfer and
+channel_response_warped, which reads them; the transfer curves and the
+bifrequency map sum one such response per (channel, image), for the
+shift-by-shift pass in warpbank.transfer and, on uniform grids, for its
 route through the channels' impulse responses, whose images sum by
 decimation in time; the map also scatters one shift at a time, for its
 batched scatter; the optimizer's objective, gradient and Hessian are formed
@@ -24,8 +27,16 @@ writer in warpbank.files.  No production path uses them.
 import numpy as np
 from scipy.signal import lfilter
 
-from warpbank import SubbandFrame, channel_response_warped, modulate, streaming, transfer
+from warpbank import (
+    SubbandFrame,
+    allpass_phase,
+    modulate,
+    modulation_constants,
+    streaming,
+    transfer,
+)
 from warpbank.allpass import _check_alpha
+from warpbank.modulation import _half_response
 
 
 class AllpassSection:
@@ -97,6 +108,37 @@ def half_response(coeffs, x):
     return cosine_basis(x, 2 * len(coeffs)) @ np.asarray(coeffs, dtype=float)
 
 
+def pair_angles(omega, channel, channels, alpha):
+    """Stacked lookup angles nu -/+ c_k, nu = -phi(omega), c_k = pi(k+0.5)/M."""
+    nu = -allpass_phase(omega, alpha)
+    c = np.pi * (channel + 0.5) / channels
+    return np.stack([nu - c, nu + c])
+
+
+def pair_scaling(g, channel, channels, order, synthesis=False):
+    """Complex weights (c1 e^{-j(N-1)g1/2}, conj(c1) e^{-j(N-1)g2/2}) of a pair.
+
+    g stacks the pair on its first axis, as pair_angles returns it; c1 is
+    a_k b_k, or conj(a_k) b_k for synthesis.
+    """
+    a, b, _ = modulation_constants(channels, order)
+    c1 = (np.conj(a[channel]) if synthesis else a[channel]) * b[channel]
+    s = np.exp(-0.5j * (order - 1) * g)
+    s[0] *= c1
+    s[1] *= np.conj(c1)
+    return s
+
+
+def channel_response(prototype, channel, omega, alpha, synthesis=False):
+    """channel_response_warped by the pair angles: a_k b_k H(e^{j(nu - c_k)})
+    + conj(a_k b_k) H(e^{j(nu + c_k)}), the prototype's response H summed at
+    both angles by Clenshaw's recurrence; the synthesis filter conjugates
+    a_k only.  Any real omega, of any shape."""
+    g = pair_angles(omega, channel, prototype.channels, alpha)
+    s = pair_scaling(g, channel, prototype.channels, prototype.order, synthesis)
+    return np.einsum("p...,p...->...", s, _half_response(prototype.coeffs, g))
+
+
 def response_vector(omega, image, channel, config, synthesis=False):
     """Vector u with u @ half = H_k^w(omega + 2 pi image/S_k), or F_k^w(omega)
     for synthesis (image 0), from the modulated taps.
@@ -119,7 +161,7 @@ def response_vector(omega, image, channel, config, synthesis=False):
 
 def image_products(proto, w, config, distortion=True, aliasing=True):
     """Yield (l, H_k^w(w + 2 pi l/S_k) F_k^w(w)) for every channel k, one
-    Clenshaw call per (channel, image).
+    channel_response per (channel, image).
 
     l = 0 is the distortion image and l = 1 .. S_k-1 the alias images; each
     group is included when its flag is set.
@@ -128,9 +170,9 @@ def image_products(proto, w, config, distortion=True, aliasing=True):
         S = config.subsampling[k]
         images = range(0 if distortion else 1, S if aliasing else 1)
         if images:
-            f = channel_response_warped(proto, k, w, config.alpha, synthesis=True)
+            f = channel_response(proto, k, w, config.alpha, synthesis=True)
         for l in images:
-            yield l, channel_response_warped(proto, k, w + 2.0 * np.pi * l / S, config.alpha) * f
+            yield l, channel_response(proto, k, w + 2.0 * np.pi * l / S, config.alpha) * f
 
 
 def transfer_parts(proto, w, config):
@@ -159,7 +201,7 @@ def impulse_responses(proto, config, length):
 def bifrequency_cells(proto, config, in_grid, out_grid):
     """The complex cells of transfer.bifrequency_map (before the dB step),
     channel by channel: H_k^w at the input frequencies and F_k^w at each
-    image's folded frequency, by Clenshaw's recurrence; and the count of
+    image's folded frequency, by channel_response; and the count of
     products that land in each cell."""
     win = np.asarray(in_grid, dtype=float)
     wout = np.asarray(out_grid, dtype=float)
@@ -170,10 +212,10 @@ def bifrequency_cells(proto, config, in_grid, out_grid):
     rows = np.arange(win.size)
     for k in range(config.channels):
         S = config.subsampling[k]
-        hk = channel_response_warped(proto, k, win, config.alpha)
+        hk = channel_response(proto, k, win, config.alpha)
         shifted = np.mod(win + 2.0 * np.pi * np.arange(S)[:, None] / S, 2.0 * np.pi)
         folded = np.where(shifted > np.pi, 2.0 * np.pi - shifted, shifted)
-        fk = channel_response_warped(proto, k, folded, config.alpha, synthesis=True)
+        fk = channel_response(proto, k, folded, config.alpha, synthesis=True)
         pos = np.clip(np.searchsorted(sorted_out, folded), 1, sorted_out.size - 1)
         left = sorted_out[pos - 1]
         right = sorted_out[pos]

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from oracles import write_csv_rows
+from oracles import channel_response, write_csv_rows
 from warpbank import (
     BankConfig,
     BankDesign,
@@ -173,6 +173,23 @@ def test_evaluate_headers_and_determinism(toy_design, tmp_path):
         assert float(first[0]) == 0.0
         last = lines[-1].split(",")
         assert_allclose(float(last[0]), 0.5, atol=1e-9)
+
+
+def test_evaluate_channels_match_pair_angle_oracle(toy_design, tmp_path):
+    # the channels CSV on 64 points is every channel's |H| in dB, within
+    # 1e-12 of max|H| of the pair-angle oracle and the %.9g of each row
+    out = tmp_path / "channels.csv"
+    assert main(["evaluate", toy_design, "--what", "channels", "-o", str(out),
+                 "--grid", "64"]) == 0
+    data = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    design = load_design(toy_design)
+    omega = np.linspace(0.0, np.pi, 64)
+    assert_allclose(data[:, 0], omega / (2.0 * np.pi), rtol=1e-8, atol=0)
+    want = np.abs([channel_response(design.prototype_half(), k, omega, design.alpha)
+                   for k in range(design.channels)]).T
+    got = 10.0 ** (data[:, 1:] / 20.0)
+    assert got.shape == want.shape == (64, 4)
+    assert np.all(np.abs(got - want) <= 1e-12 * want.max() + 1e-7 * want)
 
 
 def test_evaluate_alias_bound_dominates(toy_design, tmp_path):

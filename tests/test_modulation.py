@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -89,16 +92,12 @@ def test_cosine_basis_values():
     assert_raises(ValueError, cosine_basis, 0.5, 0)
 
 
-def test_cosine_basis_fills_out():
-    # the recurrence rows land in out, with the basis a view of out[1:]
+def test_cosine_basis_keeps_omega_shape():
     omega = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-    out = np.empty((5, 3, 4))
-    got = cosine_basis(omega, 8, out=out)
-    assert np.shares_memory(got, out)
-    assert_allclose(got, cosine_basis(omega, 8), atol=0)
-    for bad in (np.empty((4, 3, 4)), np.empty((5, 4, 3)).transpose(0, 2, 1),
-                np.empty((5, 3, 4), dtype=np.float32)):
-        assert_raises(ValueError, cosine_basis, omega, 8, out=bad)
+    got = cosine_basis(omega, 8)
+    assert got.shape == (3, 4, 4)
+    assert_allclose(got, oracles.cosine_basis(omega, 8), rtol=0, atol=1e-14)
+    assert cosine_basis(np.zeros(0), 8).shape == (0, 4)
 
 
 @st.composite
@@ -106,7 +105,7 @@ def _series(draw):
     """Prototype halves of order up to 256 and angles in [-20, 20].
 
     Half the angles lie within 1e-9 of a multiple of pi, where 2cos x is near
-    +-2 and the recurrences lose the most.
+    +-2 and Clenshaw's recurrence loses the most.
     """
     n = draw(st.integers(1, 128))
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -119,8 +118,9 @@ def _series(draw):
 
 @given(_series())
 def test_recurrences_match_cosine_oracle(case):
-    # Both recurrences round to within a few n^2 eps (times sum |h| for the
-    # Clenshaw sum) next to multiples of pi; the tolerance allows 8 n^2 eps.
+    # The harmonics of cosine_basis round to within a few n eps, and the
+    # Clenshaw sum to within a few n^2 eps (times sum |h|) next to multiples
+    # of pi; the tolerance allows 8 n^2 eps.
     coeffs, x = case
     tol = 8.0 * coeffs.size**2 * np.finfo(float).eps
     assert_allclose(cosine_basis(x, 2 * coeffs.size),
@@ -190,6 +190,33 @@ def test_channel_response_rejects_bad_channel():
     half = PrototypeHalf(np.ones(4), 2)
     assert_raises(ValueError, channel_response_warped, half, 2, 0.5, 0.0)
     assert_raises(ValueError, channel_response_warped, half, -1, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("channel", [1.5, 1.0, np.True_, True, "1", None])
+def test_channel_response_rejects_non_integer_channel(channel):
+    # a fraction or a flag is no channel, even where it would index one
+    half = PrototypeHalf(np.ones(4), 2)
+    with assert_raises(ValueError, match="channel must be an integer"):
+        channel_response_warped(half, channel, 0.5, 0.3)
+    assert channel_response_warped(half, np.int64(1), 0.5, 0.3) == channel_response_warped(
+        half, 1, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [0.5, np.nan], [[0.1], [np.inf]]])
+def test_public_responses_reject_non_finite_omega(bad):
+    # the error the transfer curves raise, not a NaN with RuntimeWarnings
+    half = PrototypeHalf(np.ones(4), 2)
+    calls = [
+        lambda: channel_response_warped(half, 0, bad, 0.3),
+        lambda: channel_response_warped(half, 1, bad, 0.3, synthesis=True),
+        lambda: prototype_response(half, bad),
+        lambda: cosine_basis(bad, 4),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with assert_raises(ValueError, match="omega holds non-finite points"):
+                call()
 
 
 def test_warped_passband_center():

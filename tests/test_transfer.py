@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from pytest import raises as assert_raises
@@ -16,6 +16,7 @@ from oracles import (
     complex_tables,
     cosine_basis,
     dct4,
+    pair_angles,
     response_vector,
     transfer_parts,
 )
@@ -38,7 +39,6 @@ from warpbank import (
 )
 from warpbank import files, modulation, optimize, transfer
 from warpbank.allpass import allpass_phase
-from warpbank.modulation import _pair_angles
 
 
 def _random_case(rng):
@@ -129,9 +129,9 @@ def test_config_accepts_range_edges():
 
 
 def test_modulation_angles_trivial():
-    g1, g2 = _pair_angles(0.0, 0, 2, 0.0)
+    g1, g2 = pair_angles(0.0, 0, 2, 0.0)
     assert_allclose([g1, g2], [-np.pi / 4, np.pi / 4], atol=1e-15)
-    g1, g2 = _pair_angles(np.pi, 0, 2, 0.0)
+    g1, g2 = pair_angles(np.pi, 0, 2, 0.0)
     assert_allclose([g1, g2], [3 * np.pi / 4, 5 * np.pi / 4], atol=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_modulation_angles_composition():
     z = np.exp(-1j * w)
     nu = -np.angle((z - 0.5783) / (1.0 - 0.5783 * z))
     c = np.pi * 3.5 / 22.0
-    g1, g2 = _pair_angles(w, 3, 22, 0.5783)
+    g1, g2 = pair_angles(w, 3, 22, 0.5783)
     assert_allclose([g1, g2], [nu - c, nu + c], atol=1e-12)
 
 
@@ -153,12 +153,12 @@ def test_response_vectors_reproduce_channel_responses():
     for k in range(config.channels):
         for l in range(config.subsampling[k]):
             u = response_vector(omega, l, k, config)
-            want = channel_response_warped(
+            want = oracles.channel_response(
                 proto, k, omega + 2.0 * np.pi * l / config.subsampling[k], config.alpha
             )
             assert_allclose(u @ half, want, atol=1e-10)
         u = response_vector(omega, 0, k, config, synthesis=True)
-        want = channel_response_warped(proto, k, omega, config.alpha, synthesis=True)
+        want = oracles.channel_response(proto, k, omega, config.alpha, synthesis=True)
         assert_allclose(u @ half, want, atol=1e-10)
 
 
@@ -302,8 +302,8 @@ def test_split_weights_factor_through_dct4(channels, taps):
 @given(_banks(max_ratio=12), st.integers(1, 30))
 def test_batched_tables_match_per_image_vectors(case, points):
     # blocks of at least `points` grid points, each with every shift in one
-    # basis; a block that does not divide the 37-point grid leaves a ragged
-    # last block
+    # fill of the harmonics; a block that does not divide the 37-point grid
+    # leaves a ragged last block
     half, config = case
     omega = np.linspace(0.0, np.pi, 37)
     table = transfer._shift_table(config.subsampling)
@@ -311,16 +311,17 @@ def test_batched_tables_match_per_image_vectors(case, points):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return basis(*args, **kwargs)
+        return harmonics(*args, **kwargs)
 
-    basis = modulation.cosine_basis
+    harmonics = modulation._harmonics
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_TABLE_POINTS", points)
-        mp.setattr(modulation, "cosine_basis", counted)
+        mp.setattr(modulation, "_harmonics", counted)
         tables = TransferTables(config, omega)
-    # one recurrence per block, and none more for the synthesis factors,
-    # which come from shift 0
-    block = max(points, tables.ta.nbytes // 32 // (16 * (config.order // 2 + 1) * len(table)))
+    # one fill per block, and none more for the synthesis factors, which
+    # come from shift 0; the harmonics and their real planes take 32 bytes
+    # per entry
+    block = max(points, tables.ta.nbytes // 32 // (32 * (config.order // 2) * len(table)))
     assert len(calls) == -(-omega.size // block)
     _assert_canonical_tables(tables, config, omega)
     synthesis = tables.synthesis_vectors()
@@ -349,15 +350,14 @@ def test_transfer_tables_build_memory_is_one_batch(grid):
     # breaks either bound
     config = BankConfig(channels=16, order=64, alpha=0.5,
                         subsampling=[6, 5, 4, 3] * 4, grid_points=grid)
-    bases, blocks = transfer._shift_bases, []
+    turns, blocks = transfer._half_turns, []
 
     def recorded(*args, **kwargs):
-        for item in bases(*args, **kwargs):
-            blocks.append(item[0])
-            yield item
+        blocks.append(turns(*args, **kwargs))
+        return blocks[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_shift_bases", recorded)
+        mp.setattr(transfer, "_half_turns", recorded)
         tracemalloc.start()
         try:
             tables = TransferTables(config)
@@ -367,7 +367,7 @@ def test_transfer_tables_build_memory_is_one_batch(grid):
     own = _table_bytes(tables)
     assert peak - own <= min(12 << 20, tables.ta.nbytes // 2)
     # rows on both sides of the first grid-block edge are in the DCT-IV basis
-    edge = blocks[0].stop
+    edge = blocks[0].shape[1]
     assert 1 < edge < grid
     _assert_canonical_tables(tables, config, tables.omega, [0, edge - 1, edge, grid - 1])
 
@@ -401,21 +401,19 @@ def test_transfer_tables_small_grid_blocks_hold_several_points():
     # a block still takes _TABLE_POINTS points, with every shift in one batch
     config = BankConfig(channels=22, order=176, alpha=0.5783,
                         subsampling=select_all(22, 0.5783), grid_points=256)
-    bases, items = transfer._shift_bases, []
+    turns, items = transfer._half_turns, []
 
     def recorded(*args, **kwargs):
-        for item in bases(*args, **kwargs):
-            items.append(item[:2])
-            yield item
+        items.append(turns(*args, **kwargs))
+        return items[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_shift_bases", recorded)
+        mp.setattr(transfer, "_half_turns", recorded)
         TransferTables(config)
     shifts = len(transfer._shift_table(config.subsampling))
     assert len(items) == 256 // transfer._TABLE_POINTS
-    for block, nu in items:
-        assert block.stop - block.start == transfer._TABLE_POINTS
-        assert nu.shape == (shifts, transfer._TABLE_POINTS)
+    for u in items:
+        assert u.shape == (shifts, transfer._TABLE_POINTS)
 
 
 def _table_bytes(tables):
@@ -523,11 +521,11 @@ def test_bifrequency_matches_line_enumeration():
     for k in range(2):
         S = config.subsampling[k]
         for i, win in enumerate(in_grid):
-            hk = channel_response_warped(proto, k, win, config.alpha)
+            hk = oracles.channel_response(proto, k, win, config.alpha)
             for l in range(S):
                 shifted = (win + 2.0 * np.pi * l / S) % (2.0 * np.pi)
                 folded = 2.0 * np.pi - shifted if shifted > np.pi else shifted
-                fk = channel_response_warped(
+                fk = oracles.channel_response(
                     proto, k, folded, config.alpha, synthesis=True
                 )
                 j = int(np.argmin(np.abs(out_grid - folded)))
@@ -611,7 +609,7 @@ def test_harmonic_factors_match_per_entry_cosines(channels, order):
     nu = np.array([[0.0, 1e-7, 1e-6, 0.4, 1.0],
                    [np.pi, np.pi - 1e-7, np.pi - 1e-6, 2.5, np.pi + 1e-7]])
     v = np.empty((2, P, 5), complex)
-    turn = transfer._harmonics(np.exp(0.5j * nu), v)
+    turn = modulation._harmonics(np.exp(0.5j * nu), v)
     E = np.concatenate([v, v * turn[:, None]], axis=1)[:, :n2].transpose(0, 2, 1)
     tol = 2e-15 * n2
     assert_allclose(turn, np.exp(1j * P * nu), rtol=0, atol=tol)
@@ -717,6 +715,74 @@ def test_reversed_flagship_grid_takes_the_shift_pass():
     scale = np.abs(forward[2]).max()
     for f, b in zip(forward, backward):
         assert np.max(np.abs(f - b[::-1])) <= 1e-12 * scale
+
+
+@st.composite
+def _channel_cases(draw):
+    """1-6 channels of order 2mM, alpha in (-0.9, 0.9), a uniform grid of
+    2-300 points (2 and 3 drawn often), and for the shift pass a scalar and
+    an N-D array of points below 0, in [0, pi] and above pi."""
+    channels = draw(st.integers(1, 6))
+    taps = draw(st.integers(1, 3))
+    coeffs = st.floats(-3.0, 3.0, allow_subnormal=False)
+    half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
+                                  max_size=channels * taps)))
+    assume(np.any(half != 0.0))
+    alpha = draw(st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True,
+                           allow_subnormal=False))
+    size = draw(st.sampled_from([2, 3]) | st.integers(2, 300))
+    points = st.floats(-2.0, np.pi + 2.0, allow_subnormal=False)
+    pairs = draw(st.lists(points, min_size=0, max_size=22).filter(lambda p: len(p) % 2 == 0))
+    grid = np.array(pairs + [-0.5, np.pi + 0.5])
+    shape = draw(st.sampled_from([(-1,), (2, -1), (1, 2, -1)]))
+    return PrototypeHalf(half, channels), alpha, size, draw(points), grid.reshape(shape)
+
+
+def _long_memory_case(alpha):
+    """The unsubsampled 8-channel bank at alpha +-0.9, whose line remembers
+    its state longest, on its design grid."""
+    half = np.random.default_rng(9).standard_normal(32)
+    return PrototypeHalf(half, 8), alpha, 1024, 2.5, np.array([[-0.3, 0.0], [np.pi, 4.0]])
+
+
+@given(_channel_cases())
+@example(_long_memory_case(0.9))
+@example(_long_memory_case(-0.9))
+def test_channel_responses_match_pair_angle_oracle(case):
+    # every channel's H and F by the uniform route on np.linspace(0, pi, G)
+    # and by shift 0 of the pass elsewhere, within 1e-12 of max|H| (over the
+    # grid and 257 band points, as a 2-point grid may hold rounding only) of
+    # the pair-angle oracle; channel_response_warped reads them off with
+    # omega's shape, and a scalar omega gives a complex
+    proto, alpha, size, scalar, points = case
+    M = proto.channels
+    config = BankConfig(channels=M, order=proto.order, alpha=alpha)
+    uniform = np.linspace(0.0, np.pi, size)
+
+    def oracle(w):
+        return np.array([[oracles.channel_response(proto, k, w, alpha, s) for k in range(M)]
+                         for s in (False, True)])
+
+    band = np.linspace(0.0, np.pi, 257)
+    scale = max(np.abs(oracle(band)).max(), np.abs(oracle(uniform)).max(),
+                np.abs(oracle(points)).max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_shift_pass", None)  # the uniform grid takes none
+        on_grid = np.array(transfer._channel_responses(proto, uniform, config))
+    off_grid = np.array(transfer._channel_responses(proto, points.ravel(), config))
+    assert on_grid.shape == (2, M, size)
+    assert np.max(np.abs(on_grid - oracle(uniform))) <= 1e-12 * scale
+    assert np.max(np.abs(off_grid - oracle(points.ravel()))) <= 1e-12 * scale
+    for k in range(M):
+        for s in (False, True):
+            got = channel_response_warped(proto, k, uniform, alpha, synthesis=s)
+            assert_array_equal(got, on_grid[int(s), k])
+            got = channel_response_warped(proto, k, points, alpha, synthesis=s)
+            assert got.shape == points.shape
+            assert_array_equal(got.ravel(), off_grid[int(s), k])
+            got = channel_response_warped(proto, k, scalar, alpha, synthesis=s)
+            assert isinstance(got, complex)
+            assert abs(got - oracle(scalar)[int(s), k]) <= 1e-12 * scale
 
 
 def test_direct_route_rejects_non_finite_frequencies():
