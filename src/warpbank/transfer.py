@@ -7,13 +7,19 @@ The analysis-synthesis chain with per-channel decimation by S_k has
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
 transfer.  Three routes compute it, each with one job, on two kernels for
 the warped channel responses: impulse responses and a factored harmonic.
+Which route a curve takes comes from its grid alone.
 
-The uniform route (_uniform_parts) gives the coherent curves, distortion
-and alias, on the grid np.linspace(0, pi, G) that frequency_grid and the
-CLI build: it takes every channel's warped impulse responses over the
-line's memory, and reads H_k and F_k off their real FFTs and each
-channel's whole image sum off the FFT of its decimated analysis response,
-since sum_{l<S} H(omega + 2 pi l/S) = S sum_m h[mS] e^{-jmS omega}.
+The uniform route gives every curve on the grid np.linspace(0, pi, G)
+that frequency_grid and the CLI build, from every channel's warped
+impulse responses over the line's memory.  The coherent curves,
+distortion and alias (_uniform_parts), read H_k and F_k off their real
+FFTs and each channel's whole image sum off the FFT of its decimated
+analysis response, since sum_{l<S} H(omega + 2 pi l/S) = S sum_m h[mS]
+e^{-jmS omega}.  aliasing_bound (_uniform_bound) and, on such an in-grid,
+bifrequency_map (_uniform_images) need the images apart: every image of
+every grid point is a bin of the lcm(2(G-1), S_k)-point DFT of a
+response, which _image_spectra splits into 2(G-1)-point FFTs, one per
+residue.
 
 The direct pass (_shift_pass) evaluates a given prototype image by image
 at any frequencies: the images l/S_k of all channels fall on few distinct
@@ -21,8 +27,7 @@ shifts p/q (116 for the 249 images of the 22-channel Bark bank), its
 cosine bases at the warped angle nu of a shift and at pi - nu are planes
 of one complex harmonic, filled for half its indices and turned by one
 factor for the rest, and one real GEMM per shift serves all of the
-shift's channels.  aliasing_bound and bifrequency_map need the images
-apart and read it, and so do the coherent curves at every other set of
+shift's channels.  Every curve and map takes it at every other set of
 points (a scalar omega among them).  Each channel's own responses come
 from the same two by the grid (_channel_responses).
 
@@ -398,7 +403,10 @@ def _shift_pass(proto, w, config, aliasing=True):
             u = _half_turns(halves[lo : lo + shifts], half, config.alpha)
             v = harmonics[: u.size * P].reshape(u.shape[0], P, u.shape[1])
             turn = modulation._harmonics(u, v)
-            phases = np.conj(v[:, b] * turn if a else v[:, b])  # e^{-j(N-1)nu/2}
+            # e^{-j(N-1)nu/2}; |V| drifts from 1 linearly in the index, and
+            # the phase scales every image of its shift
+            phases = np.conj(v[:, b] * turn if a else v[:, b])
+            phases /= np.abs(phases)
             for i, (shift, ks, ls) in enumerate(table[lo : lo + shifts]):
                 z = np.empty((ks.size, u.shape[1]), complex)
                 for c in range(0, ks.size, group):
@@ -435,8 +443,15 @@ def _response_length(config):
     """(K+1) c samples, the line's memory K = streaming._memory_chunks in
     chunks of c = streaming._CHUNK and the impulse's own chunk: past them
     every warped impulse response of the bank is below 2^-52."""
-    runs = streaming._line_runs(config.alpha, config.order)
-    chunks = streaming._memory_chunks(streaming._state_maps(config.alpha, runs).phi)
+    return _line_memory(config.alpha, config.order)
+
+
+@functools.lru_cache(maxsize=64)
+def _line_memory(alpha, order):
+    """_response_length of the line of order taps at alpha, kept per value
+    pair: the line's runs and state map take longer than a curve's FFTs."""
+    runs = streaming._line_runs(alpha, order)
+    chunks = streaming._memory_chunks(streaming._state_maps(alpha, runs).phi)
     return (chunks + 1) * streaming._CHUNK
 
 
@@ -480,8 +495,10 @@ def _wrap(x, size):
     DTFT at the multiples of 2 pi/size."""
     if x.shape[-1] <= size:
         return x
-    x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -x.shape[-1] % size)])
-    return x.reshape(x.shape[:-1] + (-1, size)).sum(axis=-2)
+    chunks = -(-x.shape[-1] // size)
+    padded = np.zeros(x.shape[:-1] + (chunks * size,), x.dtype)
+    padded[..., : x.shape[-1]] = x
+    return padded.reshape(x.shape[:-1] + (chunks, size)).sum(axis=-2)
 
 
 def _uniform_parts(proto, size, config, aliasing=True):
@@ -517,6 +534,78 @@ def _uniform_parts(proto, size, config, aliasing=True):
             e = h[0, ks[aliased]] * np.where(np.arange(h.shape[2]) % S, -1.0, S - 1.0)
             alias += np.einsum("kg,kg->g", np.fft.rfft(_wrap(e, K), K), F[aliased])
     return dist, alias
+
+
+def _image_spectra(x, ratio, size):
+    """Every image of one real response x on np.linspace(0, pi, size): its
+    DTFT X at w + 2 pi l/ratio for every grid point w and image l < ratio.
+
+    With K = 2(size - 1), those frequencies are bins of the lcm(K,
+    ratio)-point DFT of x, which splits by residue into m = ratio/d K-point
+    FFTs, d = gcd(K, ratio) and P = K/d.  Here the FFT of each residue is
+    that of x e^{-j 2 pi n l0/ratio}, wrapped to K samples, for a lead l0 <
+    m: its bin q holds X(2 pi q/K + 2 pi l0/ratio), so image l0 + m t of
+    grid point g is at bin (g + t P) mod K, t < d.  Yields (leads, z), z of
+    shape (leads.size, K), every lead once.  The rows of the leads up to m/2
+    are FFTs, as many at a time as keep a batch within a quarter of
+    _PASS_BYTES, of rows twiddled by a multiply recurrence, each the last
+    times e^{-j 2 pi n/ratio}; since x is real, lead m - l0 is the mirror of
+    lead l0, conj z[(-q - P) mod K].
+    """
+    K = 2 * (size - 1)
+    d = math.gcd(K, ratio)
+    m, P = ratio // d, K // d
+    rows = max(1, _PASS_BYTES // 4 // (32 * max(x.size, K)))
+    turn = np.exp(-2j * np.pi * np.arange(ratio) / ratio)[np.arange(x.size) % ratio]
+    mirror = (-np.arange(K) - P) % K
+    for first in range(0, m // 2 + 1, rows):
+        leads = np.arange(first, min(first + rows, m // 2 + 1))
+        y = np.empty((leads.size, x.size), complex)
+        for i, lead in enumerate(leads):
+            if lead:
+                np.multiply(row, turn, out=y[i])
+            else:
+                y[i] = x
+            row = y[i]
+        z = np.fft.fft(_wrap(y, K), K)
+        del y
+        yield leads, z
+        twins = np.flatnonzero((leads > 0) & (2 * leads < m))
+        if twins.size:
+            z = z[twins[:, None], mirror]
+            yield m - leads[twins], np.conjugate(z, out=z)
+        del z
+
+
+def _uniform_bound(proto, size, config):
+    """aliasing_bound over np.linspace(0, pi, size), size >= 2, from the
+    channels' warped impulse responses (_impulse_responses).
+
+    Per channel of ratio S > 1, _image_spectra gives |H_k| at every image,
+    whose d = gcd(K, S) images of one lead sit at the bins g + t P of one
+    row: the row's |z| reshaped (d, P) and summed over d gives them for
+    every grid point at once, g mod P.  The leads' coset sums add up, image
+    0 (|z| of lead 0 at g) comes off, and |F_k| from the rfft of f_k
+    wrapped to K scales what is left.  A channel of ratio 1 has no alias
+    image and adds nothing.
+    """
+    K = 2 * (size - 1)
+    h, f = _impulse_responses(proto, config)
+    bound = np.zeros(size)
+    for k in np.flatnonzero(config.subsampling > 1):
+        S = int(config.subsampling[k])
+        P = K // math.gcd(K, S)
+        cosets = np.zeros(P)
+        for leads, z in _image_spectra(h[k], S, size):
+            z = np.abs(z)
+            if leads[0] == 0:
+                distortion = z[0, :size].copy()
+            cosets += z.reshape(-1, P).sum(axis=0)
+            del z
+        images = np.resize(cosets, size)
+        images -= distortion
+        bound += images * np.abs(np.fft.rfft(_wrap(f[k], K), K))
+    return bound
 
 
 def _uniform(w):
@@ -566,8 +655,12 @@ def aliasing_bound(proto, w, config):
     """Incoherent worst-case alias magnitude sum_k sum_{l>=1} |H_k^w F_k^w|.
 
     A conservative bound; the coherent aliasing_transfer is what enters T_all.
-    It needs every image's product apart, so it always takes the shift pass.
+    It needs every image's product apart: on np.linspace(0, pi, G) it reads
+    them off the FFTs of the impulse responses (_uniform_bound), and at
+    every other set of points off the shift pass.
     """
+    if _uniform(w):
+        return _uniform_bound(proto, w.size, config)
     bound = np.zeros(w.shape)
     for block, shift, ks, _, phase, z in _shift_pass(proto, w, config):
         if shift == (0, 1):
@@ -597,6 +690,42 @@ def to_db(x, floor_db=-300.0):
     return 20.0 * np.log10(np.maximum(np.abs(x), lo))
 
 
+def _pass_images(proto, w, config):
+    """(block, H, channels, images, F) for each shift of each block of the
+    shift pass over w: H holds every channel's analysis response over the
+    block, and F the synthesis responses of the shift's images at w[block]
+    + 2 pi l/S_k, unfolded."""
+    for block, shift, ks, ls, phase, z in _shift_pass(proto, w, config):
+        if shift == (0, 1):
+            h = phase * z
+        # F per shift, as the pass yields it: numpy may multiply a large
+        # temporary in place with the operands swapped, which rounds apart
+        yield block, h, ks, ls, phase * np.conj(z)
+
+
+def _uniform_images(proto, size, config, budget):
+    """_pass_images over np.linspace(0, pi, size), size >= 2, as one block,
+    from the channels' warped impulse responses: H from their rfft wrapped
+    to K = 2(size - 1), and each channel's images from _image_spectra of
+    f_k, at most budget image-points at a time unless the images of one
+    lead hold more.
+    """
+    K = 2 * (size - 1)
+    h, f = _impulse_responses(proto, config)
+    H = np.fft.rfft(_wrap(h, K), K)
+    block = slice(0, size)
+    for k, S in enumerate(config.subsampling.tolist()):
+        d = math.gcd(K, S)
+        t = np.arange(d)
+        bins = (np.arange(size) + (K // d) * t[:, None]) % K  # image l0 + m t at g + t P
+        step = max(1, budget // (d * size))  # leads per yield
+        for leads, z in _image_spectra(f[k], S, size):
+            for first in range(0, leads.size, step):
+                ls = (leads[first : first + step, None] + (S // d) * t).ravel()
+                f_ = z[first : first + step, bins].reshape(ls.size, size)
+                yield block, H, np.full(ls.size, k), ls, f_
+
+
 def bifrequency_map(half, config, in_grid, out_grid):
     """Energy transport image of the time-varying chain, in dB.
 
@@ -606,14 +735,19 @@ def bifrequency_map(half, config, in_grid, out_grid):
     to [0, pi]; magnitude is taken at the end, floored at -300 dB.  With all
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
 
-    The images of consecutive shifts of one _shift_pass block are held and
-    then folded, searched and scattered together by one np.add.at, in shift
-    order, so every cell sums the same products in the same order as a
-    scatter per shift, and the map is bitwise that one.  The hold is
-    scattered at the end of each block, and before it would pass
-    _PASS_BYTES // 64 image-points (65 536 by default), unless one shift
-    alone holds more; on the flagship the scatter's work then stays within
-    about 3 MB above the cells and the pass's harmonics.
+    The images come by the grid: on an in-grid np.linspace(0, pi, G) off
+    the FFTs of the channels' impulse responses (_uniform_images), and on
+    every other in-grid off the shift pass (_pass_images).  Either way the
+    images of consecutive shifts or channels are held and then folded,
+    searched and scattered together by one np.add.at, in the order they
+    come, so every cell sums the same products in the same order as a
+    scatter per shift or per channel; on the pass the map is bitwise the
+    one a scatter per shift gives.  The hold is scattered at the end of each
+    block of the pass, and before it would pass _PASS_BYTES // 64
+    image-points (65 536 by default), unless one shift, or the images of one
+    lead of _image_spectra, alone hold more; on the flagship the scatter's
+    work then stays within about 3 MB above the cells and the images'
+    source.
     """
     proto = _as_proto(half, config)
     win = _check_grid(in_grid, "in_grid")
@@ -623,7 +757,7 @@ def bifrequency_map(half, config, in_grid, out_grid):
     sorted_out = wout[order]
     rows = np.arange(win.size)
     budget = _PASS_BYTES // 64
-    held = []  # (channels, images, unfolded F) per shift of the block
+    held = []  # (channels, images, unfolded F) per shift or channel
 
     def scatter(block, h):
         ks = np.concatenate([s[0] for s in held])
@@ -645,17 +779,18 @@ def bifrequency_map(half, config, in_grid, out_grid):
         del folded
         np.add.at(acc, (rows[block], order[pos]), h[ks] * f)
 
+    if _uniform(win):
+        images = _uniform_images(proto, win.size, config, budget)
+    else:
+        images = _pass_images(proto, win, config)
     count = 0
-    for block, shift, ks, ls, phase, z in _shift_pass(proto, win, config):
-        if held and (shift == (0, 1) or count + z.size > budget):
-            scatter(current, h)
+    for block, h, ks, ls, f in images:
+        if held and (block != current or count + f.size > budget):
+            scatter(current, held_h)
             count = 0
-        if shift == (0, 1):
-            current, h = block, phase * z
-        # F per shift, as the pass yields it: numpy may multiply a large
-        # temporary in place with the operands swapped, which rounds apart
-        held.append((ks, ls, phase * np.conj(z)))
-        count += z.size
+        current, held_h = block, h
+        held.append((ks, ls, f))
+        count += f.size
     if held:
-        scatter(current, h)
+        scatter(current, held_h)
     return to_db(acc)

@@ -37,7 +37,7 @@ from warpbank import (
     to_db,
     transfer_quadratic,
 )
-from warpbank import files, modulation, optimize, transfer
+from warpbank import files, modulation, optimize, streaming, transfer
 from warpbank.allpass import allpass_phase
 
 
@@ -231,6 +231,81 @@ def test_uniform_route_matches_per_image_oracle(case):
     assert_array_equal(error, overall.real**2 + overall.imag**2 - 1.0)
     if max(config.subsampling) == 1:
         assert np.all(got[1] == 0.0)
+
+
+@st.composite
+def _image_cases(draw):
+    """(half, config, size, outputs, budget): 1-6 channels, order 2mM, alpha
+    in (-0.95, 0.95), a uniform grid of 2-300 points (2 and 3 drawn often),
+    ratios 1-40 that hold one coprime to K = 2(size - 1) and one above the
+    grid's size where 40 allows, an out-grid of 2-40 points and a block
+    budget from below one row of the kernel up to the default."""
+    channels = draw(st.integers(1, 6))
+    taps = draw(st.integers(1, 3))
+    coeffs = st.floats(-3.0, 3.0, allow_subnormal=False)
+    half = np.array(draw(st.lists(coeffs, min_size=channels * taps,
+                                  max_size=channels * taps)))
+    assume(np.any(half != 0.0))
+    size = draw(st.sampled_from([2, 3]) | st.integers(2, 300))
+    K = 2 * (size - 1)
+    coprime = draw(st.sampled_from([r for r in range(3, 41) if math.gcd(r, K) == 1]))
+    above = draw(st.integers(min(size + 1, 40), 40))
+    rest = draw(st.lists(st.integers(1, 40), min_size=channels, max_size=channels))
+    sub = draw(st.permutations(([coprime, above] + rest)[:channels]))
+    alpha = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True,
+                           allow_subnormal=False))
+    config = BankConfig(channels=channels, order=2 * half.size, alpha=alpha,
+                        subsampling=sub)
+    budget = draw(st.sampled_from([1, 600, 20000, transfer._PASS_BYTES]))
+    return half, config, size, draw(st.integers(2, 40)), budget
+
+
+@given(_image_cases())
+def test_image_spectra_and_their_callers_match_per_image_oracle(case):
+    # on np.linspace(0, pi, G) the kernel gives every lead l0 < m of a
+    # channel once, its row holding the DTFT of the channel's response at
+    # 2 pi q/K + 2 pi l0/S for every q < K; aliasing_bound and the
+    # bifrequency cells read it with no shift pass, within 1e-12 of scale of
+    # the per-image oracle (the scale taken over 257 points of the band as
+    # well, so that a grid of 2 points where every product vanishes has
+    # one), and the map's zeros are where the oracle's are
+    half, config, size, outputs, budget = case
+    proto = PrototypeHalf(half, config.channels)
+    grid = np.linspace(0.0, np.pi, size)
+    out_grid = np.linspace(0.0, np.pi, outputs)
+    K = 2 * (size - 1)
+    band = np.linspace(0.0, np.pi, 257)
+    want = transfer_parts(proto, grid, config)
+    parts = transfer_parts(proto, band, config)
+    scale = max(max(np.abs(p[0] + p[1]).max(), np.abs(p[0]).max(), p[2].max())
+                for p in (want, parts))
+    cells, hits = bifrequency_cells(proto, config, grid, out_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_PASS_BYTES", budget)
+        mp.setattr(transfer, "_shift_pass", None)
+        h = transfer._impulse_responses(proto, config)[0]
+        for k, S in enumerate(config.subsampling.tolist()):
+            m = S // math.gcd(K, S)
+            q = 2.0 * np.pi * np.arange(K) / K
+            rows = {}
+            for leads, z in transfer._image_spectra(h[k], S, size):
+                assert z.shape == (leads.size, K)
+                rows.update(zip(leads.tolist(), z))
+            assert sorted(rows) == list(range(m))
+            at = q + 2.0 * np.pi * np.arange(m)[:, None] / S
+            exact = oracles.channel_response(proto, k, at, config.alpha)
+            row_scale = max(np.abs(exact).max(), np.abs(
+                oracles.channel_response(proto, k, band, config.alpha)).max())
+            got = np.array([rows[lead] for lead in range(m)])
+            assert np.max(np.abs(got - exact)) <= 1e-12 * row_scale
+        bound = aliasing_bound(half, grid, config)
+        mp.setattr(transfer, "to_db", lambda c: c)  # the cells, not dB
+        got = bifrequency_map(half, config, grid, out_grid)
+    assert np.max(np.abs(bound - want[2])) <= 1e-12 * scale
+    cell_scale = np.abs(cells).max()
+    decided = (hits == 0) | (np.abs(cells) > 1e-12 * cell_scale)
+    assert_array_equal((got != 0)[decided], (cells != 0)[decided])
+    assert np.max(np.abs(got - cells)) <= 1e-12 * cell_scale
 
 
 @given(_banks())
@@ -694,6 +769,42 @@ def test_uniform_route_length_is_the_line_memory():
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
+def test_line_memory_follows_alpha_and_order():
+    # the line's memory is kept per (alpha, order) value pair: changing
+    # alpha, then the order, then alpha back on one config reads each
+    # pair's own length, as the line's state map gives it, and the impulse
+    # responses take that length
+    config = BankConfig(channels=4, order=32, alpha=0.3)
+
+    def direct(alpha, order):
+        runs = streaming._line_runs(alpha, order)
+        chunks = streaming._memory_chunks(streaming._state_maps(alpha, runs).phi)
+        return (chunks + 1) * streaming._CHUNK
+
+    proto = PrototypeHalf(np.ones(16), 4)
+    lengths = []
+    for alpha, order in [(0.3, 32), (0.9, 32), (0.9, 64), (0.3, 32)]:
+        config.alpha, config.order = alpha, order
+        proto = PrototypeHalf(np.ones(order // 2), 4)
+        hits = transfer._line_memory.cache_info().hits
+        lengths.append(transfer._response_length(config))
+        assert lengths[-1] == direct(alpha, order)
+        L = transfer._impulse_responses(proto, config).shape[2]
+        assert L == 1 << (lengths[-1] - 1).bit_length()
+        assert transfer._line_memory.cache_info().hits > hits  # the responses read it again
+    assert len(set(lengths[:3])) == 3 and lengths[3] == lengths[0]
+
+
+def test_shift_pass_phases_have_unit_modulus():
+    # e^{-j(N-1)nu/2} is normalized, as the table build's is: unnormalized,
+    # its modulus drifted from 1 by 6.3e-14 on the flagship's design grid
+    half, config = _flagship_bank()
+    proto = PrototypeHalf(half, config.channels)
+    worst = max(np.abs(np.abs(phase) - 1.0).max()
+                for *_, phase, _ in transfer._shift_pass(proto, frequency_grid(config), config))
+    assert worst <= 4 * 2.0**-52
+
+
 def test_reversed_flagship_grid_takes_the_shift_pass():
     # the flagship grid reversed is not np.linspace(0, pi, G), so its curves
     # come from the shift pass, within 1e-12 of max|T| of the route's
@@ -858,26 +969,43 @@ def _assert_bitwise(got, want):
 
 @pytest.mark.parametrize("points", [32, 256])
 def test_bifrequency_scatter_matches_per_shift_on_flagship(points):
-    # one block and one scatter of all 249 images against 116 scatters; at
-    # 256 points the scatter's products hold 1 MB of complex values, past
-    # the 256 KiB where numpy may compute a temporary's product in place
+    # one block and one scatter of all 249 images against 116 scatters, on
+    # the reversed grid, which takes the shift pass; at 256 points the
+    # scatter's products hold 1 MB of complex values, past the 256 KiB
+    # where numpy may compute a temporary's product in place
     half, config = _flagship_bank()
     if points == 256:
         assert config.subsampling.sum() * points * 16 > 256 * 1024
-    grid = np.linspace(0.0, np.pi, points)
+    grid = np.linspace(0.0, np.pi, points)[::-1]
     want = bifrequency_per_shift(half, config, grid, grid)
     _assert_bitwise(_map_cells(half, config, grid, grid), want)
     _assert_bitwise(bifrequency_map(half, config, grid, grid), to_db(want))
 
 
+def test_bifrequency_uniform_flagship_matches_per_channel_oracle(monkeypatch):
+    # the flagship's default 256 x 256 map, whose in-grid takes the impulse
+    # responses' FFTs and no shift pass: within 1e-12 of scale of the
+    # per-channel oracle, with its zeros where the oracle's are
+    half, config = _flagship_bank()
+    grid = np.linspace(0.0, np.pi, 256)
+    want, hits = bifrequency_cells(PrototypeHalf(half, config.channels), config, grid, grid)
+    monkeypatch.setattr(transfer, "_shift_pass", None)
+    got = _map_cells(half, config, grid, grid)
+    scale = np.abs(want).max()
+    decided = (hits == 0) | (np.abs(want) > 1e-12 * scale)
+    assert_array_equal((got != 0)[decided], (want != 0)[decided])
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 def test_bifrequency_scatter_matches_per_shift_across_blocks_and_flushes(monkeypatch):
-    # blocks of 20 grid points, the last one short, and a hold of 890
-    # image-points: shift 0 (22 images, 440) shares a scatter with the
-    # next shifts, and every block scatters several times
+    # blocks of 20 grid points of the pass (the in-grid reversed), the last
+    # one short, and a hold of 890 image-points: shift 0 (22 images, 440)
+    # shares a scatter with the next shifts, and every block scatters
+    # several times
     half, config = _flagship_bank()
     monkeypatch.setattr(transfer, "_PASS_BYTES", 64 * 890)
     budget = transfer._PASS_BYTES // 64
-    in_grid = np.linspace(0.0, np.pi, 90)
+    in_grid = np.linspace(0.0, np.pi, 90)[::-1]
     out_grid = np.linspace(0.0, np.pi, 50)
     assert 22 * 20 < budget and config.subsampling.sum() * 20 > 4 * budget
     want = bifrequency_per_shift(half, config, in_grid, out_grid)
