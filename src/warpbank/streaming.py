@@ -32,8 +32,10 @@ lifted, state-space form):
 Theta is block Toeplitz (the channel impulse responses), and every state
 map is Toeplitz in the section index because all sections are equal.  One
 run of two sequences down the line gives all four: an impulse, and alpha^t,
-which is what a section puts out from a unit state.  Phi and Gamma depend
-only on alpha, so one copy serves both directions (_StateMaps): the
+which is what a section puts out from a unit state.  That run, Phi's first
+row and the line's memory (_line_memory) come from allpass, whose block
+model of the line the uniform transfer route reads too.  Phi and Gamma
+depend only on alpha, so one copy serves both directions (_StateMaps): the
 transposed line carries its state by Phi^T and reads it out through Gamma^T
 in reversed time order.  Within a super-block of _BLOCK samples, the
 chunks' start states come from the recursion s <- s Phi + x Gamma, run as a
@@ -73,20 +75,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.signal import lfilter
 
-from .allpass import _check_count
+from . import allpass
+from .allpass import _CHUNK, _check_count, _line_runs, _phi_row, _power_rows, _upper_toeplitz
 from .modulation import modulate
 
 # samples per super-block (rounded down to whole chunks), which bounds the
-# working memory, and the chunk length of the block state-space operators;
-# on a 2-core host with one BLAS thread, 20 s of flagship noise ran as fast
-# at 8192 as at 16384, and about 30 % slower at 4096
+# working memory; on a 2-core host with one BLAS thread, 20 s of flagship
+# noise ran as fast at 8192 as at 16384, and about 30 % slower at 4096
 _BLOCK = 1 << 13
-_CHUNK = 64
-# measure_response: the Hann window length of the steady-state read (the
-# settle before it comes from the line's state map, see _memory_chunks)
+# measure_response: the Hann window length of the steady-state read
 _WINDOW = 8192
 
 
@@ -110,12 +108,6 @@ def _real_samples(samples, what):
     return samples.astype(float, copy=False)
 
 
-def _section_coeffs(alpha):
-    # transfer (z^-1 - alpha)/(1 - alpha z^-1); the lfilter zi of each
-    # section is its one transposed direct form II state variable
-    return np.array([-alpha, 1.0]), np.array([1.0, -alpha])
-
-
 def _check_finite(samples, what):
     if not np.all(np.isfinite(samples)):
         raise ValueError("%s holds non-finite samples (NaN or inf)" % what)
@@ -127,59 +119,6 @@ def _signal(signal):
         raise ValueError("signal must be a nonempty 1-D array")
     _check_finite(x, "signal")
     return x
-
-
-def _line_runs(alpha, taps):
-    """Taps over one chunk of the line fed an impulse and fed alpha^t.
-
-    Returns (H, G), each (taps, c): H[n] is the impulse response at tap n.
-    alpha^t is a section's output from a unit state and no input, so G[d]
-    is the response d sections below a section whose state is one.  One
-    lfilter call gives a section's impulse response, and with it U, the
-    section's map of a chunk from a zero state (upper-triangular Toeplitz):
-    each tap's two rows are those of the tap above times U.
-    """
-    b, a = _section_coeffs(alpha)
-    runs = np.empty((taps, 2, _CHUNK))
-    runs[0, 0] = 0.0
-    runs[0, 0, 0] = 1.0
-    runs[0, 1] = alpha ** np.arange(_CHUNK)
-    section = _upper_toeplitz(lfilter(b, a, runs[0, 0]))
-    for n in range(1, taps):
-        np.matmul(runs[n - 1], section, out=runs[n])
-    return runs[:, 0], runs[:, 1]
-
-
-def _upper_toeplitz(row):
-    """The upper-triangular Toeplitz matrix whose first row is row."""
-    column = np.zeros_like(row)
-    column[0] = row[0]
-    return toeplitz(column, row)
-
-
-def _power_rows(first):
-    """The first rows of U, U^2, U^3, ... for the upper-triangular Toeplitz
-    U whose first row is first.  Every power of U is upper-triangular
-    Toeplitz, so its first row holds all its entries: the k-fold
-    self-convolution of first, cut to its length."""
-    edge = first
-    while True:
-        yield edge
-        edge = np.convolve(edge, first)[: first.size]
-
-
-def _memory_chunks(phi):
-    """The least k with max|Phi^k| <= 2^-52 (double epsilon): the chunks
-    after which the line has forgotten its start state.  The transposed
-    line carries by Phi^T, so both directions have this memory.
-
-    It grows as 1/(1-|alpha|): for order 176, k = 3 at alpha = 0, 14 at
-    0.5783, 67 at 0.9 and 697 at 0.99; for order 64 at alpha = 0.99, k =
-    309.  Decimation and zero insertion add none.
-    """
-    for k, edge in enumerate(_power_rows(phi[0]), 1):
-        if np.abs(edge).max() <= np.finfo(float).eps:
-            return k
 
 
 @dataclass
@@ -256,11 +195,8 @@ def _state_maps(alpha, runs):
     H, G = runs
     # z_imp[n, tau]: end state of section n after a unit impulse at sample tau
     z_imp = (H[:-1] + alpha * H[1:])[:, ::-1]
-    # z_unit[d]: end state of the section d below one whose start state is 1
-    z_unit = alpha * G[:-1, -1]
-    z_unit[1:] += G[:-2, -1]
     # phi[m, n] = z_unit[n - m]: the signal runs to higher section indices
-    return _StateMaps(phi=_upper_toeplitz(z_unit), gamma=np.ascontiguousarray(z_imp.T))
+    return _StateMaps(phi=_upper_toeplitz(_phi_row(alpha, G)), gamma=np.ascontiguousarray(z_imp.T))
 
 
 def _block_length():
@@ -730,12 +666,12 @@ def measure_response(design, probe_freqs):
 
     Each probe feeds a unit sine, discards a settle transient, and reads
     the steady-state amplitude by Hann-windowed quadrature correlation over
-    _WINDOW samples.  The settle is 2*(K+1)*c samples, K the chunks of c =
-    _CHUNK samples after which the line's state map has vanished
-    (_memory_chunks): the analysis line's memory, then the synthesis
-    line's, each with a chunk to spare.  On the flagship K = 14, a settle
-    of 1920 samples.  Decimation and zero insertion add no memory, so the
-    settle does not depend on the ratios.
+    _WINDOW samples.  The settle is twice allpass._line_memory, (K+1)*c
+    samples for the K chunks of c = _CHUNK after which the line's state map
+    has vanished: the analysis line's memory, then the synthesis line's,
+    each with a chunk to spare.  On the flagship K = 14, a settle of 1920
+    samples.  Decimation and zero insertion add no memory, so the settle
+    does not depend on the ratios.
 
     Returns magnitudes in dB.  The probes are a real scalar or 1-D array;
     those at (or numerically touching) 0 or pi are rejected, since the
@@ -747,7 +683,7 @@ def measure_response(design, probe_freqs):
     if bad:
         raise ValueError("probe frequencies not inside (0, pi): %r" % bad)
     stream = BankStream(design)
-    settle = 2 * (_memory_chunks(stream._maps.phi) + 1) * _CHUNK
+    settle = 2 * allpass._line_memory(design.alpha, design.order)
     win = np.hanning(_WINDOW)
     norm = 0.5 * win.sum()
     n = np.arange(settle + _WINDOW)

@@ -7,19 +7,20 @@ The analysis-synthesis chain with per-channel decimation by S_k has
 where the l = 0 terms form the distortion transfer and l >= 1 the aliasing
 transfer.  Three routes compute it, each with one job, on two kernels for
 the warped channel responses: impulse responses and a factored harmonic.
-Which route a curve takes comes from its grid alone.
+Which route a curve takes comes from its grid and the line's memory.
 
-The uniform route gives every curve on the grid np.linspace(0, pi, G)
-that frequency_grid and the CLI build, from every channel's warped
-impulse responses over the line's memory.  The coherent curves,
-distortion and alias (_uniform_parts), read H_k and F_k off their real
-FFTs and each channel's whole image sum off the FFT of its decimated
-analysis response, since sum_{l<S} H(omega + 2 pi l/S) = S sum_m h[mS]
-e^{-jmS omega}.  aliasing_bound (_uniform_bound) and, on such an in-grid,
-bifrequency_map (_uniform_images) need the images apart: every image of
-every grid point is a bin of the lcm(2(G-1), S_k)-point DFT of a
-response, which _image_spectra splits into 2(G-1)-point FFTs, one per
-residue.
+The uniform route gives every curve on np.linspace(0, pi, G), the grid
+frequency_grid and the CLI build, from the channels' warped impulse
+responses over the line's memory (allpass._line_memory), if they fit in
+_PASS_BYTES (_uniform): their length grows as 1/(1-|alpha|), and the
+route holds about three times their bytes and a block of powers.  The
+coherent curves (_uniform_parts) read H_k and F_k off their real FFTs and
+each channel's whole image sum off the FFT of its decimated analysis
+response: sum_{l<S} H(omega + 2 pi l/S) = S sum_m h[mS] e^{-jmS omega}.
+aliasing_bound (_uniform_bound) and, on such an in-grid, bifrequency_map
+(_uniform_images) need the images apart: each image of a grid point is a
+bin of the lcm(2(G-1), S_k)-point DFT of a response, which
+_image_spectra splits into 2(G-1)-point FFTs, one per residue.
 
 The direct pass (_shift_pass) evaluates a given prototype image by image
 at any frequencies: the images l/S_k of all channels fall on few distinct
@@ -27,9 +28,9 @@ shifts p/q (116 for the 249 images of the 22-channel Bark bank), its
 cosine bases at the warped angle nu of a shift and at pi - nu are planes
 of one complex harmonic, filled for half its indices and turned by one
 factor for the rest, and one real GEMM per shift serves all of the
-shift's channels.  Every curve and map takes it at every other set of
-points (a scalar omega among them).  Each channel's own responses come
-from the same two by the grid (_channel_responses).
+shift's channels.  Every curve and map takes it wherever the uniform
+route does not (a scalar omega among them), and each channel's own
+responses come from the same two by the same rule (_channel_responses).
 
 Scoring many prototypes on one grid (the optimizer) uses TransferTables,
 built from the same half turns e^{j nu/2} (_half_turns) and harmonics as
@@ -39,11 +40,12 @@ synthesis vectors us are image 0 only and factor into the shift-0 basis
 over nu0 and pi - nu0, a phase per grid point and fixed per-channel
 weights (wc, ws) = _split_weights(ones).  The cosine modulation is a
 DCT-IV: wc = C Sc and ws = C Ss, where C is sqrt 2 times the M-point
-DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column (_dct4_split).  So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and
-us'_c = p0 (Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as
-real and imaginary planes) and the factors of us', whose synthesis side
-selects N/(2M) cosine columns per canonical column c instead of weighting
-all N/2.  The tables are the only route to these vectors; transfer_quadratic
+DCT-IV (C C^T = M I) and Sc, Ss hold one +-1 per column (_dct4_split).
+So U = sum_c T_c us'_c^T with T_c = sum_k C[k, c] ua_k and us'_c = p0
+(Sc[c] c0 - j Ss[c] d0): the tables keep T (the size of ua, as real and
+imaginary planes) and the factors of us', whose synthesis side selects
+N/(2M) cosine columns per canonical column c instead of weighting all
+N/2.  The tables are the only route to these vectors; transfer_quadratic
 reads U off a one-point table.
 """
 
@@ -53,10 +55,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import lfilter, unit_impulse
 
-from . import modulation, streaming
-from .allpass import _check_alpha, _check_count, _check_finite
+from . import allpass, modulation
+from .allpass import _check_alpha, _check_count, _check_finite, _section_coeffs
 from .modulation import PrototypeHalf
 
 
@@ -439,26 +441,15 @@ def _transfer_parts(proto, w, config, aliasing=True):
     return dist, alias
 
 
-def _response_length(config):
-    """(K+1) c samples, the line's memory K = streaming._memory_chunks in
-    chunks of c = streaming._CHUNK and the impulse's own chunk: past them
-    every warped impulse response of the bank is below 2^-52."""
-    return _line_memory(config.alpha, config.order)
-
-
-@functools.lru_cache(maxsize=64)
-def _line_memory(alpha, order):
-    """_response_length of the line of order taps at alpha, kept per value
-    pair: the line's runs and state map take longer than a curve's FFTs."""
-    runs = streaming._line_runs(alpha, order)
-    chunks = streaming._memory_chunks(streaming._state_maps(alpha, runs).phi)
-    return (chunks + 1) * streaming._CHUNK
+def _response_samples(config):
+    """L, the least power of two that holds allpass._line_memory: past it
+    every warped impulse response is below 2^-52."""
+    return 1 << (allpass._line_memory(config.alpha, config.order) - 1).bit_length()
 
 
 def _impulse_responses(proto, config):
     """Every channel's warped analysis and synthesis impulse responses,
-    (2, channels, L), L the least power of two that holds the line's memory
-    (_response_length): past it every response is below 2^-52.
+    (2, channels, L), L = _response_samples(config).
 
     The rfft of one section's impulse response (one lfilter run) is the
     allpass A at the L-point DFT bins, exactly spaced.  The powers A^n, n <
@@ -467,10 +458,8 @@ def _impulse_responses(proto, config):
     their interleaved planes per block of powers within half of _PASS_BYTES
     (all 176 of the flagship, 1.4 MB), and irfft takes the responses back.
     """
-    N, L = config.order, 1 << (_response_length(config) - 1).bit_length()
-    impulse = np.zeros(L)
-    impulse[0] = 1.0
-    section = np.fft.rfft(lfilter(*streaming._section_coeffs(config.alpha), impulse))
+    N, L = config.order, _response_samples(config)
+    section = np.fft.rfft(lfilter(*_section_coeffs(config.alpha), unit_impulse(L)))
     filters = modulation.modulate(proto)
     taps = np.concatenate([filters.analysis, filters.synthesis])  # (2M, N)
     rows = max(1, min(N, _PASS_BYTES // 2 // (16 * section.size)))
@@ -608,15 +597,19 @@ def _uniform_bound(proto, size, config):
     return bound
 
 
-def _uniform(w):
-    """Whether w is the uniform route's grid, np.linspace(0, pi, G), G >= 2."""
-    return w.size >= 2 and np.array_equal(w, np.linspace(0.0, np.pi, w.size))
+def _uniform(w, config):
+    """Whether w takes the uniform route: it is np.linspace(0, pi, G), G >= 2,
+    and the (2, M, L) float responses of _impulse_responses fit in _PASS_BYTES.
+    That bounds the responses, not the route, which holds about three times
+    their bytes and powers within half of _PASS_BYTES besides."""
+    grid = w.size >= 2 and np.array_equal(w, np.linspace(0.0, np.pi, w.size))
+    return grid and 16 * config.channels * _response_samples(config) <= _PASS_BYTES
 
 
 def _coherent_parts(proto, w, config, aliasing=True):
     """(distortion, coherent alias) over the 1-D grid w: by _uniform_parts
-    on the uniform route's grid (_uniform), and by the shift pass elsewhere."""
-    if _uniform(w):
+    where _uniform takes w, and by the shift pass elsewhere."""
+    if _uniform(w, config):
         return _uniform_parts(proto, w.size, config, aliasing)
     return _transfer_parts(proto, w, config, aliasing)
 
@@ -625,11 +618,10 @@ def _channel_responses(proto, w, config):
     """(H, F), each (channels, w.size): every channel's warped analysis and
     synthesis response over the 1-D grid w, by the route _coherent_parts
     takes: the rfft of the impulse responses wrapped to 2(w.size - 1)
-    samples on the uniform grid, and shift 0 of the pass elsewhere."""
-    if _uniform(w):
+    samples on the uniform route, and shift 0 of the pass elsewhere."""
+    if _uniform(w, config):
         K = 2 * (w.size - 1)
-        H, F = np.fft.rfft(_wrap(_impulse_responses(proto, config), K), K)
-        return H, F
+        return tuple(np.fft.rfft(_wrap(_impulse_responses(proto, config), K), K))
     H = np.empty((config.channels, w.size), complex)
     F = np.empty_like(H)
     for block, _, _, _, phase, z in _shift_pass(proto, w, config, aliasing=False):
@@ -655,11 +647,11 @@ def aliasing_bound(proto, w, config):
     """Incoherent worst-case alias magnitude sum_k sum_{l>=1} |H_k^w F_k^w|.
 
     A conservative bound; the coherent aliasing_transfer is what enters T_all.
-    It needs every image's product apart: on np.linspace(0, pi, G) it reads
-    them off the FFTs of the impulse responses (_uniform_bound), and at
-    every other set of points off the shift pass.
+    It needs every image's product apart: where the uniform route takes w
+    (_uniform) it reads them off the FFTs of the impulse responses
+    (_uniform_bound), and elsewhere off the shift pass.
     """
-    if _uniform(w):
+    if _uniform(w, config):
         return _uniform_bound(proto, w.size, config)
     bound = np.zeros(w.shape)
     for block, shift, ks, _, phase, z in _shift_pass(proto, w, config):
@@ -708,8 +700,7 @@ def _uniform_images(proto, size, config, budget):
     from the channels' warped impulse responses: H from their rfft wrapped
     to K = 2(size - 1), and each channel's images from _image_spectra of
     f_k, at most budget image-points at a time unless the images of one
-    lead hold more.
-    """
+    lead hold more."""
     K = 2 * (size - 1)
     h, f = _impulse_responses(proto, config)
     H = np.fft.rfft(_wrap(h, K), K)
@@ -735,19 +726,18 @@ def bifrequency_map(half, config, in_grid, out_grid):
     to [0, pi]; magnitude is taken at the end, floored at -300 dB.  With all
     ratios 1 only the l = 0 diagonal remains and equals |t_dist|.
 
-    The images come by the grid: on an in-grid np.linspace(0, pi, G) off
-    the FFTs of the channels' impulse responses (_uniform_images), and on
-    every other in-grid off the shift pass (_pass_images).  Either way the
-    images of consecutive shifts or channels are held and then folded,
-    searched and scattered together by one np.add.at, in the order they
-    come, so every cell sums the same products in the same order as a
-    scatter per shift or per channel; on the pass the map is bitwise the
-    one a scatter per shift gives.  The hold is scattered at the end of each
-    block of the pass, and before it would pass _PASS_BYTES // 64
-    image-points (65 536 by default), unless one shift, or the images of one
-    lead of _image_spectra, alone hold more; on the flagship the scatter's
-    work then stays within about 3 MB above the cells and the images'
-    source.
+    The images come off the FFTs of the channels' impulse responses
+    (_uniform_images) where the uniform route takes the in-grid (_uniform),
+    and elsewhere off the shift pass (_pass_images).  Either way the images
+    of consecutive shifts or channels are held and then folded, searched
+    and scattered together by one np.add.at, in the order they come, so
+    every cell sums the same products in the same order as a scatter per
+    shift or per channel; on the pass the map is bitwise the one a scatter
+    per shift gives.  The hold is scattered at the end of each block of the
+    pass, and before it would pass _PASS_BYTES // 64 image-points (65 536
+    by default), unless one shift, or the images of one lead of
+    _image_spectra, alone hold more; on the flagship the scatter's work
+    then stays within about 3 MB above the cells and the images' source.
     """
     proto = _as_proto(half, config)
     win = _check_grid(in_grid, "in_grid")
@@ -779,7 +769,7 @@ def bifrequency_map(half, config, in_grid, out_grid):
         del folded
         np.add.at(acc, (rows[block], order[pos]), h[ks] * f)
 
-    if _uniform(win):
+    if _uniform(win, config):
         images = _uniform_images(proto, win.size, config, budget)
     else:
         images = _pass_images(proto, win, config)

@@ -23,6 +23,7 @@ from warpbank import (
     BankDesign,
     BankStream,
     SubbandFrame,
+    allpass,
     analyze,
     channel_response_warped,
     files,
@@ -34,6 +35,7 @@ from warpbank import (
     streaming,
     synthesize,
     to_db,
+    transfer,
 )
 
 
@@ -152,7 +154,7 @@ def test_memory_chunks_is_where_the_state_map_vanishes(taps):
     chunks = {}
     for alpha in (0.0, 0.5783, -0.5783, 0.9, -0.9):
         phi = streaming._state_maps(alpha, streaming._line_runs(alpha, taps)).phi
-        k = streaming._memory_chunks(phi)
+        k = allpass._line_memory(alpha, taps) // streaming._CHUNK - 1
         assert np.abs(np.linalg.matrix_power(phi, k)).max() <= eps
         assert np.abs(np.linalg.matrix_power(phi, k - 1)).max() > eps
         chunks[alpha] = k
@@ -166,13 +168,38 @@ def test_flagship_probes_hold_with_twice_the_settle(monkeypatch):
     design = files.load_design(Path(__file__).parents[1] / "bench" / "bark22_design.yaml")
     probes = np.linspace(0.05, np.pi - 0.05, 8)
     settled = measure_response(design, probes)
-    memory = streaming._memory_chunks
+    memory = allpass._line_memory
     # 2*((2K+1)+1)*c samples, twice 2*(K+1)*c
-    twice = mock.Mock(side_effect=lambda phi: 2 * memory(phi) + 1)
-    monkeypatch.setattr(streaming, "_memory_chunks", twice)
+    twice = mock.Mock(side_effect=lambda alpha, order: 2 * memory(alpha, order))
+    monkeypatch.setattr(allpass, "_line_memory", twice)
     longer = measure_response(design, probes)
     assert twice.call_count == 1
     assert np.max(np.abs(longer - settled)) <= 1e-3
+
+
+def test_settle_and_response_length_read_one_line_memory(monkeypatch):
+    # measure_response's settle and the uniform route's impulse responses
+    # both read allpass._line_memory: doubling it there doubles both
+    design = _toy_design(4, 32, 0.6, [2, 1, 1, 2])
+    proto = design.prototype_half()
+    run, sizes = BankStream._run, []
+
+    def recorded(self, x):
+        sizes.append(x.size)
+        return run(self, x)
+
+    def lengths():
+        sizes.clear()
+        measure_response(design, [1.0])
+        responses = transfer._impulse_responses(proto, design.config)
+        return sizes[0] - streaming._WINDOW, responses.shape[2]
+
+    monkeypatch.setattr(BankStream, "_run", recorded)
+    settle, length = lengths()
+    memory = allpass._line_memory
+    assert settle == 2 * memory(design.alpha, design.order)
+    monkeypatch.setattr(allpass, "_line_memory", lambda alpha, order: 2 * memory(alpha, order))
+    assert lengths() == (2 * settle, 2 * length)
 
 
 def test_measure_rejects_edge_probes():

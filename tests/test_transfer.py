@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -37,7 +39,7 @@ from warpbank import (
     to_db,
     transfer_quadratic,
 )
-from warpbank import files, modulation, optimize, streaming, transfer
+from warpbank import allpass, files, modulation, optimize, streaming, transfer
 from warpbank.allpass import allpass_phase
 
 
@@ -261,6 +263,7 @@ def _image_cases(draw):
 
 
 @given(_image_cases())
+@example((np.ones(2), BankConfig(channels=1, order=4, alpha=0.0, subsampling=[3]), 2, 2, 1))
 def test_image_spectra_and_their_callers_match_per_image_oracle(case):
     # on np.linspace(0, pi, G) the kernel gives every lead l0 < m of a
     # channel once, its row holding the DTFT of the channel's response at
@@ -283,6 +286,10 @@ def test_image_spectra_and_their_callers_match_per_image_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "_PASS_BYTES", budget)
         mp.setattr(transfer, "_shift_pass", None)
+        # a budget below the responses' bytes would send the callers to the
+        # shift pass; the grid alone picks the route here, so that the
+        # kernels run their blocks at every budget
+        mp.setattr(transfer, "_uniform", lambda w, config: True)
         h = transfer._impulse_responses(proto, config)[0]
         for k, S in enumerate(config.subsampling.tolist()):
             m = S // math.gcd(K, S)
@@ -302,7 +309,10 @@ def test_image_spectra_and_their_callers_match_per_image_oracle(case):
         mp.setattr(transfer, "to_db", lambda c: c)  # the cells, not dB
         got = bifrequency_map(half, config, grid, out_grid)
     assert np.max(np.abs(bound - want[2])) <= 1e-12 * scale
-    cell_scale = np.abs(cells).max()
+    # cells that are all rounding (the example's 2-point grid, whose images
+    # cancel) take the band's scale instead
+    top = np.abs(cells).max()
+    cell_scale = top if top > 1e-12 * scale else scale
     decided = (hits == 0) | (np.abs(cells) > 1e-12 * cell_scale)
     assert_array_equal((got != 0)[decided], (cells != 0)[decided])
     assert np.max(np.abs(got - cells)) <= 1e-12 * cell_scale
@@ -749,7 +759,7 @@ def test_uniform_route_length_is_the_line_memory():
     # more than the 1e-15 a longer tail alone would)
     half, config = _flagship_bank()
     proto = PrototypeHalf(half, config.channels)
-    length = transfer._response_length(config)
+    length = allpass._line_memory(config.alpha, config.order)
     assert length == 15 * 64  # K = 14 chunks of memory and the impulse's own
     want = oracles.impulse_responses(proto, config, 2 * length)
     got = transfer._impulse_responses(proto, config)
@@ -760,7 +770,7 @@ def test_uniform_route_length_is_the_line_memory():
     sizes = (config.grid_points, 33)
     base = [transfer._uniform_parts(proto, size, config) for size in sizes]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "_response_length", lambda config: 2 * length)
+        mp.setattr(allpass, "_line_memory", lambda alpha, order: 2 * length)
         assert transfer._impulse_responses(proto, config).shape[2] == 2048
         longer = [transfer._uniform_parts(proto, size, config) for size in sizes]
     for short, long in zip(base, longer):
@@ -777,8 +787,11 @@ def test_line_memory_follows_alpha_and_order():
     config = BankConfig(channels=4, order=32, alpha=0.3)
 
     def direct(alpha, order):
-        runs = streaming._line_runs(alpha, order)
-        chunks = streaming._memory_chunks(streaming._state_maps(alpha, runs).phi)
+        # the least k with max|Phi^k| <= 2^-52, by matrix powers
+        phi = streaming._state_maps(alpha, streaming._line_runs(alpha, order)).phi
+        chunks = 1
+        while np.abs(np.linalg.matrix_power(phi, chunks)).max() > np.finfo(float).eps:
+            chunks += 1
         return (chunks + 1) * streaming._CHUNK
 
     proto = PrototypeHalf(np.ones(16), 4)
@@ -786,13 +799,110 @@ def test_line_memory_follows_alpha_and_order():
     for alpha, order in [(0.3, 32), (0.9, 32), (0.9, 64), (0.3, 32)]:
         config.alpha, config.order = alpha, order
         proto = PrototypeHalf(np.ones(order // 2), 4)
-        hits = transfer._line_memory.cache_info().hits
-        lengths.append(transfer._response_length(config))
+        hits = allpass._line_memory.cache_info().hits
+        lengths.append(allpass._line_memory(config.alpha, config.order))
         assert lengths[-1] == direct(alpha, order)
         L = transfer._impulse_responses(proto, config).shape[2]
         assert L == 1 << (lengths[-1] - 1).bit_length()
-        assert transfer._line_memory.cache_info().hits > hits  # the responses read it again
+        assert allpass._line_memory.cache_info().hits > hits  # the responses read it again
     assert len(set(lengths[:3])) == 3 and lengths[3] == lengths[0]
+
+
+def test_transfer_reads_the_line_from_allpass_not_streaming():
+    # the uniform route and the stream share the allpass line's block model
+    # and memory through allpass: transfer neither imports streaming nor
+    # holds it
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(transfer))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not any("streaming" in name for name in names), names
+    assert "streaming" not in vars(transfer)
+    assert all(value is not streaming for value in vars(transfer).values())
+
+
+def test_uniform_route_is_bounded_by_the_line_memory(monkeypatch):
+    # the flagship's geometry and half at alpha 0.99, whose (2, 22, 65 536)
+    # responses (23 MB) do not fit in _PASS_BYTES: on np.linspace(0, pi,
+    # 1408) the five public curves, the channels' responses and a 32 x 32
+    # map take the shift pass, no impulse responses, each holding at most
+    # _PASS_BYTES above its output and within 1e-12 of max|T| of the pass
+    # on the grid reversed.  At alpha 0.9 (2.9 MB of responses), and on an
+    # 8-channel bank whose responses fill _PASS_BYTES exactly, they take
+    # the uniform route, with no shift pass; that budget bounds the
+    # responses, not the route, which holds at most three times their bytes
+    # and half of _PASS_BYTES of powers (8.1 of 10.8 MB at alpha 0.9, 13.1
+    # of 14.7 MB on the 8 channels)
+    grid = np.linspace(0.0, np.pi, 1408)
+    small = np.linspace(0.0, np.pi, 32)
+
+    def routes(half, config):
+        # (name, route over its grid, its grid, the grid's axis in the output)
+        curves = [(f.__name__, lambda w, f=f: f(half, w, config), grid, -1)
+                  for f in (distortion_transfer, aliasing_transfer, aliasing_bound,
+                            overall_transfer, error_function)]
+        proto = PrototypeHalf(half, config.channels)
+        responses = lambda w: transfer._channel_responses(proto, w, config)
+        cells = lambda w: _map_cells(half, config, w, small)
+        return curves + [("_channel_responses", responses, grid, -1),
+                         ("bifrequency_map", cells, small, 0)]
+
+    def traced(route, w):
+        # the route's output and the bytes it held above it
+        tracemalloc.start()
+        try:
+            out = route(w)
+            outputs = out if isinstance(out, tuple) else (out,)
+            return out, tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in outputs)
+        finally:
+            tracemalloc.stop()
+
+    def refused(*args):
+        raise AssertionError("the uniform route was taken")
+
+    half, flagship = _flagship_bank()
+    config = BankConfig(channels=22, order=176, alpha=0.99, subsampling=flagship.subsampling)
+    assert not transfer._uniform(grid, config)  # builds the line's memory
+    scale = np.abs(overall_transfer(half, grid[::-1], config)).max()
+    with monkeypatch.context() as mp:
+        mp.setattr(transfer, "_impulse_responses", refused)
+        for name, route, w, axis in routes(half, config):
+            backward = np.flip(route(w[::-1]), axis)
+            forward, held = traced(route, w)
+            assert held <= transfer._PASS_BYTES, (name, held)
+            assert np.max(np.abs(np.array(forward) - backward)) <= 1e-12 * scale, name
+    config.alpha = 0.9
+    edge = BankConfig(channels=8, order=64, alpha=0.989, subsampling=np.arange(8) % 3 + 2)
+    edge_half = np.random.default_rng(28).standard_normal(32)
+    with monkeypatch.context() as mp:
+        mp.setattr(transfer, "_shift_pass", None)
+        for bank, config in ((half, config), (edge_half, edge)):
+            responses = 16 * config.channels * transfer._response_samples(config)
+            assert responses <= transfer._PASS_BYTES
+            for name, route, w, _ in routes(bank, config):
+                route(w)  # warm numpy's and scipy's first-call allocations
+                held = traced(route, w)[1]
+                assert held <= 3 * responses + transfer._PASS_BYTES // 2, (name, held)
+    assert responses == transfer._PASS_BYTES
+
+
+def test_route_check_and_responses_read_one_length(monkeypatch):
+    # _uniform sizes the responses _impulse_responses builds from one L
+    # (_response_samples): with the budget set to their bytes the flagship
+    # takes the uniform route, and doubling the line's memory doubles L,
+    # which takes it off
+    half, config = _flagship_bank()
+    proto = PrototypeHalf(half, config.channels)
+    grid = frequency_grid(config)
+    size = transfer._impulse_responses(proto, config).nbytes
+    monkeypatch.setattr(transfer, "_PASS_BYTES", size)
+    assert transfer._uniform(grid, config)
+    memory = allpass._line_memory
+    monkeypatch.setattr(allpass, "_line_memory", lambda alpha, order: 2 * memory(alpha, order))
+    assert not transfer._uniform(grid, config)
+    assert transfer._impulse_responses(proto, config).nbytes == 2 * size
 
 
 def test_shift_pass_phases_have_unit_modulus():
