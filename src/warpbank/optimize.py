@@ -18,10 +18,13 @@ from scipy.signal import firwin
 
 from .modulation import PrototypeHalf
 from .transfer import (
+    _GRID_BLOCK,
     BankConfig,
     TransferTables,
+    _block_ranges,
     _check_count,
     _coherent_parts,
+    _map_ranges,
     distortion_transfer,
     frequency_grid,
     to_db,
@@ -95,11 +98,6 @@ class BankDesign:
         return self.prototype_half().full()
 
 
-# grid points per block of the derivative pass; the block's mix d ta is as
-# large as its rows of ta
-_GRID_BLOCK = 64
-
-
 def _evaluate(half, weights, tables, order=2, products=None):
     """Objective and derivatives of g(h) = sum B E^2 from precomputed tables.
 
@@ -130,8 +128,16 @@ def _evaluate(half, weights, tables, order=2, products=None):
       n^2.  Z of (2, channels, n, m) gathers the products, and it is
       scattered into the (n, n) cross term once, after the last block.
 
-    So no scaled copy of the table is made.  Memory above the tables is the
-    (grid, order/2) error gradient and one block.
+    So no scaled copy of the table is made.  The blocks run in the ranges
+    of whole blocks that transfer._block_ranges fixes from the grid and
+    ta's bytes, one range per worker thread (transfer._map_ranges): each
+    range fills its blocks' rows of the error gradient and sums its blocks'
+    Gauss-Newton terms and Z in block order, and the ranges' sums are added
+    in range order.  No sum depends on the number of workers, so the result
+    is bitwise the same on any core count.  Memory above the tables is the
+    (grid, order/2) error gradient and one block; where the pass splits,
+    each range forms d ta for half of the canonical columns at a time, so
+    two ranges at once hold little more than one block.
     """
     A, B = tables.channel_products(half) if products is None else products
     t = np.einsum("gm,gm->g", A, B)
@@ -148,7 +154,6 @@ def _evaluate(half, weights, tables, order=2, products=None):
     tt = 2.0 * np.stack([t.real, t.imag], axis=-1)[:, None, :]
     grad_err = np.empty((t.size, n2))
     if order >= 2:
-        hess = np.zeros((n2, n2))
         w2 = 4.0 * weights * err
         # Gauss-Newton weights of v's planes, 2 B tt^T tt + w2 I, and the
         # mixes [Re d, -Im d; Im d, Re d] that take ta's planes to d ta's
@@ -160,48 +165,67 @@ def _evaluate(half, weights, tables, order=2, products=None):
         # as flat positions in a (2 n) row of basis0
         columns, signs = tables.columns, tables.signs
         flat = (columns + n2 * np.arange(2)[:, None, None]).ravel()
-        z = np.zeros((2, M, n2, columns.shape[2]))
-    # work buffers for one block, reused by every block
+    ranges = _block_ranges(t.size, _GRID_BLOCK, tables.ta.nbytes)
+    # canonical columns per d ta: all of them, or half where the pass splits
+    part = M if len(ranges) == 1 else -(-M // 2)
     points = min(_GRID_BLOCK, t.size)
-    coef = np.empty((points, 4, M))
-    rows = np.empty((points, 4, M))
-    v = np.empty((points, 2, n2))
-    q = np.empty((points, 2, 2, n2))
-    work = np.empty(points * 2 * M * n2 if order >= 2 else 0)
-    for first in range(0, t.size, _GRID_BLOCK):
-        b = slice(first, first + _GRID_BLOCK)
-        ta, basis0 = tables.ta[b], tables.basis0[b]
-        size = ta.shape[0]
-        if size < points:
-            coef, rows, v, q = coef[:size], rows[:size], v[:size], q[:size]
-        # analysis half: (Re B, -Im B) and (Im B, Re B) against ta's planes
-        Bb, pa = B[b], tables.p0[b, None] * A[b]
-        coef[:, 0] = coef[:, 3] = Bb.real
-        coef[:, 2] = Bb.imag
-        np.negative(Bb.imag, out=coef[:, 1])
-        np.matmul(coef.reshape(size, 2, 2 * M), ta.reshape(size, 2 * M, n2), out=v)
-        # synthesis half: q[g, plane, c0/d0] from one GEMM, times the bases
-        rows[:, 0] = pa.real
-        rows[:, 1] = rows[:, 2] = pa.imag
-        np.negative(pa.real, out=rows[:, 3])
-        np.matmul(rows.reshape(2 * size, 2 * M), split, out=q.reshape(2 * size, 2 * n2))
-        q *= basis0[:, None]
-        v += q[:, :, 0]
-        v += q[:, :, 1]
-        np.matmul(tt[b], v, out=grad_err[b, None])
-        if order < 2:
-            continue
-        hess += v.reshape(-1, n2).T @ np.matmul(gn[b], v).reshape(-1, n2)
-        # z[0, c] += Re(d ta_c)^T (sc_c c0) and z[1, c] += Im(d ta_c)^T (ss_c d0)
-        du = work[: size * 2 * M * n2].reshape(size, 2, M * n2)
-        np.matmul(mix[b], ta.reshape(size, 2, M * n2), out=du)
-        du = du.reshape(size, 2, M, n2).transpose(1, 2, 3, 0)
-        picked = np.take(basis0.reshape(size, 2 * n2), flat, axis=1).reshape(size, *signs.shape)
-        picked *= signs
-        z += np.matmul(du, picked.transpose(1, 2, 0, 3))
+
+    def run(start, stop):
+        # one range's blocks: their rows of grad_err, and the sums of their
+        # Gauss-Newton terms and of z, on buffers that each block reuses
+        coef = np.empty((points, 4, M))
+        rows = np.empty((points, 4, M))
+        v = np.empty((points, 2, n2))
+        q = np.empty((points, 2, 2, n2))
+        if order >= 2:
+            hess = np.zeros((n2, n2))
+            z = np.zeros((2, M, n2, columns.shape[2]))
+            work = np.empty(points * 2 * part * n2)
+        for first in range(start, stop, _GRID_BLOCK):
+            b = slice(first, first + _GRID_BLOCK)
+            ta, basis0 = tables.ta[b], tables.basis0[b]
+            size = ta.shape[0]
+            if size < points:
+                coef, rows, v, q = coef[:size], rows[:size], v[:size], q[:size]
+            # analysis half: (Re B, -Im B) and (Im B, Re B) against ta's planes
+            Bb, pa = B[b], tables.p0[b, None] * A[b]
+            coef[:, 0] = coef[:, 3] = Bb.real
+            coef[:, 2] = Bb.imag
+            np.negative(Bb.imag, out=coef[:, 1])
+            np.matmul(coef.reshape(size, 2, 2 * M), ta.reshape(size, 2 * M, n2), out=v)
+            # synthesis half: q[g, plane, c0/d0] from one GEMM, times the bases
+            rows[:, 0] = pa.real
+            rows[:, 1] = rows[:, 2] = pa.imag
+            np.negative(pa.real, out=rows[:, 3])
+            np.matmul(rows.reshape(2 * size, 2 * M), split, out=q.reshape(2 * size, 2 * n2))
+            q *= basis0[:, None]
+            v += q[:, :, 0]
+            v += q[:, :, 1]
+            np.matmul(tt[b], v, out=grad_err[b, None])
+            if order < 2:
+                continue
+            hess += v.reshape(-1, n2).T @ np.matmul(gn[b], v).reshape(-1, n2)
+            # z[0, c] += Re(d ta_c)^T (sc_c c0) and z[1, c] += Im(d ta_c)^T (ss_c d0)
+            picked = np.take(basis0.reshape(size, 2 * n2), flat, axis=1).reshape(size, *signs.shape)
+            picked *= signs
+            for lo in range(0, M, part):
+                cs = slice(lo, lo + part)
+                tc = ta[:, :, cs].reshape(size, 2, -1)
+                du = work[: tc.size].reshape(tc.shape)
+                np.matmul(mix[b], tc, out=du)
+                du = du.reshape(size, 2, -1, n2).transpose(1, 2, 3, 0)
+                z[:, cs] += np.matmul(du, picked[:, :, cs].transpose(1, 2, 0, 3))
+        return (hess, z) if order >= 2 else None
+
+    sums = _map_ranges(run, ranges)
     grad = 2.0 * (weights * err) @ grad_err
     if order < 2:
         return g, grad, None, t, err
+    # the ranges' sums in range order, which the grid alone fixes
+    hess, z = sums[0]
+    for more in sums[1:]:
+        hess += more[0]
+        z += more[1]
     cross = np.zeros((n2, n2))
     for zp, cols in zip(z, columns):
         cross[:, cols.ravel()] += zp.transpose(1, 0, 2).reshape(n2, n2)

@@ -52,6 +52,8 @@ reads U off a one-point table.
 import functools
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,11 @@ class TransferTables:
     weights, with the 2 and (-1)^i folded in, join the planes, C^T mixes
     the channels while the block is in cache, and each row of ta is written
     once.  Shift 0 gives basis0 and p0.
+
+    The blocks run in the ranges of whole blocks that _block_ranges fixes
+    from the grid and ta's bytes, one range per worker thread (_map_ranges),
+    each on block buffers of its own; every row is computed alike in any
+    range, so the tables are bitwise the same on any core count.
     """
 
     def __init__(self, config, omega=None):
@@ -187,40 +194,46 @@ class TransferTables:
         # grid points per block: their harmonics, complex and as real planes,
         # take up to 1/32 of ta's bytes, and there are at least _TABLE_POINTS
         points = min(size, max(_TABLE_POINTS, self.ta.nbytes // 32 // (32 * n2 * shifts)))
-        harmonics = np.empty(n2 * points * shifts, complex)
-        planes = np.empty((points, 2, n2, shifts))
-        sums = np.empty((points, 2, n2, 2 * M))
-        # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
-        # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of Ad,
-        # so that ua = wc (c sums) + ws (d sums); every block writes the
-        # images' places of the (shift, plane, re/im, channel) phases, and
-        # every other place stays 0
-        phases = np.zeros((points, shifts, 4, M))
-        for first in range(0, size, points):
-            block = slice(first, first + points)
-            u = _half_turns(halves, np.exp(0.5j * self.omega[block]), config.alpha)
-            g = u.shape[1]  # the last block may be ragged
-            E = harmonics[: n2 * u.size].reshape(n2, g, shifts)
-            modulation._harmonics(u.T, E[None])
-            # (n, point, shift) complex into (point, plane, n, shift) real,
-            # one unit-stride matrix per point and plane for the GEMMs
-            planar = E.view(float).reshape(n2, g, shifts, 2).transpose(1, 3, 0, 2)
-            np.copyto(planes[:g], planar)
-            np.multiply(planes[:g, :, :, 0], fold, out=self.basis0[block])
-            # e^{-j(N-1)nu/2}, (point, shift); |E| drifts from 1 linearly in
-            # the index, and the phase scales every image of its shift
-            phase = np.conj(E[n2 - 1])
-            phase /= np.abs(phase)
-            self.p0[block] = phase[:, 0]
-            trig = np.stack([phase.real, phase.imag, -phase.imag, phase.real], axis=-1)
-            phases[:g, image_shift[:, None], np.arange(4), image_channel] = trig[:, image_shift]
-            phase = phases[:g].reshape(g, shifts, 2, 2 * M)
-            for p in range(2):  # the c and d planes
-                np.matmul(planes[:g, p], phase[:, :, p], out=sums[:g, p])
-            s = sums[:g].reshape(g, 2, n2, 2, M)
-            s *= split
-            ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
-            np.matmul(C.T, ua.transpose(0, 2, 3, 1), out=self.ta[block])
+
+        def fill(start, stop):
+            # one range's blocks, on buffers of its own that each block reuses
+            harmonics = np.empty(n2 * points * shifts, complex)
+            planes = np.empty((points, 2, n2, shifts))
+            sums = np.empty((points, 2, n2, 2 * M))
+            # e^{-j(N-1)nu/2} on each shift's channels: c against (cos, sin)
+            # sums to (Re, Im) of Ac, d against (-sin, cos) to (-Im, Re) of
+            # Ad, so that ua = wc (c sums) + ws (d sums); every block writes
+            # the images' places of the (shift, plane, re/im, channel)
+            # phases, and every other place stays 0
+            phases = np.zeros((points, shifts, 4, M))
+            for first in range(start, stop, points):
+                block = slice(first, first + points)
+                u = _half_turns(halves, np.exp(0.5j * self.omega[block]), config.alpha)
+                g = u.shape[1]  # the last block may be ragged
+                E = harmonics[: n2 * u.size].reshape(n2, g, shifts)
+                modulation._harmonics(u.T, E[None])
+                # (n, point, shift) complex into (point, plane, n, shift)
+                # real, one unit-stride matrix per point and plane for the
+                # GEMMs
+                planar = E.view(float).reshape(n2, g, shifts, 2).transpose(1, 3, 0, 2)
+                np.copyto(planes[:g], planar)
+                np.multiply(planes[:g, :, :, 0], fold, out=self.basis0[block])
+                # e^{-j(N-1)nu/2}, (point, shift); |E| drifts from 1 linearly
+                # in the index, and the phase scales every image of its shift
+                phase = np.conj(E[n2 - 1])
+                phase /= np.abs(phase)
+                self.p0[block] = phase[:, 0]
+                trig = np.stack([phase.real, phase.imag, -phase.imag, phase.real], axis=-1)
+                phases[:g, image_shift[:, None], np.arange(4), image_channel] = trig[:, image_shift]
+                phase = phases[:g].reshape(g, shifts, 2, 2 * M)
+                for p in range(2):  # the c and d planes
+                    np.matmul(planes[:g, p], phase[:, :, p], out=sums[:g, p])
+                s = sums[:g].reshape(g, 2, n2, 2, M)
+                s *= split
+                ua = np.add(s[:, 0], s[:, 1], out=s[:, 0])  # (grid, n, re/im, channel)
+                np.matmul(C.T, ua.transpose(0, 2, 3, 1), out=self.ta[block])
+
+        _map_ranges(fill, _block_ranges(size, points, self.ta.nbytes))
 
     def synthesis_vectors(self, rows=slice(None)):
         """us' at the given grid rows, complex (points, channels, N/2): the
@@ -233,13 +246,26 @@ class TransferTables:
         (grid, channels): ta_c @ h and us'_c @ h, whose products sum to T_all
         at each grid point (they are not per-channel responses).
 
-        The analysis one is one real GEMV over ta; the synthesis one is
-        p0 (c0 @ (sc h)^T - j d0 @ (ss h)^T), two real GEMMs."""
+        The analysis one is a real GEMV over ta; the synthesis one is p0 (c0
+        @ (sc h)^T - j d0 @ (ss h)^T), two real GEMMs.  Both run by the grid
+        ranges of _block_ranges, one per worker thread (_map_ranges), and
+        each row is computed alike in any range."""
         half = np.asarray(half, dtype=float)
-        a = (self.ta.reshape(-1, half.size) @ half).reshape(self.ta.shape[:3])
-        bc = self.basis0[:, 0] @ (self.sc * half).T
-        bd = self.basis0[:, 1] @ (self.ss * half).T
-        return a[:, 0] + 1j * a[:, 1], self.p0[:, None] * (bc - 1j * bd)
+        size, M = self.ta.shape[0], self.ta.shape[2]
+        wc, ws = (self.sc * half).T, (self.ss * half).T
+        A = np.empty((size, M), complex)
+        B = np.empty((size, M), complex)
+
+        def products(start, stop):
+            rows = slice(start, stop)
+            a = (self.ta[rows].reshape(-1, half.size) @ half).reshape(-1, 2, M)
+            A[rows] = a[:, 0] + 1j * a[:, 1]
+            bc = self.basis0[rows, 0] @ wc
+            bd = self.basis0[rows, 1] @ ws
+            B[rows] = self.p0[rows, None] * (bc - 1j * bd)
+
+        _map_ranges(products, _block_ranges(size, _GRID_BLOCK, self.ta.nbytes))
+        return A, B
 
     def overall(self, half):
         """T_all over the grid via the quadratic form."""
@@ -285,6 +311,66 @@ _PASS_BYTES = 4 << 20
 # grid points a block of the TransferTables build holds at least, so that
 # small grids do not pay numpy's per-call overhead one point at a time
 _TABLE_POINTS = 4
+
+# grid points per block of the passes that score a prototype on the tables:
+# channel_products' GEMV and optimize._evaluate's derivative pass
+_GRID_BLOCK = 64
+
+# bytes of ta that each range of a split grid pass holds more than.  With
+# one BLAS thread on 2 cores, two ranges of the flagship's geometry gain from
+# 12 MB of tables (a Newton step 0.8x, the build 0.9x), a 16-channel order
+# 128 bank breaks even at 34 MB, and the Newton step of an order-64 bank is
+# 1.3x slower even there: starting threads and handing the GIL between
+# them cost more than the second core saves
+_SPLIT_BYTES = 16 << 20
+
+
+def _workers():
+    """Threads for the ranges of a grid pass: the CPUs this process may run
+    on (its affinity mask where the platform has one, else every CPU) over
+    the threads BLAS runs each call on.  Those come from the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS that is set;
+    with none set, BLAS takes every CPU and a pass takes one.  Python and
+    BLAS threads on the same cores only contend: BLAS threads spin while
+    they wait."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _block_ranges(size, block, nbytes):
+    """[(first, stop)] grid ranges of a pass over size points in blocks of
+    `block`, whose tables take nbytes: 2^k runs of whole blocks, as even as
+    whole blocks allow, k the largest that leaves every run more than
+    _SPLIT_BYTES and at least one block.  The grid and its tables alone fix
+    them, never the CPUs, so a pass that sums per range sums alike on any
+    core count."""
+    blocks = -(-size // block)
+    runs = 1
+    while 2 * runs <= blocks and nbytes > 2 * runs * _SPLIT_BYTES:
+        runs *= 2
+    edges = [min(size, block * (blocks * i // runs)) for i in range(runs + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _map_ranges(fn, ranges):
+    """[fn(first, stop) for (first, stop) in ranges], in range order.
+
+    One range, or one worker (_workers), runs them in this thread.
+    Otherwise they run on min(workers, ranges) threads of a pool this call
+    owns and shuts down before it returns or raises, so no thread outlives
+    the call."""
+    workers = min(_workers(), len(ranges))
+    if workers < 2:
+        return [fn(*r) for r in ranges]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, *zip(*ranges)))
 
 
 def _shift_table(ratios, aliasing=True):
@@ -515,7 +601,7 @@ def _uniform_parts(proto, size, config, aliasing=True):
     step = max(1, _PASS_BYTES // 4 // (48 * size))
     for first in range(0, config.channels, step):
         ks = np.arange(first, min(first + step, config.channels))
-        H, F = np.fft.rfft(_wrap(h[:, ks], K), K)
+        H, F = np.fft.rfft(_wrap(h[:, first : first + step], K), K)
         dist += np.einsum("kg,kg->g", H, F)
         aliased = np.flatnonzero(ratios[ks] > 1) if aliasing else []
         if len(aliased):

@@ -1,6 +1,8 @@
 import dataclasses
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,6 +183,99 @@ def test_evaluate_memory_is_one_block():
     want = oracles.derivatives(half, weights, tables.config, tables.omega)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _split(mp, workers, split_bytes):
+    """Run the grid passes on `workers` workers, split past split_bytes."""
+    mp.setattr(transfer, "_workers", lambda: workers)
+    mp.setattr(transfer, "_SPLIT_BYTES", split_bytes)
+
+
+def _assert_same_outputs(got, want):
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_evaluate_is_bitwise_alike_on_any_worker_count():
+    # the flagship geometry on 400 points, 7 blocks of 64 in 4 ranges: the
+    # ranges' sums are added in range order, so 1, 2 and 8 workers give
+    # the same bits, within 1e-12 of the unsplit pass
+    config = BankConfig(channels=22, order=176, alpha=0.5783,
+                        subsampling=select_all(22, 0.5783), grid_points=400)
+    tables = TransferTables(config)
+    half = initial_prototype(config).coeffs
+    weights = np.random.default_rng(5).uniform(0.5, 2.0, 400)
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, 2, 1)
+        assert len(transfer._block_ranges(400, optimize._GRID_BLOCK, tables.ta.nbytes)) == 4
+    for order in (0, 1, 2):
+        whole = optimize._evaluate(half, weights, tables, order)
+        outputs = []
+        for workers in (1, 2, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                _split(mp, workers, 1)
+                outputs.append(optimize._evaluate(half, weights, tables, order))
+        for got in outputs[1:]:
+            _assert_same_outputs(got, outputs[0])
+        for a, b in zip(outputs[0], whole):
+            if b is not None:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), order
+
+
+def test_evaluate_on_one_block_runs_in_the_calling_thread():
+    # a 40-point grid is one block, so even a split size of 1 byte leaves
+    # one range and no pool
+    config = BankConfig(channels=22, order=176, alpha=0.5783,
+                        subsampling=select_all(22, 0.5783), grid_points=40)
+    tables = TransferTables(config)
+    half = initial_prototype(config).coeffs
+    weights = np.ones(40)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block pass started a pool")
+
+    for order in (0, 1, 2):
+        want = optimize._evaluate(half, weights, tables, order)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 2, 1)
+            mp.setattr(transfer, "ThreadPoolExecutor", no_pool)
+            _assert_same_outputs(optimize._evaluate(half, weights, tables, order), want)
+
+
+def _side_bank():
+    return BankConfig(channels=8, order=64, alpha=0.4, subsampling=select_all(8, 0.4))
+
+
+def test_design_is_bitwise_alike_on_any_worker_count():
+    # the side bank's 4 MiB tables split in two past 1 MiB; the design is
+    # the same on 1 and 2 workers, and no thread outlives design()
+    designs = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, workers, 1 << 20)
+            before = threading.active_count()
+            designs.append(design(_side_bank()))
+            assert threading.active_count() == before
+    (bank, report), (bank2, report2) = designs
+    assert np.array_equal(bank2.half, bank.half)
+    assert np.array_equal(report2.objective_trace, report.objective_trace)
+    assert report2.inner_iterations == report.inner_iterations
+    assert report2.outer_iterations == report.outer_iterations == 3
+
+
+def test_design_runs_inside_threads():
+    # design() inside a pool's worker, and two designs at once, start pools
+    # of their own and return the plain call's half
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, 2, 1 << 20)
+        want = design(_side_bank())[0].half
+        with ThreadPoolExecutor(1) as pool:
+            inside = pool.submit(design, _side_bank()).result(timeout=120)
+        with ThreadPoolExecutor(2) as pool:
+            both = [pool.submit(design, _side_bank()) for _ in range(2)]
+            both = [future.result(timeout=120) for future in both]
+    for bank, _ in [inside] + both:
+        assert np.array_equal(bank.half, want)
 
 
 def test_hessian_is_symmetric():

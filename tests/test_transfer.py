@@ -1,6 +1,8 @@
 import ast
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -499,6 +501,106 @@ def test_transfer_tables_small_grid_blocks_hold_several_points():
     assert len(items) == 256 // transfer._TABLE_POINTS
     for u in items:
         assert u.shape == (shifts, transfer._TABLE_POINTS)
+
+
+def _split_tables(config, workers, split_bytes, mp):
+    """TransferTables(config) built on `workers` workers with the split size
+    patched to split_bytes, and the number of grid ranges it ran."""
+    mp.setattr(transfer, "_workers", lambda: workers)
+    mp.setattr(transfer, "_SPLIT_BYTES", split_bytes)
+    runs, map_ranges = [], transfer._map_ranges
+
+    def counted(fn, ranges):
+        runs.append(len(ranges))
+        return map_ranges(fn, ranges)
+
+    mp.setattr(transfer, "_map_ranges", counted)
+    return TransferTables(config), runs[0]
+
+
+@pytest.mark.parametrize("channels, order, alpha, grid", [
+    (22, 176, 0.5783, 400),  # the flagship geometry
+    (8, 64, 0.4, 37),  # the side bank; 37 points leave a ragged last block
+])
+def test_transfer_tables_are_bitwise_alike_on_any_worker_count(channels, order, alpha, grid):
+    # the grid fixes the ranges and every row is computed alike in any of
+    # them, so split builds on 1, 2 and 8 workers (more than the cores, with
+    # the GIL handed over often) are bitwise the unsplit serial build
+    config = BankConfig(channels=channels, order=order, alpha=alpha,
+                        subsampling=select_all(channels, alpha), grid_points=grid)
+    with pytest.MonkeyPatch.context() as mp:
+        want, runs = _split_tables(config, 1, 1 << 40, mp)
+    assert runs == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                got, runs = _split_tables(config, workers, 1, mp)
+            assert runs > 2
+            for name in ("ta", "basis0", "p0"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (workers, name)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_transfer_tables_split_rule_reads_the_tables_bytes():
+    # 2^k ranges of whole blocks, each holding more than _SPLIT_BYTES of the
+    # tables: the side bank (4.2 MB) takes one, the flagship (43.6 MB) two
+    split = transfer._SPLIT_BYTES
+    assert transfer._block_ranges(1024, 64, 4_194_304) == [(0, 1024)]
+    assert transfer._block_ranges(1408, 64, 43_614_208) == [(0, 704), (704, 1408)]
+    assert transfer._block_ranges(1408, 4, 43_614_208) == [(0, 704), (704, 1408)]
+    assert len(transfer._block_ranges(4096, 64, 4 * split + 1)) == 4
+    assert len(transfer._block_ranges(4096, 64, 4 * split)) == 2
+    # never more ranges than blocks, a ragged last block in the last range
+    assert transfer._block_ranges(130, 64, 1 << 40) == [(0, 64), (64, 130)]
+    assert transfer._block_ranges(40, 64, 1 << 40) == [(0, 40)]
+
+
+def test_grid_pass_workers_leave_blas_its_cpus():
+    # the CPUs over BLAS's threads per call, from the first variable set;
+    # with none set BLAS takes every CPU, and a pass one
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in names:
+            mp.delenv(name, raising=False)
+        assert transfer._workers() == 1
+        mp.setenv("OMP_NUM_THREADS", "2")
+        assert transfer._workers() == 2
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert transfer._workers() == 4
+        mp.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert transfer._workers() == 1
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        mp.setattr(transfer.os, "sched_getaffinity", lambda pid: {0})
+        assert transfer._workers() == 1
+
+
+def test_transfer_tables_threads_end_with_the_build():
+    # a split build leaves no thread behind, also when a block raises
+    config = BankConfig(channels=22, order=176, alpha=0.5783,
+                        subsampling=select_all(22, 0.5783), grid_points=400)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        _, runs = _split_tables(config, 2, 1, mp)
+    assert runs > 2 and threading.active_count() == before
+    turns, lock, calls = transfer._half_turns, threading.Lock(), []
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise RuntimeError("third block")
+        return turns(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_half_turns", failing)
+        with assert_raises(RuntimeError, match="third block"):
+            _split_tables(config, 2, 1, mp)
+    assert threading.active_count() == before
 
 
 def _table_bytes(tables):
