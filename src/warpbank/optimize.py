@@ -168,6 +168,7 @@ def _evaluate(half, weights, tables, order=2, products=None):
     ranges = _block_ranges(t.size, _GRID_BLOCK, tables.ta.nbytes)
     # canonical columns per d ta: all of them, or half where the pass splits
     part = M if len(ranges) == 1 else -(-M // 2)
+    chunks = [slice(lo, lo + part) for lo in range(0, M, part)]
     points = min(_GRID_BLOCK, t.size)
 
     def run(start, stop):
@@ -208,13 +209,13 @@ def _evaluate(half, weights, tables, order=2, products=None):
             # z[0, c] += Re(d ta_c)^T (sc_c c0) and z[1, c] += Im(d ta_c)^T (ss_c d0)
             picked = np.take(basis0.reshape(size, 2 * n2), flat, axis=1).reshape(size, *signs.shape)
             picked *= signs
-            for lo in range(0, M, part):
-                cs = slice(lo, lo + part)
+            for cs in chunks:
                 tc = ta[:, :, cs].reshape(size, 2, -1)
                 du = work[: tc.size].reshape(tc.shape)
                 np.matmul(mix[b], tc, out=du)
                 du = du.reshape(size, 2, -1, n2).transpose(1, 2, 3, 0)
-                z[:, cs] += np.matmul(du, picked[:, :, cs].transpose(1, 2, 0, 3))
+                zc = z[:, cs]  # adds in place, where z[:, cs] += copies back
+                zc += np.matmul(du, picked[:, :, cs].transpose(1, 2, 0, 3))
         return (hess, z) if order >= 2 else None
 
     sums = _map_ranges(run, ranges)

@@ -259,10 +259,10 @@ class TransferTables:
         def products(start, stop):
             rows = slice(start, stop)
             a = (self.ta[rows].reshape(-1, half.size) @ half).reshape(-1, 2, M)
-            A[rows] = a[:, 0] + 1j * a[:, 1]
+            np.add(a[:, 0], 1j * a[:, 1], out=A[rows])
             bc = self.basis0[rows, 0] @ wc
             bd = self.basis0[rows, 1] @ ws
-            B[rows] = self.p0[rows, None] * (bc - 1j * bd)
+            np.multiply(self.p0[rows, None], bc - 1j * bd, out=B[rows])
 
         _map_ranges(products, _block_ranges(size, _GRID_BLOCK, self.ta.nbytes))
         return A, B
